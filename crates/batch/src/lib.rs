@@ -747,7 +747,7 @@ pub fn flush_caches_in(
         .ok()
         .flatten()
         .unwrap_or_default();
-    // Ours first: `merged_entries` is first-wins per formula, and the
+    // Ours first: the store keeps a formula's first result, and the
     // solver is deterministic, so the order only breaks ties between
     // identical values.
     let merged_solver = SolverPersist::with_seed(persist.merged_entries());

@@ -56,12 +56,14 @@ pub struct AbsCtx {
     assign_cache: ShardedMap<(Cube, EdgeId), Cube>,
     assume_cache: ShardedMap<(Cube, EdgeId), Option<Cube>>,
     context_cache: ShardedMap<(Cube, BTreeSet<Var>, Region), Vec<Cube>>,
-    /// Persistence store this context's solver was seeded from. On
-    /// drop, the solver's learned entries are absorbed back into it —
-    /// `Drop` rather than an explicit hook because a context retires
-    /// on many paths (every verdict return, plus panic unwinding) and
-    /// absorption must happen exactly once on all of them. Inert (and
-    /// absorption a no-op) unless constructed via [`AbsCtx::with_parts`].
+    /// Persistence store this context's solver reads its seed from.
+    /// On drop, the entries the solver's shards solved themselves are
+    /// absorbed into it (seed hits never are: the solver does not copy
+    /// them) — `Drop` rather than an explicit hook because a context
+    /// retires on many paths (every verdict return, plus panic
+    /// unwinding) and absorption must happen exactly once on all of
+    /// them. Inert (and absorption a no-op) unless constructed via
+    /// [`AbsCtx::with_parts`].
     solver_persist: circ_smt::SolverPersist,
 }
 
@@ -103,9 +105,9 @@ impl AbsCtx {
 
     /// [`AbsCtx::with_cache_and_budget`] additionally warm-starting
     /// this context's solver from a persistence store's frozen seed
-    /// (see [`circ_smt::SolverPersist`]). The store is only *read*
-    /// here; what the round's solver learns is absorbed back by the
-    /// caller when the context retires.
+    /// (see [`circ_smt::SolverPersist`]). The solver reads through to
+    /// the seed without copying it; what the round's solver learns is
+    /// absorbed back into the store when the context retires.
     pub fn with_parts(
         cfa: Arc<Cfa>,
         preds: PredSet,

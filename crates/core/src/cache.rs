@@ -28,6 +28,12 @@
 //! identical between `--jobs 1` and `--jobs N` for the same query
 //! multiset.
 //!
+//! A warm-started cache sits on a frozen [`AbsSeed`] it shares rather
+//! than copies: a key missing from the local maps is looked up in the
+//! seed (sorted, so by binary search) before it is computed. A seed
+//! hit counts as a hit and stores nothing locally, so the local maps
+//! hold exactly what this cache learned, never a seed key.
+//!
 //! [`AbsCtx`]: crate::AbsCtx
 
 use circ_par::ShardedMap;
@@ -45,8 +51,16 @@ fn canon_premises(premises: &[Atom]) -> Vec<Atom> {
     v
 }
 
+/// The value of `key` in a slice sorted by key, if present.
+fn seek<K: Ord>(entries: &[(K, bool)], key: &K) -> Option<bool> {
+    entries.binary_search_by(|(k, _)| k.cmp(key)).ok().map(|i| entries[i].1)
+}
+
 #[derive(Debug)]
 struct CacheShared {
+    /// Frozen read-through layer below the local maps.
+    seed: AbsSeed,
+    /// Entries learned locally; disjoint from the seed.
     entails: ShardedMap<(Vec<Atom>, Atom), bool>,
     sat: ShardedMap<Vec<Atom>, bool>,
     queries: AtomicU64,
@@ -70,9 +84,10 @@ impl Default for AbsCache {
 }
 
 impl AbsCache {
-    fn with_enabled(enabled: bool) -> AbsCache {
+    fn with_parts(enabled: bool, seed: AbsSeed) -> AbsCache {
         AbsCache {
             inner: Arc::new(CacheShared {
+                seed,
                 entails: ShardedMap::new(),
                 sat: ShardedMap::new(),
                 queries: AtomicU64::new(0),
@@ -85,13 +100,13 @@ impl AbsCache {
 
     /// A fresh, enabled cache.
     pub fn new() -> AbsCache {
-        AbsCache::with_enabled(true)
+        AbsCache::with_parts(true, AbsSeed::empty())
     }
 
     /// A pass-through handle: queries are counted but never memoized.
     /// Used for the cached-vs-uncached differential.
     pub fn disabled() -> AbsCache {
-        AbsCache::with_enabled(false)
+        AbsCache::with_parts(false, AbsSeed::empty())
     }
 
     /// Whether this handle memoizes results.
@@ -115,7 +130,10 @@ impl AbsCache {
             return lia::entails(premises, goal);
         }
         let key = (canon_premises(premises), goal.canonical());
-        let (result, hit) = self.inner.entails.get_or_compute(key, || lia::entails(premises, goal));
+        let (result, hit) = match seek(&self.inner.seed.inner.entails, &key) {
+            Some(seeded) => (seeded, true),
+            None => self.inner.entails.get_or_compute(key, || lia::entails(premises, goal)),
+        };
         self.record(hit);
         result
     }
@@ -127,7 +145,10 @@ impl AbsCache {
             return lia::is_sat_conj(atoms);
         }
         let key = canon_premises(atoms);
-        let (result, hit) = self.inner.sat.get_or_compute(key, || lia::is_sat_conj(atoms));
+        let (result, hit) = match seek(&self.inner.seed.inner.sat, &key) {
+            Some(seeded) => (seeded, true),
+            None => self.inner.sat.get_or_compute(key, || lia::is_sat_conj(atoms)),
+        };
         self.record(hit);
         result
     }
@@ -142,8 +163,13 @@ impl AbsCache {
         }
     }
 
-    /// Number of memoized entries across both maps.
+    /// Number of memoized entries across both maps, seed included.
     pub fn len(&self) -> usize {
+        self.inner.seed.len() + self.local_len()
+    }
+
+    /// Number of entries learned locally (the seed excluded).
+    fn local_len(&self) -> usize {
         self.inner.entails.len() + self.inner.sat.len()
     }
 
@@ -152,47 +178,57 @@ impl AbsCache {
         self.len() == 0
     }
 
-    /// A fresh, enabled cache warm-started from a frozen seed.
-    /// Preloaded entries bypass the counters, so the first query of a
-    /// seeded key counts as a *hit* — which is exactly the observable
-    /// difference between a warm and a cold run.
+    /// A fresh, enabled cache warm-started from a frozen seed, which
+    /// it shares (see the module docs). A seeded key's first query
+    /// counts as a *hit* — which is exactly the observable difference
+    /// between a warm and a cold run.
     pub fn with_seed(seed: &AbsSeed) -> AbsCache {
-        let cache = AbsCache::new();
-        for ((premises, goal), result) in &seed.inner.entails {
-            cache.inner.entails.insert((premises.clone(), goal.clone()), *result);
-        }
-        for (atoms, result) in &seed.inner.sat {
-            cache.inner.sat.insert(atoms.clone(), *result);
-        }
-        cache
+        AbsCache::with_parts(true, seed.clone())
     }
 
     /// A frozen, deterministically ordered snapshot of the memoized
-    /// entries (sorted by key, so two caches with equal content
-    /// snapshot identically regardless of insertion order).
+    /// entries, seed included (sorted by key, so two caches with equal
+    /// content snapshot identically regardless of insertion order or
+    /// of which entries came from a seed).
     pub fn snapshot(&self) -> AbsSeed {
+        let seed = &self.inner.seed.inner;
         let mut entails = self.inner.entails.snapshot();
-        entails.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entails.extend_from_slice(&seed.entails);
         let mut sat = self.inner.sat.snapshot();
-        sat.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        AbsSeed { inner: Arc::new(AbsSeedInner { entails, sat }) }
+        sat.extend_from_slice(&seed.sat);
+        AbsSeed::from_entries(entails, sat)
     }
 
     /// Folds another cache's entries into this one, first write wins,
     /// without touching any counters. Used to merge what isolated
     /// per-file batch caches learned into the store that gets saved.
+    /// A sibling on the same seed contributes only what it learned;
+    /// any other cache contributes its seed as well. Keys already in
+    /// this cache's seed are skipped, keeping the local maps disjoint
+    /// from it.
     pub fn absorb(&self, other: &AbsCache) {
-        for (key, result) in other.inner.entails.snapshot() {
-            self.inner.entails.insert(key, result);
+        let ours = &self.inner.seed.inner;
+        let theirs = &other.inner.seed.inner;
+        let (seed_entails, seed_sat): (&[_], &[_]) =
+            if Arc::ptr_eq(ours, theirs) { (&[], &[]) } else { (&theirs.entails, &theirs.sat) };
+        for (key, result) in
+            other.inner.entails.snapshot().into_iter().chain(seed_entails.iter().cloned())
+        {
+            if seek(&ours.entails, &key).is_none() {
+                self.inner.entails.insert(key, result);
+            }
         }
-        for (key, result) in other.inner.sat.snapshot() {
-            self.inner.sat.insert(key, result);
+        for (key, result) in other.inner.sat.snapshot().into_iter().chain(seed_sat.iter().cloned())
+        {
+            if seek(&ours.sat, &key).is_none() {
+                self.inner.sat.insert(key, result);
+            }
         }
     }
 }
 
 /// An immutable, shareable snapshot of [`AbsCache`] entries — what the
-/// persistence layer saves and what warm-started caches preload from.
+/// persistence layer saves and what warm-started caches read through to.
 ///
 /// Keeping the seed frozen (instead of handing concurrent runs one
 /// live shared cache) is what makes batch counters deterministic:
@@ -351,6 +387,98 @@ mod tests {
         // First-write-wins: absorbing again is a no-op.
         master.absorb(&worker);
         assert_eq!(master.len(), 1);
+    }
+
+    /// `x ≤ n` as a one-atom conjunction key.
+    fn bound(n: i64) -> [Atom; 1] {
+        [Atom::le(x() - LinExpr::constant(n))]
+    }
+
+    /// A seed holding sat answers for `x ≤ n`, n in `ns`, plus one
+    /// entailment.
+    fn seed_of(ns: &[i64]) -> AbsSeed {
+        let cold = AbsCache::new();
+        for &n in ns {
+            cold.is_sat_conj(&bound(n));
+        }
+        cold.entails(&[Atom::eq(x())], &Atom::le(x()));
+        cold.snapshot()
+    }
+
+    #[test]
+    fn seeded_cache_stores_nothing_until_the_seed_misses() {
+        let seed = seed_of(&[1, 2, 3]);
+        let warm = AbsCache::with_seed(&seed);
+        assert_eq!(warm.local_len(), 0);
+        for n in [1, 2, 3, 1] {
+            warm.is_sat_conj(&bound(n));
+        }
+        assert!(warm.entails(&[Atom::eq(x())], &Atom::le(x())));
+        assert_eq!(warm.local_len(), 0, "seed hits must not be copied");
+        assert_eq!(warm.len(), seed.len());
+        assert_eq!(warm.counters().cache_hits, 5);
+        warm.is_sat_conj(&bound(4));
+        warm.is_sat_conj(&bound(4));
+        assert_eq!(warm.local_len(), 1);
+        let c = warm.counters();
+        assert_eq!((c.queries, c.cache_hits, c.cache_misses), (7, 6, 1));
+    }
+
+    #[test]
+    fn snapshot_is_seed_union_learned_and_renders_like_a_copied_seed() {
+        let seed = seed_of(&[1, 2, 3]);
+        let queries = |cache: &AbsCache| {
+            for n in [2, 5, 3, 6, 5] {
+                cache.is_sat_conj(&bound(n));
+            }
+            cache.entails(&[Atom::eq(x())], &Atom::le(x() - LinExpr::constant(1)));
+        };
+        let warm = AbsCache::with_seed(&seed);
+        queries(&warm);
+        // The reference: a plain cache with every seed entry copied
+        // in up front (uncounted) before the same queries.
+        let copied = AbsCache::new();
+        copied.absorb(&AbsCache::with_seed(&seed));
+        assert_eq!(copied.counters().queries, 0);
+        queries(&copied);
+        assert_eq!(warm.counters(), copied.counters());
+
+        let snap = warm.snapshot();
+        assert_eq!(snap.len(), seed.len() + warm.local_len());
+        assert_eq!(snap.len(), seed.len() + 3);
+        for entry in seed.sat_entries() {
+            assert!(snap.sat_entries().contains(entry));
+        }
+        assert_eq!(
+            crate::persist::render_abs_cache(&snap),
+            crate::persist::render_abs_cache(&copied.snapshot())
+        );
+    }
+
+    #[test]
+    fn absorb_copies_a_foreign_seed_but_not_a_shared_one() {
+        let seed = seed_of(&[1, 2]);
+        let master = AbsCache::with_seed(&seed);
+        let sibling = AbsCache::with_seed(&seed);
+        sibling.is_sat_conj(&bound(1)); // seed hit
+        sibling.is_sat_conj(&bound(7)); // learned
+        master.absorb(&sibling);
+        assert_eq!(master.local_len(), 1, "a shared seed must not be re-inserted");
+        assert_eq!(master.len(), seed.len() + 1);
+
+        // A cache on another seed: its seed entries are new to the
+        // master, except `x ≤ 1` and the entailment, which the
+        // master's own seed already holds.
+        let foreign = AbsCache::with_seed(&seed_of(&[1, 8]));
+        foreign.is_sat_conj(&bound(9));
+        master.absorb(&foreign);
+        assert_eq!(master.local_len(), 3);
+        assert_eq!(master.len(), seed.len() + 3);
+        assert_eq!(master.counters().queries, 0);
+        let keys: Vec<_> = master.snapshot().sat_entries().iter().map(|e| e.0.clone()).collect();
+        for n in [1, 2, 7, 8, 9] {
+            assert!(keys.contains(&bound(n).to_vec()), "x <= {n} missing");
+        }
     }
 
     #[test]

@@ -126,3 +126,25 @@ fn truncation_and_version_bumps_degrade_to_cold_start() {
     let (after, _, _) = run(&circ_core::AbsSeed::empty(), Vec::new());
     assert!(after.is_safe());
 }
+
+#[test]
+fn repeated_runs_on_one_store_keep_its_size_flat() {
+    let program = figure1_program();
+    let (_, _, learned) = run(&circ_core::AbsSeed::empty(), Vec::new());
+    let warm = SolverPersist::with_seed(learned.merged_entries());
+    assert!(!warm.is_empty());
+    // A warm store, and an active store whose seed is empty: it
+    // re-learns the same entries on every run, since seeds stay frozen.
+    for store in [warm, SolverPersist::with_seed(Vec::new())] {
+        let mut sizes = Vec::new();
+        for _ in 0..20 {
+            let outcome =
+                circ_with_caches(&program, &CircConfig::default(), &AbsCache::new(), &store);
+            assert!(outcome.is_safe());
+            sizes.push(store.len());
+            assert_eq!(store.len(), store.merged_entries().len());
+        }
+        assert!(sizes[0] > 0);
+        assert!(sizes.iter().all(|&n| n == sizes[0]), "store grew across runs: {sizes:?}");
+    }
+}

@@ -247,10 +247,9 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// Inserts `key → value` directly, bypassing the compute path.
     /// Returns `false` (keeping the existing value) when the key is
     /// already present — first write wins, matching
-    /// [`ShardedMap::get_or_compute`]. Used to preload a map from a
-    /// persisted snapshot; deliberately touches no caller-side
-    /// counters, so a preloaded entry's first query still counts as a
-    /// hit.
+    /// [`ShardedMap::get_or_compute`]. Used to merge entries learned
+    /// elsewhere; deliberately touches no caller-side counters, so an
+    /// inserted entry's first query still counts as a hit.
     pub fn insert(&self, key: K, value: V) -> bool {
         let mut shard = self.shards[self.shard_of(&key)].lock().unwrap_or_else(|e| e.into_inner());
         if shard.contains_key(&key) {

@@ -554,7 +554,7 @@ fn stats_payload(state: &ServerState) -> String {
          \"service\":{}}}",
         state.started.elapsed().as_secs_f64(),
         state.cache.len(),
-        state.persist.merged_entries().len(),
+        state.persist.len(),
         snapshot.to_json(),
     )
 }

@@ -291,3 +291,58 @@ fn overload_sheds_and_drain_finishes_inflight_work() {
     assert_eq!(exit, 3, "drained service exits 3");
     let _ = std::fs::remove_dir_all(&corpus);
 }
+
+/// `value` with every `"time*"` field removed, at any depth.
+fn without_times(value: &Value) -> Value {
+    match value {
+        Value::Obj(fields) => Value::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| !k.starts_with("time"))
+                .map(|(k, v)| (k.clone(), without_times(v)))
+                .collect(),
+        ),
+        Value::Arr(items) => Value::Arr(items.iter().map(without_times).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn repeated_requests_on_a_warm_cache_dir_keep_the_solver_store_flat() {
+    let dir = std::env::temp_dir().join(format!("circ-serve-{}-flat", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = || ServeConfig { cache_dir: Some(dir.clone()), ..ServeConfig::default() };
+    let source = include_str!("../../../examples/test_and_set.nesl");
+    let request = format!(
+        "{{\"op\":\"check\",\"name\":\"tas.nesl\",\"source\":\"{}\"}}",
+        circ_batch::json_escape(source)
+    );
+    let solver_entries = |server: &RunningServer| {
+        let stats = server.roundtrip("{\"op\":\"stats\"}");
+        stats.get("stats").and_then(|s| s.get("solver_entries")).and_then(Value::as_u64).unwrap()
+    };
+
+    // Warm the directory: one check, flushed by the drain.
+    let server = RunningServer::start(config(), "warmup");
+    assert_eq!(server.roundtrip(&request).get("exit").and_then(Value::as_u64), Some(0));
+    assert_eq!(server.shutdown(), 3);
+
+    let server = RunningServer::start(config(), "flat");
+    let seeded = solver_entries(&server);
+    assert!(seeded > 0, "the warm-up must have persisted solver entries");
+    let mut rows = Vec::new();
+    let mut after_first = 0;
+    for i in 0..50 {
+        let resp = server.roundtrip(&request);
+        assert_eq!(resp.get("exit").and_then(Value::as_u64), Some(0), "request {i}");
+        rows.push(without_times(resp.get("rows").expect("rows")));
+        if i == 0 {
+            after_first = solver_entries(&server);
+        }
+    }
+    assert_eq!(solver_entries(&server), after_first, "solver store grew with requests");
+    assert!(rows.iter().all(|r| r == &rows[0]), "rows differ between identical requests");
+    assert_eq!(server.shutdown(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -35,10 +35,11 @@ use crate::formula::Formula;
 use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
 use crate::solver::{shard_ix, SatResult, SOLVER_SHARDS};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// On-disk format version. Bump when the line syntax changes.
 pub const FORMAT_VERSION: u32 = 1;
@@ -365,17 +366,22 @@ pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 
 const SOLVER_KIND: &str = "circ-solver-cache";
 
+/// One shard's slice of a [`SolverPersist`] seed.
+pub(crate) type SeedBucket = HashMap<Formula, SatResult>;
+
 /// Shared, frozen-seed persistence store for [`crate::SharedSolver`]
 /// caches.
 ///
 /// The seed (loaded from disk, or empty) is immutable for the store's
 /// lifetime and pre-bucketed by shard index; every solver constructed
-/// via [`crate::SharedSolver::with_budget_and_seed`] warm-starts from
-/// it. Entries learned by finished runs are absorbed into a separate
-/// write-only accumulator and only merged with the seed at save time.
-/// That split keeps concurrent runs isolated: what one in-flight run
-/// learns can never influence another's cache counters, so per-run
-/// statistics stay independent of scheduling.
+/// via [`crate::SharedSolver::with_budget_and_seed`] reads through to
+/// it on a memo miss, without copying it. Entries learned by finished
+/// runs are absorbed into a separate write-only accumulator, which
+/// keeps each formula once and never repeats a seed entry, so the
+/// store holds at most one entry per distinct formula. That split
+/// keeps concurrent runs isolated: what one in-flight run learns can
+/// never influence another's cache counters, so per-run statistics
+/// stay independent of scheduling.
 ///
 /// The default store is *inert* ([`SolverPersist::inert`]): it seeds
 /// nothing and absorbing into it is a no-op, so code paths without
@@ -388,9 +394,16 @@ pub struct SolverPersist {
 #[derive(Debug)]
 struct PersistInner {
     /// Seed entries bucketed by [`shard_ix`], frozen at construction.
-    seed: Vec<Vec<(Formula, SatResult)>>,
-    /// Entries learned since construction (deduped, seed excluded).
-    learned: Mutex<Vec<(Formula, SatResult)>>,
+    seed: Vec<SeedBucket>,
+    /// Entries learned since construction (one per formula, none of
+    /// them in the seed).
+    learned: Mutex<HashMap<Formula, SatResult>>,
+}
+
+impl PersistInner {
+    fn learned(&self) -> MutexGuard<'_, HashMap<Formula, SatResult>> {
+        self.learned.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl SolverPersist {
@@ -401,17 +414,21 @@ impl SolverPersist {
 
     /// An active store warm-started from `seed` entries (typically
     /// loaded via [`load_solver_cache`]; pass an empty vector for an
-    /// active-but-cold store). `Unknown` results are dropped.
+    /// active-but-cold store). `Unknown` results are dropped, and a
+    /// repeated formula keeps its first result.
     pub fn with_seed(seed: Vec<(Formula, SatResult)>) -> SolverPersist {
-        let mut buckets: Vec<Vec<(Formula, SatResult)>> = vec![Vec::new(); SOLVER_SHARDS];
+        let mut buckets: Vec<SeedBucket> = vec![HashMap::new(); SOLVER_SHARDS];
         for (f, r) in seed {
             if matches!(r, SatResult::Unknown) {
                 continue;
             }
-            buckets[shard_ix(&f)].push((f, r));
+            buckets[shard_ix(&f)].entry(f).or_insert(r);
         }
         SolverPersist {
-            inner: Some(Arc::new(PersistInner { seed: buckets, learned: Mutex::new(Vec::new()) })),
+            inner: Some(Arc::new(PersistInner {
+                seed: buckets,
+                learned: Mutex::new(HashMap::new()),
+            })),
         }
     }
 
@@ -420,39 +437,56 @@ impl SolverPersist {
         self.inner.is_some()
     }
 
-    /// Number of seed entries across all buckets.
+    /// Number of distinct seed formulas across all buckets.
     pub fn seed_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.seed.iter().map(Vec::len).sum())
+        self.inner.as_ref().map_or(0, |i| i.seed.iter().map(HashMap::len).sum())
     }
 
-    /// The seed entries that land on solver shard `ix`.
-    pub(crate) fn seed_bucket(&self, ix: usize) -> &[(Formula, SatResult)] {
-        self.inner.as_ref().map_or(&[], |i| &i.seed[ix])
+    /// Number of distinct formulas held, seed and learned: the length
+    /// of [`SolverPersist::merged_entries`] without building it.
+    pub fn len(&self) -> usize {
+        self.seed_len() + self.inner.as_ref().map_or(0, |i| i.learned().len())
+    }
+
+    /// True when the store holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The seed entries that land on solver shard `ix`, or `None` when
+    /// there are none (so an empty seed costs a solver no lookup).
+    pub(crate) fn seed_bucket(&self, ix: usize) -> Option<&SeedBucket> {
+        self.inner.as_ref().map(|i| &i.seed[ix]).filter(|b| !b.is_empty())
     }
 
     /// Folds a finished solver's cache entries into the accumulator
-    /// (no-op when inert). `Unknown` results are dropped; duplicates
-    /// are deduped at save time.
+    /// (no-op when inert). `Unknown` results are dropped, and so is
+    /// every formula the store already holds, seed or learned (first
+    /// result wins; the solver is deterministic, so colliding results
+    /// are identical anyway).
     pub fn absorb(&self, entries: Vec<(Formula, SatResult)>) {
         let Some(inner) = &self.inner else { return };
-        let mut learned = inner.learned.lock().unwrap_or_else(|e| e.into_inner());
-        learned.extend(entries.into_iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)));
+        let mut learned = inner.learned();
+        for (f, r) in entries {
+            if matches!(r, SatResult::Unknown) || inner.seed[shard_ix(&f)].contains_key(&f) {
+                continue;
+            }
+            learned.entry(f).or_insert(r);
+        }
     }
 
-    /// Seed ∪ learned, deduped by formula (first occurrence wins; the
-    /// solver is deterministic, so colliding results are identical
-    /// anyway). This is what [`save_solver_cache`] writes.
+    /// Seed ∪ learned, one entry per formula. This is what
+    /// [`save_solver_cache`] writes. Order is unspecified.
     pub fn merged_entries(&self) -> Vec<(Formula, SatResult)> {
         let Some(inner) = &self.inner else { return Vec::new() };
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let learned = inner.learned.lock().unwrap_or_else(|e| e.into_inner());
-        for (f, r) in inner.seed.iter().flatten().chain(learned.iter()) {
-            if seen.insert(f.clone()) {
-                out.push((f.clone(), r.clone()));
-            }
-        }
-        out
+        let learned = inner.learned();
+        inner
+            .seed
+            .iter()
+            .flatten()
+            .chain(learned.iter())
+            .map(|(f, r)| (f.clone(), r.clone()))
+            .collect()
     }
 }
 
@@ -732,6 +766,75 @@ mod tests {
         let counters = warm.counters();
         assert_eq!(counters.cache_hits, 1, "seeded query must hit");
         assert_eq!(counters.cache_misses, 0);
+    }
+
+    /// A few distinct solved entries, each formula exactly once.
+    fn solved_entries() -> Vec<(Formula, SatResult)> {
+        let solver = crate::SharedSolver::new(true);
+        for n in 0..6 {
+            solver.check(&Formula::atom(Atom::le(x() - c(n))).and(Formula::atom(Atom::eq(y()))));
+        }
+        solver.check(&Formula::atom(Atom::eq(x())).and(Formula::atom(Atom::eq(x() - c(1)))));
+        solver.entries()
+    }
+
+    #[test]
+    fn absorb_keeps_one_entry_per_formula() {
+        let entries = solved_entries();
+        let store = SolverPersist::with_seed(Vec::new());
+        store.absorb(entries.clone());
+        assert_eq!(store.merged_entries().len(), entries.len());
+        for _ in 0..5 {
+            store.absorb(entries.clone());
+            assert_eq!(store.merged_entries().len(), entries.len(), "re-absorbing grew the store");
+            assert_eq!(store.len(), entries.len());
+        }
+    }
+
+    #[test]
+    fn seeded_solver_reads_through_without_copying() {
+        let entries = solved_entries();
+        let store = SolverPersist::with_seed(entries.clone());
+        let warm = crate::SharedSolver::with_budget_and_seed(
+            true,
+            circ_governor::Budget::unlimited(),
+            &store,
+        );
+        for (f, r) in &entries {
+            assert_eq!(&warm.check(f), r);
+        }
+        assert_eq!(warm.counters().cache_hits, entries.len() as u64);
+        assert!(warm.entries().is_empty(), "seed hits must not land in the shard memos");
+    }
+
+    #[test]
+    fn absorbing_seed_entries_adds_nothing() {
+        let entries = solved_entries();
+        let (seeded, fresh) = entries.split_at(3);
+        let store = SolverPersist::with_seed(seeded.to_vec());
+        assert_eq!(store.seed_len(), seeded.len());
+        store.absorb(seeded.to_vec());
+        assert_eq!(store.merged_entries().len(), seeded.len(), "seed entries were re-learned");
+        store.absorb(entries.clone());
+        assert_eq!(store.merged_entries().len(), entries.len());
+        assert_eq!(store.len(), entries.len());
+        store.absorb(fresh.to_vec());
+        assert_eq!(store.len(), entries.len());
+    }
+
+    #[test]
+    fn save_load_round_trip_keeps_the_entry_set() {
+        let path = std::env::temp_dir().join("circ_persist_unit_entry_set.cache");
+        let entries = solved_entries();
+        let store = SolverPersist::with_seed(entries[..2].to_vec());
+        store.absorb(entries.clone());
+        save_solver_cache(&path, &store).unwrap();
+        let reloaded = SolverPersist::with_seed(load_solver_cache(&path).unwrap().unwrap());
+        let _ = fs::remove_file(&path);
+        let rendered = |s: &SolverPersist| render_solver_cache(&s.merged_entries());
+        assert_eq!(rendered(&reloaded), rendered(&store));
+        assert_eq!(reloaded.len(), entries.len());
+        assert_eq!(reloaded.seed_len(), entries.len());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::{self, ConjResult, Model};
+use crate::persist::SeedBucket;
 use crate::sat::{BVar, CnfSolver, Lit};
 use circ_governor::Budget;
 use std::collections::{BTreeMap, HashMap};
@@ -129,14 +130,17 @@ impl Solver {
 
     /// Decides satisfiability of `f` over the integers.
     pub fn check(&mut self, f: &Formula) -> SatResult {
-        self.check_nnf(f.to_nnf())
+        self.check_nnf(f.to_nnf(), None)
     }
 
     /// [`Solver::check`] for an already-NNF-normalized formula.
     /// [`SharedSolver`] normalizes once to pick its shard and then
     /// dispatches here, so the conversion is not repeated under the
-    /// shard lock.
-    fn check_nnf(&mut self, nnf: Formula) -> SatResult {
+    /// shard lock. `seed` is a frozen, read-through layer below the
+    /// memo: a key found there is a hit (it was paid for by the run
+    /// that first solved it) and is neither copied into the memo nor
+    /// charged to the budget.
+    fn check_nnf(&mut self, nnf: Formula, seed: Option<&SeedBucket>) -> SatResult {
         self.queries += 1;
         match &nnf {
             Formula::Const(true) => return SatResult::Sat(Model::new()),
@@ -149,7 +153,7 @@ impl Solver {
             return SatResult::Unknown;
         }
         if self.cache_enabled {
-            if let Some(hit) = self.cache.get(&nnf) {
+            if let Some(hit) = self.cache.get(&nnf).or_else(|| seed?.get(&nnf)) {
                 self.cache_hits += 1;
                 return hit.clone();
             }
@@ -215,22 +219,9 @@ impl Solver {
         }
     }
 
-    /// Seeds the result cache with already-solved entries (NNF keys),
-    /// bypassing counters and budget charges: preloaded entries were
-    /// paid for by the run that first solved them, and their first
-    /// query here counts as a hit. Existing entries win over the seed.
-    /// No-op while the cache is disabled.
-    pub(crate) fn preload(&mut self, entries: &[(Formula, SatResult)]) {
-        if !self.cache_enabled {
-            return;
-        }
-        for (nnf, result) in entries {
-            self.cache.entry(nnf.clone()).or_insert_with(|| result.clone());
-        }
-    }
-
-    /// Clones out the memoized `(NNF, result)` pairs (for
-    /// persistence export). Order is unspecified.
+    /// Clones out the `(NNF, result)` pairs this solver memoized
+    /// itself (for persistence export); seed hits are not among them.
+    /// Order is unspecified.
     pub(crate) fn cache_entries(&self) -> Vec<(Formula, SatResult)> {
         self.cache.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
@@ -301,6 +292,8 @@ pub(crate) fn shard_ix(nnf: &Formula) -> usize {
 #[derive(Debug)]
 pub struct SharedSolver {
     shards: Box<[Mutex<Solver>]>,
+    /// Frozen seed consulted after a shard's own memo misses.
+    seed: crate::SolverPersist,
 }
 
 impl SharedSolver {
@@ -318,10 +311,11 @@ impl SharedSolver {
     }
 
     /// [`SharedSolver::with_budget`] warm-started from a persistence
-    /// store's frozen seed (see [`crate::SolverPersist`]): every shard
-    /// is preloaded with the seed entries that hash to it, so the
-    /// first query of a seeded formula is a cache hit. An inert store
-    /// (or a disabled cache) seeds nothing.
+    /// store's frozen seed (see [`crate::SolverPersist`]): after a
+    /// shard's own memo misses, the query is looked up in the seed
+    /// bucket of that shard, so the first query of a seeded formula
+    /// is a cache hit. Nothing is copied; the store is shared. An
+    /// inert store (or a disabled cache) seeds nothing.
     pub fn with_budget_and_seed(
         cache_enabled: bool,
         budget: Budget,
@@ -329,16 +323,14 @@ impl SharedSolver {
     ) -> SharedSolver {
         SharedSolver {
             shards: (0..SOLVER_SHARDS)
-                .map(|ix| {
+                .map(|_| {
                     let mut s = Solver::new();
                     s.set_cache_enabled(cache_enabled);
                     s.set_budget(budget.clone());
-                    if cache_enabled {
-                        s.preload(seed.seed_bucket(ix));
-                    }
                     Mutex::new(s)
                 })
                 .collect(),
+            seed: seed.clone(),
         }
     }
 
@@ -354,7 +346,8 @@ impl SharedSolver {
         // must not wedge the shard for sibling tasks. Solver state is
         // only mutated through `&mut self` methods that leave the
         // cache consistent between statements.
-        self.shards[ix].lock().unwrap_or_else(|e| e.into_inner()).check_nnf(nnf)
+        let seed = self.seed.seed_bucket(ix);
+        self.shards[ix].lock().unwrap_or_else(|e| e.into_inner()).check_nnf(nnf, seed)
     }
 
     /// Convenience: is `f` satisfiable (or not proven unsatisfiable)?
@@ -388,8 +381,9 @@ impl SharedSolver {
         self.counters().queries
     }
 
-    /// Clones out every shard's memoized `(NNF, result)` pairs (for
-    /// persistence export). Order is unspecified.
+    /// Clones out every shard's memoized `(NNF, result)` pairs — what
+    /// this solver solved itself, never its seed (for persistence
+    /// export). Order is unspecified.
     pub fn entries(&self) -> Vec<(Formula, SatResult)> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
