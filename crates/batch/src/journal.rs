@@ -20,6 +20,7 @@
 
 use crate::mjson::{self, Value};
 use crate::{FileRow, Verdict};
+use circ_ir::digest::fnv1a64;
 use circ_stats::{AbsCounters, PhaseTimes, PipelineStats, SolverCounters};
 use std::collections::HashMap;
 use std::fs;
@@ -41,7 +42,7 @@ pub const JOURNAL_VERSION: u64 = 4;
 /// Content digest of a file's bytes (FNV-1a 64, shared with the cache
 /// snapshot checksums).
 pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    circ_smt::persist::fnv1a64(bytes)
+    fnv1a64(bytes)
 }
 
 /// Fingerprint of the batch configuration knobs that change what a
@@ -63,7 +64,7 @@ pub fn config_fingerprint(
         "batch-config omega={omega} k={initial_k} cache={use_cache} \
          timeout_ms={timeout_ms} mem_bytes={mem} triage={triage}"
     );
-    circ_smt::persist::fnv1a64(text.as_bytes())
+    fnv1a64(text.as_bytes())
 }
 
 /// One replayable journal entry: the digest of the input bytes it was

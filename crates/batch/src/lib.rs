@@ -38,13 +38,17 @@
 //!   seeded backoff bounded by the file's remaining budget; files that
 //!   still fail land on the report's quarantine list.
 //!
+//! The per-file loop (drain, reseed, containment, retry) is
+//! [`supervise_unit`]; `circ serve` runs its units through it too.
+//!
 //! Supervision never flips a verdict: it only degrades failures to
 //! `Unknown`-family rows, and resume only substitutes rows that a real
 //! check produced for identical input bytes.
 //!
 //! # Cache persistence
 //!
-//! With a cache directory, [`run_batch`] warm-starts from
+//! With a cache directory, [`run_batch`] warm-starts (through
+//! [`warm_start`], the loader every entry point shares) from
 //! [`ABS_CACHE_FILE`] (atom-level entailment answers) and
 //! [`SOLVER_CACHE_FILE`] (formula-level solver answers), and writes
 //! both back — seed plus everything the run learned — on completion.
@@ -160,6 +164,14 @@ pub struct BatchConfig {
     /// only the residue reaches the full engine. Off by default
     /// (`--triage` enables it); verdicts are identical either way.
     pub triage: bool,
+}
+
+impl BatchConfig {
+    /// The cache directory the run loads and flushes: `cache_dir`,
+    /// unless caching is off.
+    fn active_cache_dir(&self) -> Option<&Path> {
+        self.cache_dir.as_deref().filter(|_| self.use_cache)
+    }
 }
 
 impl Default for BatchConfig {
@@ -600,17 +612,37 @@ pub fn collect_inputs(path: &Path) -> Result<Vec<PathBuf>, String> {
     }
 }
 
-/// The warm-start state loaded from a cache directory.
+/// The artifacts of a cache directory as they are on disk.
 pub struct LoadedCaches {
     /// Entailment-cache seed ([`ABS_CACHE_FILE`]), empty on cold start.
     pub abs_seed: AbsSeed,
     /// Solver-cache seed ([`SOLVER_CACHE_FILE`]), empty on cold start.
     pub solver_seed: Vec<(Formula, SatResult)>,
+    /// Predicate-store seed ([`PRED_STORE_FILE`]) when it was asked
+    /// for, empty on cold start.
+    pub preds: Option<PredStore>,
     /// One message per damaged file that was ignored.
     pub warnings: Vec<String>,
     /// How many damaged artifacts degraded to a cold start (each one
     /// also has a warning). Feeds the `store_recoveries` counter.
     pub recovered: u64,
+}
+
+impl LoadedCaches {
+    /// Unwraps one artifact load: a damaged artifact is `None` plus a
+    /// warning and a recovery.
+    fn degrade<T>(
+        &mut self,
+        what: &str,
+        path: &Path,
+        loaded: Result<Option<T>, circ_smt::PersistError>,
+    ) -> Option<T> {
+        loaded.unwrap_or_else(|e| {
+            self.warnings.push(format!("ignoring {what} `{}`: {e}", path.display()));
+            self.recovered += 1;
+            None
+        })
+    }
 }
 
 /// Loads both cache files, degrading each to an empty (cold) seed
@@ -623,32 +655,85 @@ pub fn load_caches(dir: &Path) -> LoadedCaches {
 
 /// [`load_caches`] through an explicit storage handle, so torture
 /// runs can fail or truncate the reads deterministically. Does not
-/// sweep stale staging files — the run driver does that once, before
-/// any load (see [`run_batch`]), so worker-side loads stay read-only.
+/// sweep stale staging files (see [`warm_start`]).
 pub fn load_caches_in(io: &circ_store::Store, dir: &Path) -> LoadedCaches {
-    let mut warnings = Vec::new();
-    let mut recovered = 0u64;
-    let abs_path = dir.join(ABS_CACHE_FILE);
-    let abs_seed = match circ_core::persist::load_abs_cache_in(io, &abs_path) {
-        Ok(Some(seed)) => seed,
-        Ok(None) => AbsSeed::empty(),
-        Err(e) => {
-            warnings.push(format!("ignoring cache `{}`: {e}", abs_path.display()));
-            recovered += 1;
-            AbsSeed::empty()
-        }
+    read_cache_dir(io, dir, false)
+}
+
+/// Reads every artifact of `dir` as it is on disk now, plus the
+/// predicate store when `preds`: the one place a cache directory is
+/// read, by warm starts and by the read-merge-write flush alike.
+fn read_cache_dir(io: &circ_store::Store, dir: &Path, preds: bool) -> LoadedCaches {
+    let mut out = LoadedCaches {
+        abs_seed: AbsSeed::empty(),
+        solver_seed: Vec::new(),
+        preds: None,
+        warnings: Vec::new(),
+        recovered: 0,
     };
-    let solver_path = dir.join(SOLVER_CACHE_FILE);
-    let solver_seed = match circ_smt::persist::load_solver_cache_in(io, &solver_path) {
-        Ok(Some(entries)) => entries,
-        Ok(None) => Vec::new(),
-        Err(e) => {
-            warnings.push(format!("ignoring cache `{}`: {e}", solver_path.display()));
-            recovered += 1;
-            Vec::new()
-        }
+    let path = dir.join(ABS_CACHE_FILE);
+    let loaded = circ_core::persist::load_abs_cache_in(io, &path);
+    out.abs_seed = out.degrade("cache", &path, loaded).unwrap_or_else(AbsSeed::empty);
+    let path = dir.join(SOLVER_CACHE_FILE);
+    let loaded = circ_smt::persist::load_solver_cache_in(io, &path);
+    out.solver_seed = out.degrade("cache", &path, loaded).unwrap_or_default();
+    if preds {
+        let path = dir.join(PRED_STORE_FILE);
+        let loaded = pred_store::load_pred_store_in(io, &path);
+        out.preds = Some(out.degrade("predicate store", &path, loaded).unwrap_or_default());
+    }
+    out
+}
+
+/// A run's warm start, ready to check against.
+pub struct WarmStart {
+    /// Entailment-cache seed, empty on cold start.
+    pub abs_seed: AbsSeed,
+    /// Solver-answer store: seeded and active with a cache directory
+    /// (active even when empty, so the run collects what it learns),
+    /// inert without one.
+    pub persist: SolverPersist,
+    /// Predicate-store seed: `Some` (possibly empty) when the store is
+    /// enabled and a cache directory is active, `None` otherwise.
+    pub preds: Option<PredStore>,
+    /// Sweep and load warnings, in that order.
+    pub warnings: Vec<String>,
+    /// Stale staging files swept plus damaged artifacts ignored.
+    pub recovered: u64,
+}
+
+/// The one warm start `circ check`, `circ batch`, its isolated
+/// children and `circ serve` share. With `dir`: sweep stale staging
+/// files first (when `sweep`; an isolated child passes `false` so
+/// worker-side loads stay read-only), load both cache snapshots and,
+/// when `preds`, the predicate store. Any damaged artifact degrades to
+/// a cold seed with a warning and a recovery. Without `dir` the start
+/// is cold: empty seeds, an inert solver store, no predicate store.
+pub fn warm_start(
+    io: &circ_store::Store,
+    dir: Option<&Path>,
+    preds: bool,
+    sweep: bool,
+) -> WarmStart {
+    let Some(dir) = dir else {
+        return WarmStart {
+            abs_seed: AbsSeed::empty(),
+            persist: SolverPersist::inert(),
+            preds: None,
+            warnings: Vec::new(),
+            recovered: 0,
+        };
     };
-    LoadedCaches { abs_seed, solver_seed, warnings, recovered }
+    let (swept, mut warnings) = if sweep { io.sweep_stale_tmps(dir) } else { (0, Vec::new()) };
+    let loaded = read_cache_dir(io, dir, preds);
+    warnings.extend(loaded.warnings);
+    WarmStart {
+        abs_seed: loaded.abs_seed,
+        persist: SolverPersist::with_seed(loaded.solver_seed),
+        preds: loaded.preds,
+        warnings,
+        recovered: swept + loaded.recovered,
+    }
 }
 
 /// Outcome of one locked merge-flush of a cache directory.
@@ -732,26 +817,20 @@ pub fn flush_caches_in(
         }
     };
 
-    let abs_path = dir.join(ABS_CACHE_FILE);
-    let disk_abs = circ_core::persist::load_abs_cache_in(io, &abs_path)
-        .ok()
-        .flatten()
-        .unwrap_or_else(AbsSeed::empty);
-    let merged_abs = merge_abs_seeds(&disk_abs, snapshot);
-    if save(&abs_path, &circ_core::persist::render_abs_cache(&merged_abs), &mut out) {
+    // A damaged artifact re-reads as empty and is simply replaced.
+    let disk = read_cache_dir(io, dir, preds.is_some());
+    let merged_abs = merge_abs_seeds(&disk.abs_seed, snapshot);
+    if save(&dir.join(ABS_CACHE_FILE), &circ_core::persist::render_abs_cache(&merged_abs), &mut out)
+    {
         out.abs_saved = merged_abs.len();
     }
 
     let solver_path = dir.join(SOLVER_CACHE_FILE);
-    let disk_solver = circ_smt::persist::load_solver_cache_in(io, &solver_path)
-        .ok()
-        .flatten()
-        .unwrap_or_default();
     // Ours first: the store keeps a formula's first result, and the
     // solver is deterministic, so the order only breaks ties between
     // identical values.
     let merged_solver = SolverPersist::with_seed(persist.merged_entries());
-    merged_solver.absorb(disk_solver);
+    merged_solver.absorb(disk.solver_seed);
     let merged_solver_entries = merged_solver.merged_entries();
     if save(&solver_path, &circ_smt::persist::render_solver_cache(&merged_solver_entries), &mut out)
     {
@@ -759,14 +838,11 @@ pub fn flush_caches_in(
             merged_solver_entries.iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)).count();
     }
 
-    if let Some(ours) = preds {
-        let path = dir.join(PRED_STORE_FILE);
-        let mut merged =
-            pred_store::load_pred_store_in(io, &path).ok().flatten().unwrap_or_default();
+    if let (Some(ours), Some(mut merged)) = (preds, disk.preds) {
         // `absorb` is later-wins, so absorbing *ours* into the disk
         // store gives our fresher outcome counts precedence.
         merged.absorb(ours.clone());
-        if save(&path, &pred_store::render_pred_store(&merged), &mut out) {
+        if save(&dir.join(PRED_STORE_FILE), &pred_store::render_pred_store(&merged), &mut out) {
             out.preds_saved = merged.len();
         }
     }
@@ -957,19 +1033,16 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
 /// Checks one file: read it, then run [`check_source`] against an
 /// isolated cache seeded from the shared warm start, so per-file
 /// statistics are independent of which worker ran it. Returns the
-/// row, the file's cache, and the learned predicate-store entries —
-/// both for sequential post-run merging.
-#[allow(clippy::too_many_arguments)]
+/// row, plus the file's cache and the learned predicate-store
+/// entries for sequential post-run merging.
 fn check_file(
     path: &Path,
     config: &BatchConfig,
     file_timeout: Option<Duration>,
     file_mem: Option<u64>,
-    abs_seed: &AbsSeed,
-    persist: &SolverPersist,
-    pred_seed: Option<&PredStore>,
+    warm: &WarmStart,
     faults: &FaultPlan,
-) -> (FileRow, AbsCache, PredStore) {
+) -> (FileRow, (AbsCache, PredStore)) {
     let start = Instant::now();
     let file = path.display().to_string();
     let src = match fs::read_to_string(path) {
@@ -977,14 +1050,16 @@ fn check_file(
         Err(e) => {
             let mut r = FileRow::new(file, Verdict::CompileError, format!("cannot read: {e}"));
             r.time_s = start.elapsed().as_secs_f64();
-            return (r, AbsCache::disabled(), PredStore::new());
+            return (r, Default::default());
         }
     };
-    let cache = if config.use_cache { AbsCache::with_seed(abs_seed) } else { AbsCache::disabled() };
+    let cache =
+        if config.use_cache { AbsCache::with_seed(&warm.abs_seed) } else { AbsCache::disabled() };
+    let (persist, pred_seed) = (&warm.persist, warm.preds.as_ref());
     let ctx =
         CheckCtx { config, file_timeout, file_mem, cache: &cache, persist, pred_seed, faults };
     let (row, learned) = check_source(&file, &src, &ctx);
-    (row, cache, learned)
+    (row, (cache, learned))
 }
 
 /// Checks one file exactly as an in-process batch worker would — the
@@ -997,64 +1072,14 @@ fn check_file(
 /// child never writes cache files (the parent would race it).
 pub fn check_single(path: &Path, config: &BatchConfig) -> (FileRow, Vec<String>) {
     let io = circ_store::Store::with_faults(&config.faults);
-    let cache_dir = if config.use_cache { config.cache_dir.as_deref() } else { None };
-    let (abs_seed, solver_seed, mut warnings) = match cache_dir {
-        Some(dir) => {
-            let loaded = load_caches_in(&io, dir);
-            (loaded.abs_seed, loaded.solver_seed, loaded.warnings)
-        }
-        None => (AbsSeed::empty(), Vec::new(), Vec::new()),
-    };
-    let persist = if cache_dir.is_some() {
-        SolverPersist::with_seed(solver_seed)
-    } else {
-        SolverPersist::inert()
-    };
-    // The isolated child never persists, so recovery bookkeeping stays
-    // with the parent driver (keeps per-row counters jobs-invariant).
-    let mut recovered = 0u64;
-    let pred_seed = load_pred_seed(&io, config, cache_dir, &mut warnings, &mut recovered);
+    // The isolated child never sweeps or persists, so recovery
+    // bookkeeping stays with the parent driver (keeps per-row counters
+    // jobs-invariant).
+    let warm = warm_start(&io, config.active_cache_dir(), config.pred_store, false);
     let key = content_key(path);
     let faults = config.faults.reseeded(key ^ 1);
-    let (row, _cache, _learned) = check_file(
-        path,
-        config,
-        config.timeout,
-        config.mem_limit_bytes,
-        &abs_seed,
-        &persist,
-        pred_seed.as_ref(),
-        &faults,
-    );
-    (row, warnings)
-}
-
-/// Loads the predicate-store seed for a run: `Some(store)` when the
-/// store is enabled and a cache directory is active (an empty store on
-/// a cold start or after logged damage), `None` when disabled. A
-/// damaged file degrades to a warning plus a cold start, exactly like
-/// the cache snapshots.
-fn load_pred_seed(
-    io: &circ_store::Store,
-    config: &BatchConfig,
-    cache_dir: Option<&Path>,
-    warnings: &mut Vec<String>,
-    recovered: &mut u64,
-) -> Option<PredStore> {
-    if !config.pred_store {
-        return None;
-    }
-    let dir = cache_dir?;
-    let path = dir.join(PRED_STORE_FILE);
-    match pred_store::load_pred_store_in(io, &path) {
-        Ok(Some(store)) => Some(store),
-        Ok(None) => Some(PredStore::new()),
-        Err(e) => {
-            warnings.push(format!("ignoring predicate store `{}`: {e}", path.display()));
-            *recovered += 1;
-            Some(PredStore::new())
-        }
-    }
+    let (row, _) = check_file(path, config, config.timeout, config.mem_limit_bytes, &warm, &faults);
+    (row, warm.warnings)
 }
 
 /// The deterministic per-file key used to reseed fault plans and draw
@@ -1077,123 +1102,169 @@ struct FileTask {
     replay: Option<journal::JournalEntry>,
 }
 
-/// Shared context for supervised per-file checking: retry loop, panic
-/// containment, process isolation, journaling, and the cancellation
-/// drain.
+/// Runs one unit of work to its final row under the supervision batch
+/// files and serve requests share:
+///
+/// * a tripped cancel token drains the unit before it starts, as a
+///   cancelled `budget-exhausted` row;
+/// * every attempt runs under a fault plan reseeded from `key ⊕
+///   attempt`, so injection is a pure function of the input (`key` is
+///   its content digest), never of scheduling;
+/// * a panic in an attempt, including one injected at this unit-level
+///   point, is contained to an `internal-error` row;
+/// * an `internal-error` row is retried under `config.retry` with
+///   seeded backoff, while the unit's `budget` slice lasts and the run
+///   is not cancelled.
+///
+/// `attempt` gets the budget left for it and the reseeded plan. The
+/// final row is stamped with `retries` and `time_s` (the whole unit,
+/// retries included); it comes back with what the final attempt
+/// returned beside it and the number of contained panics.
+pub fn supervise_unit<T: Default>(
+    name: &str,
+    key: u64,
+    config: &BatchConfig,
+    budget: Option<Duration>,
+    mut attempt: impl FnMut(Option<Duration>, &FaultPlan) -> (FileRow, T),
+) -> (FileRow, T, u64) {
+    let start = Instant::now();
+    if config.cancel.is_cancelled() {
+        let mut row = FileRow::new(
+            name.to_string(),
+            Verdict::BudgetExhausted,
+            "cancelled before start".into(),
+        );
+        row.cancelled = true;
+        return (row, T::default(), 0);
+    }
+    let mut panics = 0;
+    let mut n: u32 = 1;
+    loop {
+        let remaining = budget.map(|t| t.saturating_sub(start.elapsed()));
+        let faults = config.faults.reseeded(key ^ u64::from(n));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // The unit-level injection point (always `false` without
+            // the `inject` feature). Engine-pool panics are absorbed
+            // inside `circ()`, so only this one reaches the arm below.
+            if faults.task_panic() {
+                panic!("injected task panic");
+            }
+            attempt(remaining, &faults)
+        }));
+        let (mut row, extra) = result.unwrap_or_else(|payload| {
+            panics += 1;
+            let detail = format!("contained worker panic: {}", panic_message(payload.as_ref()));
+            (FileRow::new(name.to_string(), Verdict::InternalError, detail), T::default())
+        });
+        let out_of_budget = remaining.is_some_and(|r| r.is_zero());
+        if row.verdict == Verdict::InternalError
+            && config.retry.should_retry(n)
+            && !config.cancel.is_cancelled()
+            && !out_of_budget
+        {
+            let left = budget.map(|t| t.saturating_sub(start.elapsed()));
+            std::thread::sleep(config.retry.backoff(key, n, left));
+            n += 1;
+            continue;
+        }
+        row.retries = u64::from(n - 1);
+        row.time_s = start.elapsed().as_secs_f64();
+        return (row, extra, panics);
+    }
+}
+
+/// Fans `units` out over `jobs` workers and unpacks the results in
+/// input order. A panic that escaped `check` itself (journal I/O,
+/// bookkeeping) is contained one last time, as an `internal-error` row
+/// under the unit's `name`.
+pub fn run_units<U: Sync, T: Send + Default>(
+    jobs: usize,
+    units: &[U],
+    name: impl Fn(&U) -> String,
+    check: impl Fn(&U) -> (FileRow, T) + Sync,
+) -> (Vec<FileRow>, Vec<T>) {
+    let results = Pool::new(jobs).try_map(units, check);
+    units
+        .iter()
+        .zip(results)
+        .map(|(unit, result)| {
+            result.unwrap_or_else(|e| {
+                (FileRow::new(name(unit), Verdict::InternalError, e.message), T::default())
+            })
+        })
+        .unzip()
+}
+
+/// Counts one row into `totals` — the roll-up a batch report and the
+/// serve stats payload both keep.
+pub fn tally(totals: &mut BatchTotals, row: &FileRow) {
+    totals.files += 1;
+    match row.verdict {
+        Verdict::Safe => totals.safe += 1,
+        Verdict::Race => totals.races += 1,
+        Verdict::Inconclusive | Verdict::InternalError => totals.inconclusive += 1,
+        Verdict::BudgetExhausted => totals.budget_exhausted += 1,
+        Verdict::CompileError => totals.compile_errors += 1,
+    }
+    totals.retries += row.retries;
+    totals.isolated_crashes += row.isolated_crashes;
+    totals.resumed += u64::from(row.resumed);
+    totals.cancelled += u64::from(row.cancelled);
+    totals.pipeline.add(&row.pipeline);
+}
+
+/// Batch's side of supervision, around [`supervise_unit`]: replay,
+/// process isolation, journaling, and the `cancel_after` hook.
 struct Supervisor<'a> {
     config: &'a BatchConfig,
     file_timeout: Option<Duration>,
     file_mem: Option<u64>,
-    abs_seed: &'a AbsSeed,
-    persist: &'a SolverPersist,
-    pred_seed: Option<&'a PredStore>,
+    warm: &'a WarmStart,
     journal: Option<&'a journal::Journal>,
     /// Configuration fingerprint stamped on every journal line (and
     /// required of replayed ones).
     journal_config: u64,
-    /// Files that completed a real check (drives `cancel_after`).
+    /// Files that reached a final row (drives `cancel_after`).
     completed: &'a AtomicUsize,
     /// Journal lines that failed to write (reported once, at the end).
     append_failures: &'a AtomicUsize,
 }
 
 impl Supervisor<'_> {
-    /// Runs one file to a final row: replay, drain, or check with
-    /// retries — then journal the result.
-    fn supervise(&self, task: &FileTask) -> (FileRow, AbsCache, PredStore) {
+    /// Runs one file to a final row: replay, or supervised checking —
+    /// then journal the result.
+    fn supervise(&self, task: &FileTask) -> (FileRow, (AbsCache, PredStore)) {
         let file = task.path.display().to_string();
         if let Some(entry) = &task.replay {
             let mut row = entry.row.clone();
             row.file = file;
             row.resumed = true;
-            return (row, AbsCache::disabled(), PredStore::new());
+            return (row, Default::default());
         }
-        let start = Instant::now();
-        if self.config.cancel.is_cancelled() {
-            let mut row =
-                FileRow::new(file, Verdict::BudgetExhausted, "cancelled before start".to_string());
-            row.cancelled = true;
-            return (row, AbsCache::disabled(), PredStore::new());
-        }
+        // An unreadable file falls back to a key derived from its path.
         let key = task.digest.unwrap_or_else(|| content_key(&task.path));
-        let mut retries: u64 = 0;
-        let mut crashes: u64 = 0;
-        let mut attempt: u32 = 1;
-        loop {
-            let remaining = self.file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-            let (mut row, cache, learned) =
-                self.attempt(&task.path, remaining, key, attempt, &mut crashes);
-            let out_of_budget = remaining.is_some_and(|r| r.is_zero());
-            if row.verdict == Verdict::InternalError
-                && self.config.retry.should_retry(attempt)
-                && !self.config.cancel.is_cancelled()
-                && !out_of_budget
-            {
-                retries += 1;
-                let left = self.file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-                std::thread::sleep(self.config.retry.backoff(key, attempt, left));
-                attempt += 1;
-                continue;
-            }
-            row.retries = retries;
-            row.isolated_crashes = crashes;
-            row.time_s = start.elapsed().as_secs_f64();
-            if let (Some(journal), Some(digest)) = (self.journal, task.digest) {
-                // Cancelled rows are deliberately not journaled: their
-                // absence is what makes `--resume` re-check them.
-                if !row.cancelled && journal.append(&row, digest, self.journal_config).is_err() {
-                    self.append_failures.fetch_add(1, Ordering::Relaxed);
+        let mut crashes = 0;
+        let (mut row, learned, _) =
+            supervise_unit(&file, key, self.config, self.file_timeout, |remaining, faults| {
+                if self.config.isolate {
+                    (self.isolated(&task.path, remaining, &mut crashes), Default::default())
+                } else {
+                    check_file(&task.path, self.config, remaining, self.file_mem, self.warm, faults)
                 }
-            }
-            let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-            if self.config.cancel_after.is_some_and(|limit| done >= limit) {
-                self.config.cancel.cancel();
-            }
-            return (row, cache, learned);
-        }
-    }
-
-    /// One attempt at one file: in-process (panic-contained) or in an
-    /// isolated child, with the fault plan reseeded from
-    /// `content digest ⊕ attempt` so injection is jobs-invariant.
-    fn attempt(
-        &self,
-        path: &Path,
-        attempt_timeout: Option<Duration>,
-        key: u64,
-        attempt: u32,
-        crashes: &mut u64,
-    ) -> (FileRow, AbsCache, PredStore) {
-        if self.config.isolate {
-            return (
-                self.isolated(path, attempt_timeout, crashes),
-                AbsCache::disabled(),
-                PredStore::new(),
-            );
-        }
-        let faults = self.config.faults.reseeded(key ^ u64::from(attempt));
-        match catch_unwind(AssertUnwindSafe(|| {
-            check_file(
-                path,
-                self.config,
-                attempt_timeout,
-                self.file_mem,
-                self.abs_seed,
-                self.persist,
-                self.pred_seed,
-                &faults,
-            )
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                let row = FileRow::new(
-                    path.display().to_string(),
-                    Verdict::InternalError,
-                    format!("contained worker panic: {}", panic_message(payload.as_ref())),
-                );
-                (row, AbsCache::disabled(), PredStore::new())
+            });
+        row.isolated_crashes = crashes;
+        if let (Some(journal), Some(digest)) = (self.journal, task.digest) {
+            // Cancelled rows are deliberately not journaled: their
+            // absence is what makes `--resume` re-check them.
+            if !row.cancelled && journal.append(&row, digest, self.journal_config).is_err() {
+                self.append_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.config.cancel_after.is_some_and(|limit| done >= limit) {
+            self.config.cancel.cancel();
+        }
+        (row, learned)
     }
 
     /// Runs one attempt in a child process (`circ check --row-json`).
@@ -1316,34 +1387,12 @@ fn describe_status(status: &std::process::ExitStatus) -> String {
 /// a racy corpus still warms the cache.
 pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     let io = circ_store::Store::with_faults(&config.faults);
-    let cache_dir = if config.use_cache { config.cache_dir.as_deref() } else { None };
+    let cache_dir = config.active_cache_dir();
     // All storage recovery and flush accounting happens here in the
     // driver — loads before the pool starts, the flush after it
     // drains — so both counters are invariant under `jobs`.
-    let mut store_recoveries = 0u64;
-    let (abs_seed, solver_seed, mut warnings) = match cache_dir {
-        Some(dir) => {
-            let (swept, sweep_warnings) = io.sweep_stale_tmps(dir);
-            store_recoveries += swept;
-            let loaded = load_caches_in(&io, dir);
-            store_recoveries += loaded.recovered;
-            let mut w = sweep_warnings;
-            w.extend(loaded.warnings);
-            (loaded.abs_seed, loaded.solver_seed, w)
-        }
-        None => (AbsSeed::empty(), Vec::new(), Vec::new()),
-    };
-    let abs_seeded = abs_seed.len();
-    let solver_seeded = solver_seed.len();
-    // An active store even when the seed is empty: with a cache dir
-    // we must *collect* what the run learns, not just replay it.
-    let persist = if cache_dir.is_some() {
-        SolverPersist::with_seed(solver_seed)
-    } else {
-        SolverPersist::inert()
-    };
-    let pred_seed = load_pred_seed(&io, config, cache_dir, &mut warnings, &mut store_recoveries);
-    let preds_seeded = pred_seed.as_ref().map_or(0, PredStore::len);
+    let mut warm = warm_start(&io, cache_dir, config.pred_store, true);
+    let mut warnings = std::mem::take(&mut warm.warnings);
 
     // Journal replay map (resume) and writer. Opening the writer
     // truncates on a fresh run: stale entries from a previous corpus
@@ -1398,40 +1447,18 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
         config,
         file_timeout: carve_timeout(config.timeout, n),
         file_mem: carve_mem_limit(config.mem_limit_bytes, n),
-        abs_seed: &abs_seed,
-        persist: &persist,
-        pred_seed: pred_seed.as_ref(),
+        warm: &warm,
         journal: journal_out.as_ref(),
         journal_config,
         completed: &completed,
         append_failures: &append_failures,
     };
-    let pool = Pool::new(config.jobs);
-    let results = pool.try_map(&tasks, |task| supervisor.supervise(task));
-
-    let mut rows = Vec::with_capacity(n);
-    let mut caches = Vec::with_capacity(n);
-    let mut learned_stores = Vec::with_capacity(n);
-    for (path, result) in inputs.iter().zip(results) {
-        match result {
-            Ok((row, cache, learned)) => {
-                rows.push(row);
-                caches.push(cache);
-                learned_stores.push(learned);
-            }
-            Err(e) => {
-                // Last-resort containment: a panic that escaped the
-                // supervisor itself (journal I/O, bookkeeping).
-                rows.push(FileRow::new(
-                    path.display().to_string(),
-                    Verdict::InternalError,
-                    e.message,
-                ));
-                caches.push(AbsCache::disabled());
-                learned_stores.push(PredStore::new());
-            }
-        }
-    }
+    let (rows, learned) = run_units(
+        config.jobs,
+        &tasks,
+        |task| task.path.display().to_string(),
+        |task| supervisor.supervise(task),
+    );
     if append_failures.load(Ordering::Relaxed) > 0 {
         warnings.push(format!(
             "{} journal append(s) failed; a resume may re-check those files",
@@ -1439,20 +1466,9 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
         ));
     }
 
-    let mut totals = BatchTotals { files: rows.len() as u64, ..BatchTotals::default() };
+    let mut totals = BatchTotals::default();
     for row in &rows {
-        match row.verdict {
-            Verdict::Safe => totals.safe += 1,
-            Verdict::Race => totals.races += 1,
-            Verdict::Inconclusive | Verdict::InternalError => totals.inconclusive += 1,
-            Verdict::BudgetExhausted => totals.budget_exhausted += 1,
-            Verdict::CompileError => totals.compile_errors += 1,
-        }
-        totals.retries += row.retries;
-        totals.isolated_crashes += row.isolated_crashes;
-        totals.resumed += u64::from(row.resumed);
-        totals.cancelled += u64::from(row.cancelled);
-        totals.pipeline.add(&row.pipeline);
+        tally(&mut totals, row);
     }
     let quarantine: Vec<String> = rows
         .iter()
@@ -1467,32 +1483,30 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     // are discarded; the save then round-trips the seed unchanged.)
     let mut flush_errors = append_failures.load(Ordering::Relaxed) as u64;
     let cache = cache_dir.map(|dir| {
-        let master = AbsCache::with_seed(&abs_seed);
-        for file_cache in &caches {
-            master.absorb(file_cache);
+        let master = AbsCache::with_seed(&warm.abs_seed);
+        let preds_seeded = warm.preds.as_ref().map_or(0, PredStore::len);
+        let mut pred_master = warm.preds.take();
+        for (file_cache, file_preds) in learned {
+            master.absorb(&file_cache);
+            if let Some(store) = pred_master.as_mut() {
+                store.absorb(file_preds);
+            }
         }
         let snapshot = master.snapshot();
-        let pred_master = pred_seed.map(|seed| {
-            let mut master = seed;
-            for learned in learned_stores {
-                master.absorb(learned);
-            }
-            master
-        });
-        let outcome = flush_caches_in(&io, dir, &snapshot, &persist, pred_master.as_ref());
+        let outcome = flush_caches_in(&io, dir, &snapshot, &warm.persist, pred_master.as_ref());
         warnings.extend(outcome.warnings);
         flush_errors += outcome.flush_errors;
         CacheSummary {
             dir: dir.display().to_string(),
-            abs_seeded,
-            solver_seeded,
+            abs_seeded: warm.abs_seed.len(),
+            solver_seeded: warm.persist.seed_len(),
             abs_saved: outcome.abs_saved,
             solver_saved: outcome.solver_saved,
             preds_seeded,
             preds_saved: outcome.preds_saved,
         }
     });
-    totals.pipeline.store_recoveries += store_recoveries;
+    totals.pipeline.store_recoveries += warm.recovered;
     totals.pipeline.flush_errors += flush_errors;
 
     BatchReport { rows, totals, quarantine, cache, exit, warnings }

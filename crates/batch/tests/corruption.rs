@@ -10,8 +10,8 @@
 
 use circ_batch::journal;
 use circ_batch::{
-    flush_caches_in, load_caches_in, run_batch, BatchConfig, FileRow, Verdict, ABS_CACHE_FILE,
-    PRED_STORE_FILE, SOLVER_CACHE_FILE,
+    flush_caches_in, load_caches_in, run_batch, warm_start, BatchConfig, FileRow, Verdict,
+    ABS_CACHE_FILE, PRED_STORE_FILE, SOLVER_CACHE_FILE,
 };
 use circ_core::pred_store::{self, PredStore, StoredPreds};
 use circ_core::{persist as abs_persist, AbsSeed, SolverPersist};
@@ -126,6 +126,31 @@ fn damaged_artifacts_degrade_to_counted_cold_starts() {
     assert!(loaded.solver_seed.is_empty());
     assert!(!loaded.abs_seed.is_empty(), "healthy sibling must still load warm");
     assert!(loaded.warnings.iter().any(|w| w.contains(SOLVER_CACHE_FILE)), "{:?}", loaded.warnings);
+}
+
+/// The shared warm start degrades a damaged predicate store the same
+/// way: an empty store, one recovery, and the warning — while the
+/// healthy cache snapshots beside it still load warm. With the store
+/// disabled the damaged file is never read.
+#[test]
+fn warm_start_degrades_a_garbage_pred_store_to_an_empty_one() {
+    let dir = fresh_dir("corruption-warm-preds");
+    seed_artifacts(&dir);
+    fs::write(dir.join(PRED_STORE_FILE), "not a predicate store\n\x00\x01").unwrap();
+
+    let warm = warm_start(&Store::real(), Some(&dir), true, true);
+    let preds = warm.preds.expect("an enabled store is always present");
+    assert!(preds.is_empty(), "a damaged store must not seed anything");
+    assert_eq!(warm.recovered, 1, "{:?}", warm.warnings);
+    assert_eq!(warm.warnings.len(), 1, "{:?}", warm.warnings);
+    assert!(warm.warnings[0].starts_with("ignoring predicate store"), "{:?}", warm.warnings);
+    assert!(warm.warnings[0].contains(PRED_STORE_FILE), "{:?}", warm.warnings);
+    assert!(!warm.abs_seed.is_empty(), "healthy sibling must still load warm");
+    assert!(warm.persist.seed_len() > 0, "healthy sibling must still load warm");
+
+    let off = warm_start(&Store::real(), Some(&dir), false, true);
+    assert!(off.preds.is_none());
+    assert_eq!((off.recovered, off.warnings.len()), (0, 0), "{:?}", off.warnings);
 }
 
 fn row(name: &str) -> FileRow {

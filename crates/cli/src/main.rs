@@ -44,8 +44,7 @@
 //! as one JSON line (exit code as above).
 
 use circ_core::{
-    circ, circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircEvent, CircOutcome,
-    PredStore, Property, SolverPersist,
+    circ, circ_with_caches, pred_store, AbsCache, CircConfig, CircEvent, CircOutcome, Property,
 };
 use circ_ir::{dot, structural_digest, Cfa, MtProgram};
 use std::path::{Path, PathBuf};
@@ -173,24 +172,20 @@ fn usage() -> ExitCode {
     ExitCode::from(64)
 }
 
+/// The flags `check`, `batch` and `serve` share, parsed and validated
+/// in one place. `Parsed` and `ServeFlags` dereference to it.
 #[derive(Debug)]
-struct Parsed {
-    source_path: String,
-    mode_omega: bool,
-    asserts: bool,
-    initial_k: u32,
-    print_acfa: bool,
-    trace: bool,
-    dot: bool,
-    stats: bool,
-    stats_json: bool,
-    no_cache: bool,
+struct CommonFlags {
     jobs: usize,
     timeout_secs: Option<u64>,
     timeout_millis: Option<u64>,
     mem_limit_mb: Option<u64>,
     mem_limit_bytes: Option<u64>,
     cache_dir: Option<PathBuf>,
+    no_cache: bool,
+    mode_omega: bool,
+    initial_k: u32,
+    retries: u32,
     /// Tri-state: `--pred-store` forces on (usage error without a
     /// cache dir), `--no-pred-store` forces off, unset follows the
     /// default (on whenever `--cache-dir` is set).
@@ -199,14 +194,122 @@ struct Parsed {
     /// of the engine, `--no-triage` forces every variable straight to
     /// stage 2 (full CIRC), unset follows the default (off).
     triage: Option<bool>,
-    row_json: bool,
-    journal: Option<PathBuf>,
-    resume: bool,
-    isolate: bool,
-    retries: u32,
 }
 
-impl Parsed {
+impl Default for CommonFlags {
+    fn default() -> CommonFlags {
+        CommonFlags {
+            jobs: 1,
+            timeout_secs: None,
+            timeout_millis: None,
+            mem_limit_mb: None,
+            mem_limit_bytes: None,
+            cache_dir: None,
+            no_cache: false,
+            mode_omega: true,
+            initial_k: 1,
+            retries: 0,
+            pred_store: None,
+            triage: None,
+        }
+    }
+}
+
+/// Parses the value following `flag` as a number.
+fn number<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut std::slice::Iter<String>,
+) -> Result<T, String> {
+    let v = it.next().ok_or(format!("{flag} expects a number"))?;
+    v.parse().map_err(|_| format!("{flag} expects a number, got `{v}`"))
+}
+
+/// Sets one side of a `--x` / `--no-x` pair, rejecting the other side.
+fn tri_state(slot: &mut Option<bool>, on: bool, pair: &str) -> Result<(), String> {
+    if *slot == Some(!on) {
+        return Err(format!("{pair} are contradictory"));
+    }
+    *slot = Some(on);
+    Ok(())
+}
+
+impl CommonFlags {
+    /// Consumes `flag` (and its value) when it is a shared flag;
+    /// `Ok(false)` leaves it to the subcommand's own parser.
+    fn parse_flag(
+        &mut self,
+        flag: &str,
+        it: &mut std::slice::Iter<String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--mode" => match it.next().map(String::as_str) {
+                Some("circ") => self.mode_omega = false,
+                Some("omega") => self.mode_omega = true,
+                other => return Err(format!("--mode expects circ|omega, got {other:?}")),
+            },
+            "--k" => {
+                self.initial_k = number(flag, it)?;
+                // k counts context threads; the abstraction is only
+                // defined for k >= 1 (§3.2's counter domain starts at
+                // "one context thread"), so 0 is a usage error, not a
+                // config we can silently run with.
+                if self.initial_k == 0 {
+                    return Err("--k must be at least 1 (0 context threads is not a valid counter abstraction)".into());
+                }
+            }
+            "--jobs" => self.jobs = number(flag, it)?,
+            "--timeout-secs" => self.timeout_secs = Some(number(flag, it)?),
+            "--timeout-millis" => self.timeout_millis = Some(number(flag, it)?),
+            "--mem-limit-mb" => self.mem_limit_mb = Some(number(flag, it)?),
+            "--mem-limit-bytes" => self.mem_limit_bytes = Some(number(flag, it)?),
+            "--retries" => self.retries = number(flag, it)?,
+            "--cache-dir" => {
+                let v = it.next().ok_or("--cache-dir expects a directory")?;
+                self.cache_dir = Some(PathBuf::from(v));
+            }
+            "--no-cache" => self.no_cache = true,
+            "--pred-store" | "--no-pred-store" => tri_state(
+                &mut self.pred_store,
+                flag == "--pred-store",
+                "--pred-store and --no-pred-store",
+            )?,
+            "--triage" | "--no-triage" => {
+                tri_state(&mut self.triage, flag == "--triage", "--triage and --no-triage")?
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The cross-flag checks every subcommand shares (`asserts` is
+    /// `check --asserts`, which triage cannot serve).
+    fn validate(&self, asserts: bool) -> Result<(), String> {
+        if self.cache_dir.is_some() && self.no_cache {
+            return Err("--cache-dir and --no-cache are contradictory (nothing to persist)".into());
+        }
+        if self.pred_store == Some(true) && self.cache_dir.is_none() {
+            return Err("--pred-store needs --cache-dir DIR (the store lives there)".into());
+        }
+        if self.triage == Some(true) && asserts {
+            return Err("--triage and --asserts are contradictory (the cheap stages decide the \
+                 race property only)"
+                .into());
+        }
+        if self.timeout_secs.is_some() && self.timeout_millis.is_some() {
+            return Err(
+                "--timeout-secs and --timeout-millis are two spellings of one budget — pass only one"
+                    .into(),
+            );
+        }
+        if self.mem_limit_mb.is_some() && self.mem_limit_bytes.is_some() {
+            return Err(
+                "--mem-limit-mb and --mem-limit-bytes are two spellings of one budget — pass only one"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+
     /// The effective wall-clock budget (`--timeout-secs` or its
     /// millisecond-granularity variant; the parser rejects both at
     /// once).
@@ -220,132 +323,78 @@ impl Parsed {
     fn mem_limit(&self) -> Option<u64> {
         self.mem_limit_mb.map(|mb| mb * 1024 * 1024).or(self.mem_limit_bytes)
     }
+
+    /// `--retries N` as a deterministic retry policy.
+    fn retry(&self) -> circ_governor::RetryPolicy {
+        if self.retries > 0 {
+            circ_governor::RetryPolicy::with_retries(self.retries, 0x5eed_c1bc)
+        } else {
+            circ_governor::RetryPolicy::none()
+        }
+    }
+
+    /// The batch configuration these flags select.
+    fn batch_config(&self) -> circ_batch::BatchConfig {
+        circ_batch::BatchConfig {
+            omega: self.mode_omega,
+            initial_k: self.initial_k,
+            use_cache: !self.no_cache,
+            jobs: self.jobs,
+            timeout: self.timeout(),
+            mem_limit_bytes: self.mem_limit(),
+            cache_dir: self.cache_dir.clone(),
+            pred_store: self.pred_store.unwrap_or(true),
+            triage: self.triage.unwrap_or(false),
+            retry: self.retry(),
+            ..circ_batch::BatchConfig::default()
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct Parsed {
+    common: CommonFlags,
+    source_path: String,
+    asserts: bool,
+    print_acfa: bool,
+    trace: bool,
+    dot: bool,
+    stats: bool,
+    stats_json: bool,
+    row_json: bool,
+    journal: Option<PathBuf>,
+    resume: bool,
+    isolate: bool,
+}
+
+impl std::ops::Deref for Parsed {
+    type Target = CommonFlags;
+    fn deref(&self) -> &CommonFlags {
+        &self.common
+    }
 }
 
 fn parse_flags(args: &[String]) -> Result<Parsed, String> {
-    let mut parsed = Parsed {
-        source_path: String::new(),
-        mode_omega: true,
-        asserts: false,
-        initial_k: 1,
-        print_acfa: false,
-        trace: false,
-        dot: false,
-        stats: false,
-        stats_json: false,
-        no_cache: false,
-        jobs: 1,
-        timeout_secs: None,
-        timeout_millis: None,
-        mem_limit_mb: None,
-        mem_limit_bytes: None,
-        cache_dir: None,
-        pred_store: None,
-        triage: None,
-        row_json: false,
-        journal: None,
-        resume: false,
-        isolate: false,
-        retries: 0,
-    };
+    let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if parsed.common.parse_flag(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--mode" => match it.next().map(String::as_str) {
-                Some("circ") => parsed.mode_omega = false,
-                Some("omega") => parsed.mode_omega = true,
-                other => return Err(format!("--mode expects circ|omega, got {other:?}")),
-            },
-            "--k" => {
-                let v = it.next().ok_or("--k expects a number")?;
-                parsed.initial_k =
-                    v.parse().map_err(|_| format!("--k expects a number, got `{v}`"))?;
-                // k counts context threads; the abstraction is only
-                // defined for k >= 1 (§3.2's counter domain starts at
-                // "one context thread"), so 0 is a usage error, not a
-                // config we can silently run with.
-                if parsed.initial_k == 0 {
-                    return Err("--k must be at least 1 (0 context threads is not a valid counter abstraction)".into());
-                }
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs expects a number")?;
-                parsed.jobs =
-                    v.parse().map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs expects a number")?;
-                parsed.timeout_secs = Some(
-                    v.parse().map_err(|_| format!("--timeout-secs expects a number, got `{v}`"))?,
-                );
-            }
-            "--timeout-millis" => {
-                let v = it.next().ok_or("--timeout-millis expects a number")?;
-                parsed.timeout_millis = Some(
-                    v.parse()
-                        .map_err(|_| format!("--timeout-millis expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-mb" => {
-                let v = it.next().ok_or("--mem-limit-mb expects a number")?;
-                parsed.mem_limit_mb = Some(
-                    v.parse().map_err(|_| format!("--mem-limit-mb expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-bytes" => {
-                let v = it.next().ok_or("--mem-limit-bytes expects a number")?;
-                parsed.mem_limit_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("--mem-limit-bytes expects a number, got `{v}`"))?,
-                );
-            }
             "--journal" => {
                 let v = it.next().ok_or("--journal expects a file path")?;
                 parsed.journal = Some(PathBuf::from(v));
             }
-            "--retries" => {
-                let v = it.next().ok_or("--retries expects a number")?;
-                parsed.retries =
-                    v.parse().map_err(|_| format!("--retries expects a number, got `{v}`"))?;
-            }
             "--resume" => parsed.resume = true,
             "--isolate" => parsed.isolate = true,
             "--row-json" => parsed.row_json = true,
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir expects a directory")?;
-                parsed.cache_dir = Some(PathBuf::from(v));
-            }
-            "--pred-store" => {
-                if parsed.pred_store == Some(false) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                parsed.pred_store = Some(true);
-            }
-            "--no-pred-store" => {
-                if parsed.pred_store == Some(true) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                parsed.pred_store = Some(false);
-            }
-            "--triage" => {
-                if parsed.triage == Some(false) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                parsed.triage = Some(true);
-            }
-            "--no-triage" => {
-                if parsed.triage == Some(true) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                parsed.triage = Some(false);
-            }
             "--asserts" => parsed.asserts = true,
             "--print-acfa" => parsed.print_acfa = true,
             "--trace" => parsed.trace = true,
             "--dot" => parsed.dot = true,
             "--stats" => parsed.stats = true,
             "--json" => parsed.stats_json = true,
-            "--no-cache" => parsed.no_cache = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             path => {
                 if !parsed.source_path.is_empty() {
@@ -358,29 +407,7 @@ fn parse_flags(args: &[String]) -> Result<Parsed, String> {
     if parsed.source_path.is_empty() {
         return Err("missing input file".into());
     }
-    if parsed.cache_dir.is_some() && parsed.no_cache {
-        return Err("--cache-dir and --no-cache are contradictory (nothing to persist)".into());
-    }
-    if parsed.pred_store == Some(true) && parsed.cache_dir.is_none() {
-        return Err("--pred-store needs --cache-dir DIR (the store lives there)".into());
-    }
-    if parsed.triage == Some(true) && parsed.asserts {
-        return Err("--triage and --asserts are contradictory (the cheap stages decide the race \
-             property only)"
-            .into());
-    }
-    if parsed.timeout_secs.is_some() && parsed.timeout_millis.is_some() {
-        return Err(
-            "--timeout-secs and --timeout-millis are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
-    if parsed.mem_limit_mb.is_some() && parsed.mem_limit_bytes.is_some() {
-        return Err(
-            "--mem-limit-mb and --mem-limit-bytes are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
+    parsed.validate(parsed.asserts)?;
     if parsed.resume && parsed.journal.is_none() {
         return Err("--resume needs --journal FILE (there is nothing to resume from)".into());
     }
@@ -390,6 +417,11 @@ fn parse_flags(args: &[String]) -> Result<Parsed, String> {
         parsed.stats = true;
     }
     Ok(parsed)
+}
+
+/// Prints a flag-parsing error; the caller answers with [`usage`].
+fn reported<T>(parsed: Result<T, String>) -> Option<T> {
+    parsed.map_err(|e| eprintln!("{e}")).ok()
 }
 
 fn load(path: &str) -> Result<circ_frontend::Compiled, ExitCode> {
@@ -415,30 +447,13 @@ fn named(cfa: &Cfa, mut s: String) -> String {
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
     if parsed.row_json {
         // Isolation-protocol child mode: check one file exactly the
         // way a batch worker would (same budget semantics, read-only
         // cache seeding) and emit the report row as one JSON line on
         // stdout — the supervising parent parses it back.
-        let cfg = circ_batch::BatchConfig {
-            omega: parsed.mode_omega,
-            initial_k: parsed.initial_k,
-            use_cache: !parsed.no_cache,
-            jobs: parsed.jobs,
-            timeout: parsed.timeout(),
-            mem_limit_bytes: parsed.mem_limit(),
-            cache_dir: parsed.cache_dir.clone(),
-            pred_store: parsed.pred_store.unwrap_or(true),
-            triage: parsed.triage.unwrap_or(false),
-            ..circ_batch::BatchConfig::default()
-        };
+        let cfg = parsed.batch_config();
         let (row, warnings) = circ_batch::check_single(Path::new(&parsed.source_path), &cfg);
         for w in &warnings {
             eprintln!("warning: {w}");
@@ -467,40 +482,18 @@ fn cmd_check(args: &[String]) -> ExitCode {
     // With `--cache-dir`, warm-start from disk and share one cache
     // across this invocation's race variables so the file written
     // back holds the union of what they learned. Without it, each
-    // variable keeps its own per-run cache as before.
+    // variable keeps its own per-run cache as before. The predicate
+    // store (unless --no-pred-store) seeds each variable's check from
+    // what previous runs discovered for the same automaton and config,
+    // and records what this run learns.
     let io = circ_store::Store::real();
-    let (abs_seed, persist) = match &parsed.cache_dir {
-        Some(dir) => {
-            let (_, sweep_warnings) = io.sweep_stale_tmps(dir);
-            for w in &sweep_warnings {
-                eprintln!("warning: {w}");
-            }
-            let loaded = circ_batch::load_caches_in(&io, dir);
-            for w in &loaded.warnings {
-                eprintln!("warning: {w}");
-            }
-            (loaded.abs_seed, SolverPersist::with_seed(loaded.solver_seed))
-        }
-        None => (AbsSeed::empty(), SolverPersist::inert()),
-    };
-    let shared_cache = parsed.cache_dir.as_ref().map(|_| AbsCache::with_seed(&abs_seed));
-    // Predicate store: with a cache dir (unless --no-pred-store), seed
-    // each variable's check from what previous runs discovered for the
-    // same automaton and config, and record what this run learns.
-    let mut preds_store: Option<PredStore> = match &parsed.cache_dir {
-        Some(dir) if parsed.pred_store.unwrap_or(true) => {
-            let path = dir.join(circ_batch::PRED_STORE_FILE);
-            match pred_store::load_pred_store(&path) {
-                Ok(Some(store)) => Some(store),
-                Ok(None) => Some(PredStore::new()),
-                Err(e) => {
-                    eprintln!("warning: ignoring predicate store `{}`: {e}", path.display());
-                    Some(PredStore::new())
-                }
-            }
-        }
-        _ => None,
-    };
+    let dir = parsed.cache_dir.as_deref();
+    let circ_batch::WarmStart { abs_seed, persist, preds: mut preds_store, warnings, .. } =
+        circ_batch::warm_start(&io, dir, parsed.pred_store.unwrap_or(true), true);
+    for w in &warnings {
+        eprintln!("warning: {w}");
+    }
+    let shared_cache = dir.map(|_| AbsCache::with_seed(&abs_seed));
     let cfa_digest = structural_digest(&compiled.cfa);
     // 1 (race) dominates everything; 3 (budget exhausted) dominates 2
     // (plain inconclusive); 0 only survives if every variable is safe.
@@ -662,13 +655,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
     let inputs = match circ_batch::collect_inputs(Path::new(&parsed.source_path)) {
         Ok(v) => v,
         Err(e) => {
@@ -693,25 +680,11 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         }
     }
     let cfg = circ_batch::BatchConfig {
-        omega: parsed.mode_omega,
-        initial_k: parsed.initial_k,
-        use_cache: !parsed.no_cache,
-        jobs: parsed.jobs,
-        timeout: parsed.timeout(),
-        mem_limit_bytes: parsed.mem_limit(),
-        cache_dir: parsed.cache_dir.clone(),
-        pred_store: parsed.pred_store.unwrap_or(true),
-        triage: parsed.triage.unwrap_or(false),
         journal: parsed.journal.clone(),
         resume: parsed.resume,
         isolate: parsed.isolate,
-        retry: if parsed.retries > 0 {
-            circ_governor::RetryPolicy::with_retries(parsed.retries, 0x5eed_c1bc)
-        } else {
-            circ_governor::RetryPolicy::none()
-        },
         cancel,
-        ..circ_batch::BatchConfig::default()
+        ..parsed.batch_config()
     };
     let report = circ_batch::run_batch(&inputs, &cfg);
     for w in &report.warnings {
@@ -725,155 +698,56 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     ExitCode::from(report.exit)
 }
 
-/// Parsed flags for `serve` and `client` — a separate, smaller parser
-/// because the service speaks in addresses and capacities, not input
-/// files.
+/// Parsed flags for `serve` and `client`: the shared flags plus
+/// addresses and capacities instead of input files.
 #[derive(Debug)]
 struct ServeFlags {
+    common: CommonFlags,
     socket: Option<PathBuf>,
     port: Option<u16>,
-    jobs: usize,
     max_inflight: usize,
     queue_depth: usize,
-    timeout_secs: Option<u64>,
-    timeout_millis: Option<u64>,
-    mem_limit_mb: Option<u64>,
-    mem_limit_bytes: Option<u64>,
-    cache_dir: Option<PathBuf>,
-    no_cache: bool,
-    mode_omega: bool,
-    initial_k: u32,
-    pred_store: Option<bool>,
-    triage: Option<bool>,
-    retries: u32,
     stats: bool,
     health: bool,
     paths: Vec<String>,
 }
 
+impl std::ops::Deref for ServeFlags {
+    type Target = CommonFlags;
+    fn deref(&self) -> &CommonFlags {
+        &self.common
+    }
+}
+
 fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
     let mut f = ServeFlags {
+        common: CommonFlags::default(),
         socket: None,
         port: None,
-        jobs: 1,
         max_inflight: 2,
         queue_depth: 16,
-        timeout_secs: None,
-        timeout_millis: None,
-        mem_limit_mb: None,
-        mem_limit_bytes: None,
-        cache_dir: None,
-        no_cache: false,
-        mode_omega: true,
-        initial_k: 1,
-        pred_store: None,
-        triage: None,
-        retries: 0,
         stats: false,
         health: false,
         paths: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if f.common.parse_flag(a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--socket" => {
                 let v = it.next().ok_or("--socket expects a path")?;
                 f.socket = Some(PathBuf::from(v));
             }
-            "--port" => {
-                let v = it.next().ok_or("--port expects a number")?;
-                f.port =
-                    Some(v.parse().map_err(|_| format!("--port expects a number, got `{v}`"))?);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs expects a number")?;
-                f.jobs = v.parse().map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-            }
+            "--port" => f.port = Some(number(a, &mut it)?),
             "--max-inflight" => {
-                let v = it.next().ok_or("--max-inflight expects a number")?;
-                f.max_inflight =
-                    v.parse().map_err(|_| format!("--max-inflight expects a number, got `{v}`"))?;
+                f.max_inflight = number(a, &mut it)?;
                 if f.max_inflight == 0 {
                     return Err("--max-inflight must be at least 1".into());
                 }
             }
-            "--queue-depth" => {
-                let v = it.next().ok_or("--queue-depth expects a number")?;
-                f.queue_depth =
-                    v.parse().map_err(|_| format!("--queue-depth expects a number, got `{v}`"))?;
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs expects a number")?;
-                f.timeout_secs = Some(
-                    v.parse().map_err(|_| format!("--timeout-secs expects a number, got `{v}`"))?,
-                );
-            }
-            "--timeout-millis" => {
-                let v = it.next().ok_or("--timeout-millis expects a number")?;
-                f.timeout_millis = Some(
-                    v.parse()
-                        .map_err(|_| format!("--timeout-millis expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-mb" => {
-                let v = it.next().ok_or("--mem-limit-mb expects a number")?;
-                f.mem_limit_mb = Some(
-                    v.parse().map_err(|_| format!("--mem-limit-mb expects a number, got `{v}`"))?,
-                );
-            }
-            "--mem-limit-bytes" => {
-                let v = it.next().ok_or("--mem-limit-bytes expects a number")?;
-                f.mem_limit_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("--mem-limit-bytes expects a number, got `{v}`"))?,
-                );
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir expects a directory")?;
-                f.cache_dir = Some(PathBuf::from(v));
-            }
-            "--mode" => match it.next().map(String::as_str) {
-                Some("circ") => f.mode_omega = false,
-                Some("omega") => f.mode_omega = true,
-                other => return Err(format!("--mode expects circ|omega, got {other:?}")),
-            },
-            "--k" => {
-                let v = it.next().ok_or("--k expects a number")?;
-                f.initial_k = v.parse().map_err(|_| format!("--k expects a number, got `{v}`"))?;
-                if f.initial_k == 0 {
-                    return Err("--k must be at least 1 (0 context threads is not a valid counter abstraction)".into());
-                }
-            }
-            "--retries" => {
-                let v = it.next().ok_or("--retries expects a number")?;
-                f.retries =
-                    v.parse().map_err(|_| format!("--retries expects a number, got `{v}`"))?;
-            }
-            "--pred-store" => {
-                if f.pred_store == Some(false) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                f.pred_store = Some(true);
-            }
-            "--no-pred-store" => {
-                if f.pred_store == Some(true) {
-                    return Err("--pred-store and --no-pred-store are contradictory".into());
-                }
-                f.pred_store = Some(false);
-            }
-            "--triage" => {
-                if f.triage == Some(false) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                f.triage = Some(true);
-            }
-            "--no-triage" => {
-                if f.triage == Some(true) {
-                    return Err("--triage and --no-triage are contradictory".into());
-                }
-                f.triage = Some(false);
-            }
-            "--no-cache" => f.no_cache = true,
+            "--queue-depth" => f.queue_depth = number(a, &mut it)?,
             "--stats" => f.stats = true,
             "--health" => f.health = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
@@ -889,24 +763,7 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
         (None, None) => return Err("pass --socket PATH or --port N".into()),
         _ => {}
     }
-    if f.cache_dir.is_some() && f.no_cache {
-        return Err("--cache-dir and --no-cache are contradictory (nothing to persist)".into());
-    }
-    if f.pred_store == Some(true) && f.cache_dir.is_none() {
-        return Err("--pred-store needs --cache-dir DIR (the store lives there)".into());
-    }
-    if f.timeout_secs.is_some() && f.timeout_millis.is_some() {
-        return Err(
-            "--timeout-secs and --timeout-millis are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
-    if f.mem_limit_mb.is_some() && f.mem_limit_bytes.is_some() {
-        return Err(
-            "--mem-limit-mb and --mem-limit-bytes are two spellings of one budget — pass only one"
-                .into(),
-        );
-    }
+    f.validate(false)?;
     Ok(f)
 }
 
@@ -918,26 +775,10 @@ impl ServeFlags {
             (None, None) => unreachable!("parser requires one address"),
         }
     }
-
-    fn timeout(&self) -> Option<Duration> {
-        self.timeout_secs
-            .map(Duration::from_secs)
-            .or(self.timeout_millis.map(Duration::from_millis))
-    }
-
-    fn mem_limit(&self) -> Option<u64> {
-        self.mem_limit_mb.map(|mb| mb * 1024 * 1024).or(self.mem_limit_bytes)
-    }
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let Some(flags) = reported(parse_serve_flags(args)) else { return usage() };
     if flags.stats || flags.health || !flags.paths.is_empty() {
         eprintln!("`serve` takes no paths or probe flags (those belong to `client`)");
         return usage();
@@ -980,11 +821,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         pred_store: flags.pred_store.unwrap_or(true),
         triage: flags.triage.unwrap_or(false),
         cache_dir: flags.cache_dir.clone(),
-        retry: if flags.retries > 0 {
-            circ_governor::RetryPolicy::with_retries(flags.retries, 0x5eed_c1bc)
-        } else {
-            circ_governor::RetryPolicy::none()
-        },
+        retry: flags.retry(),
         cancel,
         flush,
         ..circ_serve::ServeConfig::default()
@@ -1055,13 +892,7 @@ impl ClientConn {
 }
 
 fn cmd_client(args: &[String]) -> ExitCode {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let Some(flags) = reported(parse_serve_flags(args)) else { return usage() };
     if !flags.stats && !flags.health && flags.paths.is_empty() {
         eprintln!("`client` needs at least one path to check, or --stats / --health");
         return usage();
@@ -1124,13 +955,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
 }
 
 fn cmd_compile(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -1153,13 +978,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
 }
 
 fn cmd_baselines(args: &[String]) -> ExitCode {
-    let parsed = match parse_flags(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,

@@ -122,3 +122,43 @@ fn concurrent_batches_sharing_a_cache_dir_lose_no_entries() {
         }
     }
 }
+
+/// `circ check --cache-dir` warm-starts through the same loader as
+/// batch and serve: garbage in `preds.store` degrades to a warned cold
+/// start with the verdict unchanged, and the flush at exit replaces
+/// the damaged file, so the next run seeds from it without a warning.
+#[test]
+fn check_over_a_garbage_pred_store_warns_and_heals() {
+    let dir = tmp("check-garbage-preds");
+    let model = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/test_and_set.nesl");
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    std::fs::write(cache.join("preds.store"), "circ-pred-store garbage\n\u{1}").unwrap();
+    let run = || {
+        let out = circ()
+            .arg("check")
+            .arg(&model)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .arg("--json")
+            .output()
+            .expect("spawn circ");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let preds_seeded = |stdout: &str| -> u64 {
+        let tail = &stdout[stdout.find("\"preds_seeded\":").expect(stdout) + 15..];
+        tail[..tail.find([',', '}']).unwrap()].parse().unwrap()
+    };
+
+    let (code, stdout, stderr) = run();
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(stderr.contains("warning: ignoring predicate store"), "{stderr}");
+    assert!(stderr.contains("preds.store"), "{stderr}");
+    assert_eq!(preds_seeded(&stdout), 0, "a damaged store must not seed: {stdout}");
+
+    let (code, stdout, stderr) = run();
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert!(!stderr.contains("warning"), "the flush must have healed the store: {stderr}");
+    assert!(preds_seeded(&stdout) > 0, "the healed store must seed: {stdout}");
+}

@@ -19,9 +19,8 @@
 //! [`crate::cache`]).
 
 use crate::cache::AbsSeed;
-use circ_smt::persist::{
-    fnv1a64, parse_atom, parse_cache_file, push_atom, render_cache_file, Tokens,
-};
+use circ_ir::digest::fnv1a64;
+use circ_smt::persist::{parse_atom, parse_cache_file, push_atom, render_cache_file, Tokens};
 use circ_smt::{Atom, PersistError};
 use std::io;
 use std::path::Path;

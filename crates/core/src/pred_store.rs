@@ -43,8 +43,9 @@
 //! a predicate is `<cmp> <lhs> <rhs>`).
 
 use crate::circ::{CircConfig, CircOutcome};
+use circ_ir::digest::fnv1a64;
 use circ_ir::{BinOp, CmpOp, Expr, Pred, Var};
-use circ_smt::persist::{fnv1a64, parse_cache_file, render_cache_file, Tokens};
+use circ_smt::persist::{parse_cache_file, render_cache_file, Tokens};
 use circ_smt::PersistError;
 use std::collections::BTreeMap;
 use std::io;

@@ -18,9 +18,11 @@
 use crate::cfa::{Cfa, Op, VarKind};
 use std::fmt::Write as _;
 
-/// FNV-1a 64-bit, duplicated from `circ-smt`'s persistence layer
-/// (this crate sits below `circ-smt` in the dependency order).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over raw bytes: the one hash behind the structural
+/// digest, the cache-file checksums, and the batch journal's content
+/// digests. Hand-rolled so on-disk values are independent of `std`'s
+/// unstable `DefaultHasher` internals.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

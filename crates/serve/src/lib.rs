@@ -26,17 +26,19 @@
 //!   uses.
 //! * **per-request fault containment**: a panic anywhere in a
 //!   request's handling degrades that one response (an
-//!   `internal-error` row or response); transient failures retry
-//!   under the same deterministic [`RetryPolicy`] and per-content
-//!   fault reseeding the batch supervisor uses; the server and
+//!   `internal-error` row or response); each unit runs under the
+//!   batch supervisor itself ([`circ_batch::supervise_unit`]), so
+//!   transient failures retry under the same deterministic
+//!   [`RetryPolicy`] and per-content fault reseeding; the server and
 //!   sibling requests keep running.
 //!
 //! Verdict soundness is inherited by construction: every check runs
 //! through [`circ_batch::check_source`] — the exact code path behind
-//! `circ batch` rows — with the same per-file budget carving, so a
-//! serve row can only differ from the batch row for the same content
-//! in its wall-time fields, or by degrading to an Unknown-family
-//! verdict under cancellation or overload. Verdicts never flip.
+//! `circ batch` rows — under the same supervisor, warm-start loader
+//! and per-file budget carving, so a serve row can only differ from
+//! the batch row for the same content in its wall-time fields, or by
+//! degrading to an Unknown-family verdict under cancellation or
+//! overload. Verdicts never flip.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,15 +50,15 @@ use crate::admission::{Admission, Rejected};
 use crate::protocol::{parse_request, CheckInput, Request};
 use circ_batch::journal::digest_bytes;
 use circ_batch::{
-    check_source, collect_inputs, flush_caches_in, load_caches_in, worst_exit, BatchConfig,
-    CheckCtx, FileRow, Verdict, PRED_STORE_FILE,
+    check_source, collect_inputs, flush_caches_in, run_units, supervise_unit, tally, warm_start,
+    worst_exit, BatchConfig, CheckCtx, FileRow, Verdict,
 };
-use circ_core::{pred_store, AbsCache, PredStore, SolverPersist};
+use circ_core::{AbsCache, PredStore, SolverPersist};
 use circ_governor::{
     carve_mem_limit, carve_timeout, panic_message, CancelToken, Envelope, FaultPlan, RetryPolicy,
 };
-use circ_par::Pool;
 use circ_stats::ServiceStats;
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -376,8 +378,8 @@ impl Unit {
 
 /// The per-request [`BatchConfig`] — the same knobs a `circ batch`
 /// run with this service's flags would use, so rows agree by
-/// construction. Journaling, resume, and isolation stay off: the
-/// request/response cycle is the supervision loop here.
+/// construction. Journaling, resume, and isolation stay off: each
+/// unit runs under the bare [`circ_batch::supervise_unit`].
 fn request_batch_config(
     config: &ServeConfig,
     req_timeout: Option<Duration>,
@@ -400,12 +402,11 @@ fn request_batch_config(
     }
 }
 
-/// Checks one unit under the batch supervisor's retry/containment
-/// discipline: fault plans reseeded from `content digest ⊕ attempt`,
-/// transient `internal-error` rows retried with seeded backoff
-/// bounded by the unit's remaining budget, panics contained to an
-/// `internal-error` row. Mirrors `circ-batch`'s `Supervisor` minus
-/// journaling and process isolation.
+/// Checks one unit against the shared warm caches under
+/// [`circ_batch::supervise_unit`] — the batch supervisor itself, so a
+/// serve row equals the batch row for the same content. Journaling
+/// and process isolation stay batch-only; contained panics count into
+/// `panics_contained`.
 fn check_unit(
     state: &ServerState,
     unit: &Unit,
@@ -414,78 +415,37 @@ fn check_unit(
     file_mem: Option<u64>,
     pred_seed: Option<&PredStore>,
 ) -> (FileRow, PredStore) {
-    let start = Instant::now();
     let name = unit.name();
-    if batch_cfg.cancel.is_cancelled() {
-        let mut row =
-            FileRow::new(name, Verdict::BudgetExhausted, "cancelled before start".to_string());
-        row.cancelled = true;
-        return (row, PredStore::new());
-    }
     let source = match unit {
-        Unit::Inline { source, .. } => source.clone(),
-        Unit::Path(path) => match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                let mut row =
-                    FileRow::new(name, Verdict::CompileError, format!("cannot read: {e}"));
-                row.time_s = start.elapsed().as_secs_f64();
-                return (row, PredStore::new());
-            }
-        },
+        Unit::Inline { source, .. } => Ok(Cow::Borrowed(source.as_str())),
+        Unit::Path(path) => std::fs::read_to_string(path).map(Cow::Owned),
     };
-    let key = digest_bytes(source.as_bytes());
-    let mut retries: u64 = 0;
-    let mut attempt: u32 = 1;
-    loop {
-        let remaining = file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-        let faults = batch_cfg.faults.reseeded(key ^ u64::from(attempt));
-        let ctx = CheckCtx {
-            config: batch_cfg,
-            file_timeout: remaining,
-            file_mem,
-            cache: &state.cache,
-            persist: &state.persist,
-            pred_seed,
-            faults: &faults,
-        };
-        let (mut row, learned) = match catch_unwind(AssertUnwindSafe(|| {
-            // Same injection point the worker pool has (compiles
-            // to `false` without the `inject` feature): a panic
-            // here exercises the containment arm below under the
-            // per-attempt reseeded schedule.
-            if faults.task_panic() {
-                panic!("injected task panic");
+    // An unreadable file falls back to a key derived from its path,
+    // exactly as in batch.
+    let key = digest_bytes(source.as_deref().unwrap_or(&name).as_bytes());
+    let (row, learned, panics) =
+        supervise_unit(&name, key, batch_cfg, file_timeout, |remaining, faults| match &source {
+            Ok(src) => {
+                let ctx = CheckCtx {
+                    config: batch_cfg,
+                    file_timeout: remaining,
+                    file_mem,
+                    cache: &state.cache,
+                    persist: &state.persist,
+                    pred_seed,
+                    faults,
+                };
+                check_source(&name, src, &ctx)
             }
-            check_source(&name, &source, &ctx)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                state.stats.apply(|s| s.panics_contained += 1);
-                let row = FileRow::new(
-                    name.clone(),
-                    Verdict::InternalError,
-                    format!("contained worker panic: {}", panic_message(payload.as_ref())),
-                );
-                (row, PredStore::new())
+            Err(e) => {
+                let detail = format!("cannot read: {e}");
+                (FileRow::new(name.clone(), Verdict::CompileError, detail), PredStore::new())
             }
-        };
-        let out_of_budget = remaining.is_some_and(|r| r.is_zero());
-        if row.verdict == Verdict::InternalError
-            && batch_cfg.retry.should_retry(attempt)
-            && !batch_cfg.cancel.is_cancelled()
-            && !out_of_budget
-        {
-            retries += 1;
-            let left = file_timeout.map(|t| t.saturating_sub(start.elapsed()));
-            std::thread::sleep(batch_cfg.retry.backoff(key, attempt, left));
-            attempt += 1;
-            continue;
-        }
-        row.retries = retries;
-        row.time_s = start.elapsed().as_secs_f64();
-        return (row, learned);
+        });
+    if panics > 0 {
+        state.stats.apply(|s| s.panics_contained += panics);
     }
+    (row, learned)
 }
 
 /// Runs one admitted check request: resolve the work list, carve the
@@ -511,26 +471,9 @@ fn run_check(state: &ServerState, input: &CheckInput) -> (Vec<FileRow>, u8) {
     let file_mem = carve_mem_limit(req_mem, units.len());
     let pred_seed: Option<PredStore> =
         state.preds.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
-    let pool = Pool::new(state.config.jobs);
-    let results = pool.try_map(&units, |unit| {
+    let (rows, learned_stores) = run_units(state.config.jobs, &units, Unit::name, |unit| {
         check_unit(state, unit, &batch_cfg, file_timeout, file_mem, pred_seed.as_ref())
     });
-    let mut rows = Vec::with_capacity(units.len());
-    let mut learned_stores = Vec::with_capacity(units.len());
-    for (unit, result) in units.iter().zip(results) {
-        match result {
-            Ok((row, learned)) => {
-                rows.push(row);
-                learned_stores.push(learned);
-            }
-            Err(e) => {
-                // Last-resort containment: a panic that escaped the
-                // unit supervisor itself.
-                rows.push(FileRow::new(unit.name(), Verdict::InternalError, e.message));
-                learned_stores.push(PredStore::new());
-            }
-        }
-    }
     {
         let mut guard = state.preds.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(master) = guard.as_mut() {
@@ -631,19 +574,7 @@ fn handle_request(state: &ServerState, line: &str) -> String {
                     state.stats.apply(|s| {
                         s.checks += 1;
                         for row in &rows {
-                            s.totals.files += 1;
-                            match row.verdict {
-                                Verdict::Safe => s.totals.safe += 1,
-                                Verdict::Race => s.totals.races += 1,
-                                Verdict::Inconclusive | Verdict::InternalError => {
-                                    s.totals.inconclusive += 1
-                                }
-                                Verdict::BudgetExhausted => s.totals.budget_exhausted += 1,
-                                Verdict::CompileError => s.totals.compile_errors += 1,
-                            }
-                            s.totals.retries += row.retries;
-                            s.totals.cancelled += u64::from(row.cancelled);
-                            s.totals.pipeline.add(&row.pipeline);
+                            tally(&mut s.totals, row);
                         }
                     });
                     protocol::render_check_response(
@@ -782,71 +713,34 @@ fn flush_caches(state: &ServerState) -> Vec<String> {
 }
 
 /// Builds the shared server state, warm-starting from `cache_dir`
-/// when one is configured. Load warnings are returned for stderr.
+/// when one is configured. Without one the caches and predicate store
+/// still start empty and learn across requests, in memory. Load
+/// warnings are returned for stderr.
 fn build_state(config: ServeConfig) -> (Arc<ServerState>, Vec<String>) {
     let io = circ_store::Store::with_faults(&config.faults);
-    let mut warnings = Vec::new();
-    let mut recovered = 0u64;
-    let cache_dir = if config.use_cache { config.cache_dir.as_deref() } else { None };
-    if let Some(dir) = cache_dir {
-        let (swept, sweep_warnings) = io.sweep_stale_tmps(dir);
-        recovered += swept;
-        warnings.extend(sweep_warnings);
+    let dir = config.cache_dir.as_deref().filter(|_| config.use_cache);
+    let mut warm = warm_start(&io, dir, config.pred_store && config.use_cache, true);
+    if config.use_cache && dir.is_none() {
+        warm.persist = SolverPersist::with_seed(Vec::new());
+        warm.preds = config.pred_store.then(PredStore::new);
     }
-    let (cache, persist) = if config.use_cache {
-        match cache_dir {
-            Some(dir) => {
-                let loaded = load_caches_in(&io, dir);
-                warnings.extend(loaded.warnings);
-                recovered += loaded.recovered;
-                (
-                    AbsCache::with_seed(&loaded.abs_seed),
-                    SolverPersist::with_seed(loaded.solver_seed),
-                )
-            }
-            None => (AbsCache::with_seed(&circ_core::AbsSeed::empty()), {
-                SolverPersist::with_seed(Vec::new())
-            }),
-        }
-    } else {
-        (AbsCache::disabled(), SolverPersist::inert())
-    };
-    let preds = if config.pred_store && config.use_cache {
-        let seed = match cache_dir {
-            Some(dir) => {
-                let path = dir.join(PRED_STORE_FILE);
-                match pred_store::load_pred_store_in(&io, &path) {
-                    Ok(Some(store)) => store,
-                    Ok(None) => PredStore::new(),
-                    Err(e) => {
-                        warnings
-                            .push(format!("ignoring predicate store `{}`: {e}", path.display()));
-                        recovered += 1;
-                        PredStore::new()
-                    }
-                }
-            }
-            None => PredStore::new(),
-        };
-        Some(seed)
-    } else {
-        None
-    };
+    let cache =
+        if config.use_cache { AbsCache::with_seed(&warm.abs_seed) } else { AbsCache::disabled() };
     let admission = Admission::new(config.max_inflight, config.queue_depth);
     let state = Arc::new(ServerState {
         admission,
         stats: ServiceStats::new(),
         cache,
-        persist,
-        preds: Mutex::new(preds),
+        persist: warm.persist,
+        preds: Mutex::new(warm.preds),
         io,
         started: Instant::now(),
         config,
     });
-    if recovered > 0 {
-        state.stats.apply(|s| s.totals.pipeline.store_recoveries += recovered);
+    if warm.recovered > 0 {
+        state.stats.apply(|s| s.totals.pipeline.store_recoveries += warm.recovered);
     }
-    (state, warnings)
+    (state, warm.warnings)
 }
 
 /// Runs the service until its [`CancelToken`] trips, then drains

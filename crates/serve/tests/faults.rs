@@ -7,6 +7,7 @@
 #![cfg(all(unix, feature = "inject"))]
 
 use circ_batch::mjson::{self, Value};
+use circ_batch::{run_batch, BatchConfig, Verdict};
 use circ_governor::{FaultPlan, RetryPolicy};
 use circ_serve::{serve, BindTo, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -129,6 +130,61 @@ fn injected_panics_only_degrade_and_retries_recover_the_clean_verdict() {
     assert!(recovered, "no seed in 0..64 produced a retry-recoverable transient fault");
 }
 
+/// Batch and serve share one unit supervisor, so under the same fault
+/// plan and retry policy the same content comes out as the same row
+/// through either door: verdict, detail, stage attribution, and retry
+/// count. The serve row's retries are read off the stats payload's
+/// running total.
+#[test]
+fn batch_and_serve_rows_agree_under_injection() {
+    let dir = std::env::temp_dir().join(format!("circ-serve-parity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut injected = false;
+    for seed in 0..16u64 {
+        let faults = FaultPlan::seeded(seed).with_task_panic(60);
+        let retry = RetryPolicy::with_retries(3, seed);
+        let config =
+            ServeConfig { faults: faults.clone(), retry: retry.clone(), ..ServeConfig::default() };
+        let server = Server::start(config, &format!("parity{seed}"));
+        let mut served_retries = 0;
+        for (i, src) in [SAFE_READER, RACY].into_iter().enumerate() {
+            let path = dir.join(format!("m{i}.nesl"));
+            std::fs::write(&path, src).unwrap();
+            let config =
+                BatchConfig { faults: faults.clone(), retry: retry.clone(), ..Default::default() };
+            let report = run_batch(&[path], &config);
+            let batch = &report.rows[0];
+            injected |= batch.retries > 0 || batch.verdict == Verdict::InternalError;
+
+            let resp = server.roundtrip(&format!(
+                "{{\"op\":\"check\",\"source\":\"{}\"}}",
+                circ_batch::json_escape(src)
+            ));
+            let Some(Value::Arr(rows)) = resp.get("rows") else { panic!("no rows in {resp:?}") };
+            let field = |key| rows[0].get(key).and_then(Value::as_str).unwrap_or_default();
+            assert_eq!(
+                (field("verdict"), field("detail"), field("stage")),
+                (batch.verdict.name(), batch.detail.as_str(), batch.stage.as_str()),
+                "seed {seed}, source {i}: serve row differs from the batch row"
+            );
+            let stats = server.roundtrip("{\"op\":\"stats\"}");
+            let retries = stats
+                .get("stats")
+                .and_then(|s| s.get("service"))
+                .and_then(|s| s.get("totals"))
+                .and_then(|t| t.get("retries"))
+                .and_then(Value::as_u64)
+                .expect("retries counter");
+            assert_eq!(retries - served_retries, batch.retries, "seed {seed}, source {i}: retries");
+            served_retries = retries;
+        }
+        assert_eq!(server.stop(), 3, "seed {seed}: drain must still exit 3");
+    }
+    assert!(injected, "no seed in 0..16 injected a fault; the comparison is vacuous");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A storage failure during the graceful drain's cache flush must not
 /// change the exit code (3, "drained") and must not cost any client a
 /// response — responses are written before the flush, and a failed
@@ -164,9 +220,10 @@ fn drain_flush_failure_keeps_exit_code_and_drops_no_responses() {
         assert_eq!(sole_verdict(&resp), "safe", "{tag}");
 
         // ...and one in flight when the cancel lands. The drain must
-        // answer it — completed, or shed with a `shutting-down`
-        // error if the cancel won the admission race — but never
-        // leave the client hanging on a dead socket.
+        // answer it — completed, degraded to a cancelled row if the
+        // cancel reached the running check, or shed with a
+        // `shutting-down` error if the cancel won the admission race —
+        // but never leave the client hanging on a dead socket.
         let socket = server.socket.clone();
         let inflight = std::thread::spawn(move || {
             let mut conn = UnixStream::connect(&socket).expect("connect");
@@ -203,7 +260,16 @@ fn drain_flush_failure_keeps_exit_code_and_drops_no_responses() {
         let resp =
             mjson::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"));
         if resp.get("ok") == Some(&Value::Bool(true)) {
-            assert_eq!(sole_verdict(&resp), "race", "{tag}: in-flight verdict degraded");
+            let verdict = sole_verdict(&resp);
+            if verdict != "race" {
+                // The documented drain degrade: the check stopped at
+                // its next budget poll as a cancelled
+                // `budget-exhausted` row. Anything else is a flip.
+                assert_eq!(verdict, "budget-exhausted", "{tag}: in-flight verdict flipped");
+                let Some(Value::Arr(rows)) = resp.get("rows") else { unreachable!() };
+                let detail = rows[0].get("detail").and_then(Value::as_str).unwrap_or_default();
+                assert!(detail.ends_with("Cancelled"), "{tag}: not a cancelled row: {resp:?}");
+            }
         } else {
             let err = resp.get("error").and_then(Value::as_str).unwrap_or_default();
             assert_eq!(err, "shutting-down", "{tag}: unexpected error shape {resp:?}");

@@ -35,6 +35,7 @@ use crate::formula::Formula;
 use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
 use crate::solver::{shard_ix, SatResult, SOLVER_SHARDS};
+use circ_ir::digest::fnv1a64;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -84,17 +85,6 @@ impl From<io::Error> for PersistError {
 
 fn format_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
-}
-
-/// FNV-1a 64-bit over raw bytes. Hand-rolled so the on-disk checksum
-/// is independent of `std`'s unstable `DefaultHasher` internals.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A cursor over whitespace-separated tokens of one cache-file line.
