@@ -130,19 +130,33 @@ impl Acfa {
         self.out_edges(q).any(|e| e.havoc.contains(&x))
     }
 
-    /// Locations reachable from `q` by edges with an empty havoc set
-    /// (τ-closure, including `q` itself).
-    pub fn tau_reach(&self, q: AcfaLocId) -> BTreeSet<AcfaLocId> {
-        let mut seen: BTreeSet<AcfaLocId> = [q].into();
-        let mut stack = vec![q];
-        while let Some(s) = stack.pop() {
-            for e in self.out_edges(s) {
-                if e.havoc.is_empty() && seen.insert(e.dst) {
-                    stack.push(e.dst);
+    /// The τ-closure of every location: `closures[q]` lists, in
+    /// ascending order, the locations reachable from `q` by edges with
+    /// an empty havoc set, `q` itself included.
+    pub fn tau_closures(&self) -> Vec<Vec<AcfaLocId>> {
+        // `seen[s] == q + 1` marks `s` as already in `q`'s closure, so
+        // one mark vector serves every search without clearing.
+        let mut seen = vec![0u32; self.num_locs()];
+        let mut stack = Vec::new();
+        self.locs()
+            .map(|q| {
+                let stamp = q.0 + 1;
+                seen[q.index()] = stamp;
+                let mut closure = vec![q];
+                stack.push(q);
+                while let Some(s) = stack.pop() {
+                    for e in self.out_edges(s) {
+                        if e.havoc.is_empty() && seen[e.dst.index()] != stamp {
+                            seen[e.dst.index()] = stamp;
+                            closure.push(e.dst);
+                            stack.push(e.dst);
+                        }
+                    }
                 }
-            }
-        }
-        seen
+                closure.sort_unstable();
+                closure
+            })
+            .collect()
     }
 
     /// Renders the ACFA as text, naming predicates with `pred_name`
@@ -214,11 +228,10 @@ mod tests {
             AcfaEdge { src: AcfaLocId(2), havoc: BTreeSet::new(), dst: AcfaLocId(0) },
         ];
         let a = Acfa::from_parts(vec![r.clone(), r.clone(), r], vec![false; 3], edges);
-        let t0 = a.tau_reach(AcfaLocId(0));
-        assert!(t0.contains(&AcfaLocId(0)) && t0.contains(&AcfaLocId(1)));
-        assert!(!t0.contains(&AcfaLocId(2)));
-        let t2 = a.tau_reach(AcfaLocId(2));
-        assert_eq!(t2.len(), 3); // 2 -τ-> 0 -τ-> 1
+        let tau = a.tau_closures();
+        assert_eq!(tau[0], [AcfaLocId(0), AcfaLocId(1)]);
+        assert_eq!(tau[1], [AcfaLocId(1)]);
+        assert_eq!(tau[2], [AcfaLocId(0), AcfaLocId(1), AcfaLocId(2)]); // 2 -τ-> 0 -τ-> 1
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   transformations over-approximate).
 
 use crate::acfa::{Acfa, AcfaEdge, AcfaLocId};
+use crate::cube::Region;
 use circ_ir::Var;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Output of [`collapse`].
 #[derive(Debug, Clone)]
@@ -31,42 +32,70 @@ pub struct CollapseResult {
     pub iterations: usize,
 }
 
-/// One weak-transition signature entry: `None` marks a silent move.
-type SigEntry = (Option<BTreeSet<Var>>, u32);
+/// The havoc id reserved for silent (τ) moves in signatures.
+const TAU: u32 = 0;
 
 /// Computes the weak bisimilarity quotient of `g`.
 pub fn collapse(g: &Acfa) -> CollapseResult {
     let n = g.num_locs();
-    let tau: Vec<BTreeSet<AcfaLocId>> = g.locs().map(|q| g.tau_reach(q)).collect();
+    let tau = g.tau_closures();
 
-    // Initial partition: by (region, atomic).
-    let mut block: Vec<u32> = vec![0; n];
-    {
-        let mut key_to_block: BTreeMap<(Vec<u8>, bool), u32> = BTreeMap::new();
-        for q in g.locs() {
-            // Use the Display form of the region as a stable partition
-            // key (regions are kept sorted, so equality is syntactic).
-            let key = (format!("{}", g.region(q)).into_bytes(), g.is_atomic(q));
-            let next = key_to_block.len() as u32;
-            let b = *key_to_block.entry(key).or_insert(next);
-            block[q.index()] = b;
-        }
-    }
+    // Each location's observable out-edges as (havoc id, destination),
+    // with every distinct havoc set interned once; ids start after TAU.
+    let mut havoc_ids: HashMap<&BTreeSet<Var>, u32> = HashMap::new();
+    let moves: Vec<Vec<(u32, AcfaLocId)>> = g
+        .locs()
+        .map(|q| {
+            g.out_edges(q)
+                .filter(|e| !e.havoc.is_empty())
+                .map(|e| {
+                    let next = havoc_ids.len() as u32 + 1;
+                    (*havoc_ids.entry(&e.havoc).or_insert(next), e.dst)
+                })
+                .collect()
+        })
+        .collect();
 
-    // Refine until stable.
+    // Initial partition: by (region, atomic), blocks numbered by first
+    // occurrence in location order.
+    let mut block: Vec<u32> = {
+        let mut key_to_block: HashMap<(&Region, bool), u32> = HashMap::new();
+        g.locs()
+            .map(|q| {
+                let next = key_to_block.len() as u32;
+                *key_to_block.entry((g.region(q), g.is_atomic(q))).or_insert(next)
+            })
+            .collect()
+    };
+    let mut num_blocks = block.iter().max().map_or(0, |&b| b as usize + 1);
+
+    // Refine until stable. Each new block splits an old one, so the
+    // partition is stable exactly when the block count stops growing.
     let mut iterations = 0usize;
+    let mut key_to_block: HashMap<(u32, Vec<(u32, u32)>), u32> = HashMap::new();
+    let mut sig: Vec<(u32, u32)> = Vec::new();
     loop {
         iterations += 1;
-        let mut key_to_block: BTreeMap<(u32, BTreeSet<SigEntry>), u32> = BTreeMap::new();
+        key_to_block.clear();
         let mut new_block = vec![0u32; n];
         for q in g.locs() {
-            let sig = signature(g, &tau, &block, q);
-            let key = (block[q.index()], sig);
-            let next = key_to_block.len() as u32;
-            new_block[q.index()] = *key_to_block.entry(key).or_insert(next);
+            signature(&tau, &moves, &block, q, &mut sig);
+            let key = (block[q.index()], std::mem::take(&mut sig));
+            new_block[q.index()] = match key_to_block.get(&key) {
+                Some(&b) => {
+                    sig = key.1; // hand the buffer back for reuse
+                    b
+                }
+                None => {
+                    let next = key_to_block.len() as u32;
+                    key_to_block.insert(key, next);
+                    next
+                }
+            };
         }
-        let stable = same_partition(&block, &new_block);
         block = new_block;
+        let stable = key_to_block.len() == num_blocks;
+        num_blocks = key_to_block.len();
         if stable {
             break;
         }
@@ -114,47 +143,34 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
     CollapseResult { acfa: Acfa::from_parts(regions, atomic, edges), map, iterations }
 }
 
+/// Writes `q`'s weak-transition signature into `sig`, sorted and
+/// deduplicated: `(TAU, b)` for a silent weak move into another block
+/// `b`, `(y, b)` for a weak move with havoc id `y` into block `b`.
 fn signature(
-    g: &Acfa,
-    tau: &[BTreeSet<AcfaLocId>],
+    tau: &[Vec<AcfaLocId>],
+    moves: &[Vec<(u32, AcfaLocId)>],
     block: &[u32],
     q: AcfaLocId,
-) -> BTreeSet<SigEntry> {
-    let mut sig = BTreeSet::new();
+    sig: &mut Vec<(u32, u32)>,
+) {
+    sig.clear();
     let my_block = block[q.index()];
     for &s1 in &tau[q.index()] {
-        // Silent weak moves to other classes.
         if block[s1.index()] != my_block {
-            sig.insert((None, block[s1.index()]));
+            sig.push((TAU, block[s1.index()]));
         }
-        for e in g.out_edges(s1) {
-            if e.havoc.is_empty() {
-                continue; // covered by the τ-closure above
-            }
-            for &s2 in &tau[e.dst.index()] {
-                sig.insert((Some(e.havoc.clone()), block[s2.index()]));
-            }
+        for &(y, dst) in &moves[s1.index()] {
+            sig.extend(tau[dst.index()].iter().map(|s2| (y, block[s2.index()])));
         }
     }
-    sig
-}
-
-/// Do two block assignments induce the same partition?
-fn same_partition(a: &[u32], b: &[u32]) -> bool {
-    let mut fwd: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut bwd: BTreeMap<u32, u32> = BTreeMap::new();
-    for (&x, &y) in a.iter().zip(b) {
-        if *fwd.entry(x).or_insert(y) != y || *bwd.entry(y).or_insert(x) != x {
-            return false;
-        }
-    }
-    true
+    sig.sort_unstable();
+    sig.dedup();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::{Cube, PredIx, Region};
+    use crate::cube::{Cube, PredIx};
 
     fn v(n: u32) -> Var {
         Var::from_raw(n)

@@ -20,10 +20,11 @@
 //! soundly over-approximates every thread.
 
 use crate::acfa::{Acfa, AcfaLocId};
+use crate::cube::Region;
 use circ_governor::{Budget, Exhausted};
 use circ_ir::Var;
 use circ_par::Pool;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Decides `g ⪯ a` using syntactic region containment (every cube of
 /// the left region subsumed by some cube of the right). See
@@ -40,7 +41,7 @@ pub fn check_sim(g: &Acfa, a: &Acfa) -> bool {
 pub fn check_sim_with(
     g: &Acfa,
     a: &Acfa,
-    contains: &(dyn Fn(&crate::cube::Region, &crate::cube::Region) -> bool + Sync),
+    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
 ) -> bool {
     check_sim_counting(g, a, contains).0
 }
@@ -51,28 +52,31 @@ pub fn check_sim_with(
 pub fn check_sim_counting(
     g: &Acfa,
     a: &Acfa,
-    contains: &(dyn Fn(&crate::cube::Region, &crate::cube::Region) -> bool + Sync),
+    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
 ) -> (bool, u64) {
     check_sim_counting_pool(g, a, contains, &Pool::sequential())
 }
 
-/// [`check_sim_counting`] with the obligation checks of each fixpoint
-/// pass distributed over `pool`.
+/// [`check_sim_counting`] with the label pass distributed over
+/// `pool`.
 ///
-/// The greatest fixpoint is computed Jacobi-style: every pass reads
-/// the relation as it stood at the start of the pass and the computed
-/// kills are applied together at the end. Each pass is therefore a
-/// pure function of the previous relation — independent of worker
-/// count or scheduling — and since the greatest simulation relation
-/// is unique, the final answer (and the examined-pair count, which
-/// only depends on the per-pass snapshots) is identical for every
-/// `jobs` setting. Jacobi may take more passes than an in-place
-/// (Gauss–Seidel) sweep, but each pass's rows are embarrassingly
-/// parallel.
+/// The label pass asks `contains` once per distinct pair of
+/// `(region, atomic)` labels, not once per location pair: the oracle
+/// is a pure function of its two regions, so every location pair with
+/// the same labels shares one answer. Those distinct rows are what
+/// `pool` computes concurrently.
+///
+/// The greatest fixpoint is then computed Jacobi-style on the calling
+/// thread: every pass reads the relation as it stood at the start of
+/// the pass and the computed kills are applied together at the end.
+/// Each pass is therefore a pure function of the previous relation,
+/// and since the greatest simulation relation is unique, the final
+/// answer and the examined-pair count are identical for every `jobs`
+/// setting.
 pub fn check_sim_counting_pool(
     g: &Acfa,
     a: &Acfa,
-    contains: &(dyn Fn(&crate::cube::Region, &crate::cube::Region) -> bool + Sync),
+    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
     pool: &Pool,
 ) -> (bool, u64) {
     check_sim_budgeted(g, a, contains, pool, &Budget::unlimited())
@@ -88,7 +92,7 @@ pub fn check_sim_counting_pool(
 pub fn check_sim_budgeted(
     g: &Acfa,
     a: &Acfa,
-    contains: &(dyn Fn(&crate::cube::Region, &crate::cube::Region) -> bool + Sync),
+    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
     pool: &Pool,
     budget: &Budget,
 ) -> Result<(bool, u64), Exhausted> {
@@ -97,7 +101,7 @@ pub fn check_sim_budgeted(
     let na = a.num_locs();
 
     // Weak observable moves of `a`: (Y', destination) pairs.
-    let a_tau: Vec<BTreeSet<AcfaLocId>> = a.locs().map(|p| a.tau_reach(p)).collect();
+    let a_tau = a.tau_closures();
     let mut weak: Vec<Vec<(BTreeSet<Var>, AcfaLocId)>> = vec![Vec::new(); na];
     for p in a.locs() {
         let mut set: BTreeSet<(BTreeSet<Var>, AcfaLocId)> = BTreeSet::new();
@@ -115,15 +119,21 @@ pub fn check_sim_budgeted(
     }
 
     // Greatest fixpoint: start from the label condition, prune. The
-    // label row of each g-location only reads the automata, so the
-    // rows are computed concurrently.
+    // label matrix is computed once per distinct label pair, its rows
+    // concurrently, then expanded to location pairs by label id.
     budget.check()?;
-    let g_locs: Vec<AcfaLocId> = g.locs().collect();
-    let mut rel: Vec<Vec<bool>> = pool.map(&g_locs, |&q| {
-        a.locs()
-            .map(|p| g.is_atomic(q) == a.is_atomic(p) && contains(g.region(q), a.region(p)))
-            .collect()
+    let (g_label, g_labels) = intern_labels(g);
+    let (a_label, a_labels) = intern_labels(a);
+    let matrix: Vec<Vec<bool>> = pool.map(&g_labels, |&(gr, g_atomic)| {
+        a_labels.iter().map(|&(ar, a_atomic)| g_atomic == a_atomic && contains(gr, ar)).collect()
     });
+    let mut rel: Vec<Vec<bool>> = g_label
+        .iter()
+        .map(|&gl| {
+            let row = &matrix[gl as usize];
+            a_label.iter().map(|&al| row[al as usize]).collect()
+        })
+        .collect();
     pairs += (ng as u64) * (na as u64);
 
     let mut changed = true;
@@ -131,44 +141,57 @@ pub fn check_sim_budgeted(
         budget.check()?;
         // One Jacobi pass: decide every surviving pair against the
         // frozen snapshot `rel`, then apply the kills at once.
-        let passes: Vec<(Vec<bool>, u64)> = pool.map(&g_locs, |&q| {
-            let mut examined: u64 = 0;
-            let row: Vec<bool> = a
-                .locs()
-                .map(|p| {
-                    if !rel[q.index()][p.index()] {
-                        return false;
-                    }
-                    examined += 1;
-                    g.out_edges(q).all(|e| {
-                        // A havoc edge may rewrite the old values, so any
-                        // weak Y′-move with Y ⊆ Y′ matches — including
-                        // Y = ∅ (the paper's condition (2) does not
-                        // special-case silent moves). Silent moves may
-                        // additionally be matched by staying put (weak
-                        // simulation).
-                        let by_weak_move = weak[p.index()]
-                            .iter()
-                            .any(|(y, p2)| e.havoc.is_subset(y) && rel[e.dst.index()][p2.index()]);
-                        let by_stutter = e.havoc.is_empty()
-                            && a_tau[p.index()].iter().any(|p2| rel[e.dst.index()][p2.index()]);
-                        by_weak_move || by_stutter
+        let next: Vec<Vec<bool>> = g
+            .locs()
+            .map(|q| {
+                a.locs()
+                    .map(|p| {
+                        if !rel[q.index()][p.index()] {
+                            return false;
+                        }
+                        pairs += 1;
+                        g.out_edges(q).all(|e| {
+                            // A havoc edge may rewrite the old values, so
+                            // any weak Y′-move with Y ⊆ Y′ matches —
+                            // including Y = ∅ (the paper's condition (2)
+                            // does not special-case silent moves). Silent
+                            // moves may additionally be matched by staying
+                            // put (weak simulation).
+                            let by_weak_move = weak[p.index()].iter().any(|(y, p2)| {
+                                e.havoc.is_subset(y) && rel[e.dst.index()][p2.index()]
+                            });
+                            let by_stutter = e.havoc.is_empty()
+                                && a_tau[p.index()].iter().any(|p2| rel[e.dst.index()][p2.index()]);
+                            by_weak_move || by_stutter
+                        })
                     })
-                })
-                .collect();
-            (row, examined)
-        });
-        changed = false;
-        for (q, (row, examined)) in passes.into_iter().enumerate() {
-            pairs += examined;
-            if row != rel[q] {
-                changed = true;
-            }
-            rel[q] = row;
-        }
+                    .collect()
+            })
+            .collect();
+        changed = next != rel;
+        rel = next;
     }
 
     Ok((rel[g.entry().index()][a.entry().index()], pairs))
+}
+
+/// Interns each location's `(region, atomic)` label: returns every
+/// location's label id and the distinct labels, numbered by first
+/// occurrence in location order.
+fn intern_labels(acfa: &Acfa) -> (Vec<u32>, Vec<(&Region, bool)>) {
+    let mut ids: HashMap<(&Region, bool), u32> = HashMap::new();
+    let mut labels = Vec::new();
+    let of_loc = acfa
+        .locs()
+        .map(|q| {
+            let label = (acfa.region(q), acfa.is_atomic(q));
+            *ids.entry(label).or_insert_with(|| {
+                labels.push(label);
+                labels.len() as u32 - 1
+            })
+        })
+        .collect();
+    (of_loc, labels)
 }
 
 #[cfg(test)]
@@ -176,7 +199,7 @@ mod tests {
     use super::*;
     use crate::acfa::AcfaEdge;
     use crate::collapse::collapse;
-    use crate::cube::{Cube, PredIx, Region};
+    use crate::cube::{Cube, PredIx};
 
     fn v(n: u32) -> Var {
         Var::from_raw(n)

@@ -2,15 +2,23 @@
 //! weak-bisimulation quotient must always simulate the original
 //! automaton (the invariant CIRC's guarantee step relies on), be
 //! idempotent, and the cube/region lattice operations must respect
-//! their semantic contracts.
+//! their semantic contracts. CheckSim and Collapse are also compared
+//! against straightforward reference implementations (one oracle call
+//! per location pair, `BTreeSet` signatures) that they must match
+//! exactly.
 //!
 //! Inputs are drawn from a deterministic seeded generator so failures
 //! reproduce exactly; each assertion message carries the case index.
 
-use circ_acfa::{check_sim, collapse, Acfa, AcfaEdge, AcfaLocId, Cube, PredIx, Region};
+use circ_acfa::{
+    check_sim, check_sim_counting_pool, collapse, Acfa, AcfaEdge, AcfaLocId, CollapseResult, Cube,
+    PredIx, Region,
+};
 use circ_ir::Var;
+use circ_par::Pool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const NPREDS: usize = 2;
 const NVARS: u32 = 2;
@@ -46,17 +54,15 @@ fn gen_acfa(rng: &mut StdRng) -> Acfa {
             let src = rng.gen_range(0..n);
             let dst = rng.gen_range(0..n);
             let havoc_mask = rng.gen_range(0u32..(1 << NVARS));
-            AcfaEdge {
-                src: AcfaLocId(src),
-                havoc: (0..NVARS)
-                    .filter(|i| havoc_mask & (1 << i) != 0)
-                    .map(Var::from_raw)
-                    .collect::<BTreeSet<_>>(),
-                dst: AcfaLocId(dst),
-            }
+            AcfaEdge { src: AcfaLocId(src), havoc: havoc_of_mask(havoc_mask), dst: AcfaLocId(dst) }
         })
         .collect();
     Acfa::from_parts(regions, atomic, edges)
+}
+
+/// The havoc set holding variable `i` for every bit `i` set in `mask`.
+fn havoc_of_mask(mask: u32) -> BTreeSet<Var> {
+    (0..u32::BITS).filter(|i| mask & (1 << i) != 0).map(Var::from_raw).collect()
 }
 
 /// Semantic state set of a cube over boolean predicate valuations.
@@ -231,5 +237,270 @@ fn region_project_weakens() {
                 );
             }
         }
+    }
+}
+
+/// An ARG-shaped automaton: a spine of 20–60 locations with τ-chains,
+/// back edges and branches, contiguous atomic runs, and at most two
+/// distinct regions (so at most four distinct `(region, atomic)`
+/// labels), mirroring the exported reachability graphs CIRC feeds to
+/// CheckSim and Collapse.
+fn gen_arg_shaped(rng: &mut StdRng) -> Acfa {
+    let n = rng.gen_range(20u32..61);
+    let pool = [gen_region(rng), gen_region(rng)];
+    let regions = (0..n).map(|_| pool[rng.gen_range(0usize..2)].clone()).collect();
+    let mut atomic = vec![false; n as usize];
+    for _ in 0..rng.gen_range(0u32..4) {
+        let start = rng.gen_range(1..n);
+        let len = rng.gen_range(1u32..5);
+        for q in start..(start + len).min(n) {
+            atomic[q as usize] = true;
+        }
+    }
+    let mut edges = Vec::new();
+    for q in 0..n - 1 {
+        // Spine edges are silent about half the time: τ-chains.
+        let mask = if rng.gen_range(0u32..2) == 0 { 0 } else { rng.gen_range(1u32..8) };
+        edges.push(AcfaEdge {
+            src: AcfaLocId(q),
+            havoc: havoc_of_mask(mask),
+            dst: AcfaLocId(q + 1),
+        });
+    }
+    for _ in 0..rng.gen_range(1u32..(n / 4)) {
+        let src = rng.gen_range(0..n);
+        let dst = rng.gen_range(0..n);
+        let mask = if rng.gen_range(0u32..3) == 0 { 0 } else { rng.gen_range(1u32..8) };
+        edges.push(AcfaEdge {
+            src: AcfaLocId(src),
+            havoc: havoc_of_mask(mask),
+            dst: AcfaLocId(dst),
+        });
+    }
+    Acfa::from_parts(regions, atomic, edges)
+}
+
+/// Semantic region containment over all predicate valuations.
+fn semantic_contains(a: &Region, b: &Region) -> bool {
+    (0..(1u32 << NPREDS)).all(|v| !region_admits(a, v) || region_admits(b, v))
+}
+
+/// Reference τ-closure: one `BTreeSet` per location.
+fn ref_tau_reach(g: &Acfa, q: AcfaLocId) -> BTreeSet<AcfaLocId> {
+    let mut seen: BTreeSet<AcfaLocId> = [q].into();
+    let mut stack = vec![q];
+    while let Some(s) = stack.pop() {
+        for e in g.out_edges(s) {
+            if e.havoc.is_empty() && seen.insert(e.dst) {
+                stack.push(e.dst);
+            }
+        }
+    }
+    seen
+}
+
+/// Reference CheckSim: the oracle is asked for every location pair
+/// with equal atomicity, then Jacobi passes prune the relation.
+fn ref_check_sim(g: &Acfa, a: &Acfa, contains: &dyn Fn(&Region, &Region) -> bool) -> (bool, u64) {
+    let a_tau: Vec<BTreeSet<AcfaLocId>> = a.locs().map(|p| ref_tau_reach(a, p)).collect();
+    let weak: Vec<BTreeSet<(BTreeSet<Var>, AcfaLocId)>> = a
+        .locs()
+        .map(|p| {
+            let mut set = BTreeSet::new();
+            for &p1 in &a_tau[p.index()] {
+                for e in a.out_edges(p1).filter(|e| !e.havoc.is_empty()) {
+                    for &p2 in &a_tau[e.dst.index()] {
+                        set.insert((e.havoc.clone(), p2));
+                    }
+                }
+            }
+            set
+        })
+        .collect();
+    let mut rel: Vec<Vec<bool>> = g
+        .locs()
+        .map(|q| {
+            a.locs()
+                .map(|p| g.is_atomic(q) == a.is_atomic(p) && contains(g.region(q), a.region(p)))
+                .collect()
+        })
+        .collect();
+    let mut pairs = (g.num_locs() * a.num_locs()) as u64;
+    let mut changed = true;
+    while changed {
+        let mut next = rel.clone();
+        for q in g.locs() {
+            for p in a.locs() {
+                if !rel[q.index()][p.index()] {
+                    continue;
+                }
+                pairs += 1;
+                next[q.index()][p.index()] = g.out_edges(q).all(|e| {
+                    let d = e.dst.index();
+                    weak[p.index()].iter().any(|(y, p2)| e.havoc.is_subset(y) && rel[d][p2.index()])
+                        || (e.havoc.is_empty()
+                            && a_tau[p.index()].iter().any(|p2| rel[d][p2.index()]))
+                });
+            }
+        }
+        changed = next != rel;
+        rel = next;
+    }
+    (rel[g.entry().index()][a.entry().index()], pairs)
+}
+
+type RefSig = BTreeSet<(Option<BTreeSet<Var>>, u32)>;
+
+/// Reference Collapse: partition keyed on the region's display text,
+/// refined on `BTreeSet` signatures with cloned havoc sets.
+fn ref_collapse(g: &Acfa) -> CollapseResult {
+    let tau: Vec<BTreeSet<AcfaLocId>> = g.locs().map(|q| ref_tau_reach(g, q)).collect();
+    let mut keys: BTreeMap<(String, bool), u32> = BTreeMap::new();
+    let mut block: Vec<u32> = g
+        .locs()
+        .map(|q| {
+            let next = keys.len() as u32;
+            *keys.entry((g.region(q).to_string(), g.is_atomic(q))).or_insert(next)
+        })
+        .collect();
+    let mut iterations = 0;
+    loop {
+        iterations += 1;
+        let mut keys: BTreeMap<(u32, RefSig), u32> = BTreeMap::new();
+        let new_block: Vec<u32> = g
+            .locs()
+            .map(|q| {
+                let mine = block[q.index()];
+                let mut sig = RefSig::new();
+                for &s1 in &tau[q.index()] {
+                    if block[s1.index()] != mine {
+                        sig.insert((None, block[s1.index()]));
+                    }
+                    for e in g.out_edges(s1).filter(|e| !e.havoc.is_empty()) {
+                        for &s2 in &tau[e.dst.index()] {
+                            sig.insert((Some(e.havoc.clone()), block[s2.index()]));
+                        }
+                    }
+                }
+                let next = keys.len() as u32;
+                *keys.entry((mine, sig)).or_insert(next)
+            })
+            .collect();
+        let old_count = block.iter().collect::<BTreeSet<_>>().len();
+        block = new_block;
+        if keys.len() == old_count {
+            break;
+        }
+    }
+    let mut renum: BTreeMap<u32, u32> = [(block[g.entry().index()], 0)].into();
+    for &b in &block {
+        let next = renum.len() as u32;
+        renum.entry(b).or_insert(next);
+    }
+    let map: Vec<AcfaLocId> = block.iter().map(|b| AcfaLocId(renum[b])).collect();
+    let mut reps: BTreeMap<u32, AcfaLocId> = BTreeMap::new();
+    for q in g.locs() {
+        reps.entry(map[q.index()].0).or_insert(q);
+    }
+    let mut edge_map: BTreeMap<(u32, u32), BTreeSet<Var>> = BTreeMap::new();
+    for e in g.edges() {
+        let (bs, bd) = (map[e.src.index()].0, map[e.dst.index()].0);
+        if bs != bd || !e.havoc.is_empty() {
+            edge_map.entry((bs, bd)).or_default().extend(e.havoc.iter().copied());
+        }
+    }
+    let acfa = Acfa::from_parts(
+        reps.values().map(|&q| g.region(q).clone()).collect(),
+        reps.values().map(|&q| g.is_atomic(q)).collect(),
+        edge_map
+            .into_iter()
+            .map(|((s, d), havoc)| AcfaEdge { src: AcfaLocId(s), havoc, dst: AcfaLocId(d) })
+            .collect(),
+    );
+    CollapseResult { acfa, map, iterations }
+}
+
+fn assert_same_collapse(case: &str, got: &CollapseResult, want: &CollapseResult) {
+    assert_eq!(got.map, want.map, "{case}: map");
+    assert_eq!(got.iterations, want.iterations, "{case}: iterations");
+    assert_eq!(got.acfa.edges(), want.acfa.edges(), "{case}: quotient edges");
+    for q in want.acfa.locs() {
+        assert_eq!(got.acfa.region(q), want.acfa.region(q), "{case}: region of {q}");
+        assert_eq!(got.acfa.is_atomic(q), want.acfa.is_atomic(q), "{case}: atomicity of {q}");
+    }
+    assert_eq!(got.acfa.num_locs(), want.acfa.num_locs(), "{case}: quotient size");
+}
+
+#[test]
+fn collapse_matches_reference() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_0009);
+    for case in 0..CASES {
+        let g = gen_acfa(&mut rng);
+        assert_same_collapse(&format!("small case {case}"), &collapse(&g), &ref_collapse(&g));
+        let g = gen_arg_shaped(&mut rng);
+        assert_same_collapse(&format!("arg case {case}"), &collapse(&g), &ref_collapse(&g));
+    }
+}
+
+#[test]
+fn check_sim_matches_reference() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_000a);
+    let syntactic = |x: &Region, y: &Region| x.contained_in(y);
+    for case in 0..CASES {
+        // Each automaton against its own quotient (the shape CIRC
+        // checks), against a fresh automaton, and the reverse.
+        let small = (gen_acfa(&mut rng), gen_acfa(&mut rng));
+        let arg = (gen_arg_shaped(&mut rng), gen_arg_shaped(&mut rng));
+        for (g, other) in [&small, &arg] {
+            let quotient = collapse(g).acfa;
+            for (x, y) in [(g, &quotient), (&quotient, g), (g, other), (other, g)] {
+                for oracle in
+                    [&syntactic as &(dyn Fn(&Region, &Region) -> bool + Sync), &semantic_contains]
+                {
+                    assert_eq!(
+                        check_sim_counting_pool(x, y, oracle, &Pool::sequential()),
+                        ref_check_sim(x, y, oracle),
+                        "case {case}: {x:?} vs {y:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Distinct `(g-label, a-label)` pairs with equal atomicity: the most
+/// oracle calls CheckSim may make.
+fn distinct_label_pairs(g: &Acfa, a: &Acfa) -> usize {
+    let labels = |x: &Acfa| -> HashSet<(Region, bool)> {
+        x.locs().map(|q| (x.region(q).clone(), x.is_atomic(q))).collect()
+    };
+    let a_labels = labels(a);
+    labels(g).iter().map(|(_, ga)| a_labels.iter().filter(|(_, aa)| aa == ga).count()).sum()
+}
+
+#[test]
+fn check_sim_asks_the_oracle_once_per_distinct_label_pair() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_000b);
+    for case in 0..CASES {
+        let g = gen_arg_shaped(&mut rng);
+        let a = collapse(&g).acfa;
+        let calls_under = |pool: &Pool| {
+            let calls = AtomicUsize::new(0);
+            let oracle = |x: &Region, y: &Region| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                semantic_contains(x, y)
+            };
+            let verdict = check_sim_counting_pool(&g, &a, &oracle, pool);
+            (verdict, calls.into_inner())
+        };
+        let (seq_verdict, seq_calls) = calls_under(&Pool::sequential());
+        let (par_verdict, par_calls) = calls_under(&Pool::new(4));
+        let bound = distinct_label_pairs(&g, &a);
+        assert!(
+            seq_calls <= bound,
+            "case {case}: {seq_calls} oracle calls for {bound} label pairs"
+        );
+        assert_eq!(seq_calls, par_calls, "case {case}: oracle calls depend on the pool");
+        assert_eq!(seq_verdict, par_verdict, "case {case}: verdict depends on the pool");
     }
 }

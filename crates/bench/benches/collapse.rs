@@ -2,7 +2,7 @@
 //! simulation check (`CheckSim`) — the control-abstraction machinery
 //! that keeps CIRC's context models small (the paper's ACFA column).
 
-use circ_acfa::{check_sim, collapse, Acfa, AcfaEdge, AcfaLocId, Region};
+use circ_acfa::{check_sim, collapse, Acfa, AcfaEdge, AcfaLocId, Cube, PredIx, Region};
 use circ_ir::Var;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
@@ -26,11 +26,50 @@ fn ring(n: u32, period: u32) -> Acfa {
     Acfa::from_parts(regions, atomic, edges)
 }
 
+/// An exported-ARG lookalike of `n` locations: τ-chains broken by a
+/// havoc every fifth step, a havocking back edge closing the loop,
+/// short atomic runs, and labels drawn from three non-trivial regions
+/// over two predicates — many locations, few distinct labels.
+fn arg_shaped(n: u32) -> Acfa {
+    let top = Cube::top(2);
+    let labels = [
+        Region::of_cube(top.with(PredIx(0), true)),
+        Region::of_cube(top.with(PredIx(0), false)),
+        Region::of_cube(top.with(PredIx(0), true).with(PredIx(1), true)),
+    ];
+    let regions = (0..n).map(|i| labels[((i / 3) % 3) as usize].clone()).collect();
+    let atomic = (0..n).map(|i| (10..13).contains(&(i % 16))).collect();
+    let mut edges: Vec<AcfaEdge> = (0..n - 1)
+        .map(|i| AcfaEdge {
+            src: AcfaLocId(i),
+            havoc: if i % 5 == 4 { [Var::from_raw((i / 5) % 3)].into() } else { BTreeSet::new() },
+            dst: AcfaLocId(i + 1),
+        })
+        .collect();
+    edges.push(AcfaEdge {
+        src: AcfaLocId(n - 1),
+        havoc: [Var::from_raw(0)].into(),
+        dst: AcfaLocId(0),
+    });
+    edges.extend((8..n).step_by(8).map(|i| AcfaEdge {
+        src: AcfaLocId(i),
+        havoc: BTreeSet::new(),
+        dst: AcfaLocId(i / 2),
+    }));
+    Acfa::from_parts(regions, atomic, edges)
+}
+
 fn bench_collapse(c: &mut Criterion) {
     let mut g = c.benchmark_group("collapse");
     for n in [16u32, 64, 256] {
         let acfa = ring(n, 4);
         g.bench_with_input(BenchmarkId::new("ring", n), &acfa, |b, acfa| {
+            b.iter(|| collapse(acfa));
+        });
+    }
+    for n in [64u32, 256, 1024] {
+        let acfa = arg_shaped(n);
+        g.bench_with_input(BenchmarkId::new("arg_shaped", n), &acfa, |b, acfa| {
             b.iter(|| collapse(acfa));
         });
     }
@@ -43,6 +82,13 @@ fn bench_checksim(c: &mut Criterion) {
         let big = ring(n, 4);
         let small = collapse(&big).acfa;
         g.bench_with_input(BenchmarkId::new("ring_vs_quotient", n), &n, |b, _| {
+            b.iter(|| assert!(check_sim(&big, &small)));
+        });
+    }
+    for n in [64u32, 256, 1024] {
+        let big = arg_shaped(n);
+        let small = collapse(&big).acfa;
+        g.bench_with_input(BenchmarkId::new("arg_shaped_vs_quotient", n), &n, |b, _| {
             b.iter(|| assert!(check_sim(&big, &small)));
         });
     }
