@@ -18,10 +18,10 @@
 //! Rows drained by a graceful shutdown (`cancelled`) are *not*
 //! journaled: their absence is what makes `--resume` re-check them.
 
-use crate::mjson::{self, Value};
-use crate::{FileRow, Verdict};
+use crate::{row_fields, row_from_json, str_field, FileRow};
 use circ_ir::digest::fnv1a64;
-use circ_stats::{AbsCounters, PhaseTimes, PipelineStats, SolverCounters};
+use circ_stats::json::{self, Obj, Value};
+use circ_stats::PipelineStats;
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
@@ -84,120 +84,46 @@ pub struct JournalEntry {
 /// row. The row's wire fields round-trip exactly: integers verbatim,
 /// floats through the same `{:.6}` formatting the report uses.
 pub fn render_line(row: &FileRow, digest: u64, config: u64) -> String {
-    format!(
-        "{{\"journal\":\"{JOURNAL_TAG}\",\"v\":{JOURNAL_VERSION},\"digest\":\"{digest:016x}\",\
-         \"config\":\"{config:016x}\",\
-         \"file\":\"{}\",\"verdict\":\"{}\",\"detail\":\"{}\",\"stage\":\"{}\",\"retries\":{},\
-         \"time_s\":{:.6},\"pipeline\":{}}}\n",
-        crate::json_escape(&row.file),
-        row.verdict.name(),
-        crate::json_escape(&row.detail),
-        crate::json_escape(&row.stage),
-        row.retries,
-        row.time_s,
-        row.pipeline.to_json(),
-    )
+    let header = Obj::default()
+        .str("journal", JOURNAL_TAG)
+        .u64("v", JOURNAL_VERSION)
+        .str("digest", &format!("{digest:016x}"))
+        .str("config", &format!("{config:016x}"));
+    let mut line = row_fields(header, row)
+        .u64("retries", row.retries)
+        .f64("time_s", row.time_s)
+        .raw("pipeline", &row.pipeline.to_json())
+        .finish();
+    line.push('\n');
+    line
 }
 
 /// Parses one journal line back into an entry. Any structural problem
 /// is an `Err` describing it; the caller degrades to a re-check.
 pub fn parse_line(line: &str) -> Result<JournalEntry, String> {
-    let v = mjson::parse(line)?;
-    let str_field = |key: &str| -> Result<&str, String> {
-        v.get(key).and_then(Value::as_str).ok_or(format!("missing string `{key}`"))
-    };
+    let v = json::parse(line)?;
     let u64_field = |key: &str| -> Result<u64, String> {
         v.get(key).and_then(Value::as_u64).ok_or(format!("missing counter `{key}`"))
     };
-    if str_field("journal")? != JOURNAL_TAG {
+    let hex_field = |key: &str| -> Result<u64, String> {
+        u64::from_str_radix(str_field(&v, key)?, 16).map_err(|_| format!("bad {key} field"))
+    };
+    if str_field(&v, "journal")? != JOURNAL_TAG {
         return Err("not a circ-batch journal line".into());
     }
     if u64_field("v")? != JOURNAL_VERSION {
         return Err(format!("unsupported journal version (want {JOURNAL_VERSION})"));
     }
-    let digest = u64::from_str_radix(str_field("digest")?, 16)
-        .map_err(|_| "bad digest field".to_string())?;
-    let config = u64::from_str_radix(str_field("config")?, 16)
-        .map_err(|_| "bad config field".to_string())?;
-    let verdict_name = str_field("verdict")?;
-    let verdict =
-        Verdict::from_name(verdict_name).ok_or(format!("unknown verdict `{verdict_name}`"))?;
-    let time_s = v
-        .get("time_s")
-        .and_then(Value::as_f64)
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .ok_or("missing or unusable `time_s`")?;
-    let pipeline = pipeline_from_json(v.get("pipeline").ok_or("missing `pipeline`")?)?;
-    Ok(JournalEntry {
-        digest,
-        config,
-        row: FileRow {
-            file: str_field("file")?.to_string(),
-            verdict,
-            detail: str_field("detail")?.to_string(),
-            stage: str_field("stage")?.to_string(),
-            time_s,
-            pipeline,
-            retries: u64_field("retries")?,
-            isolated_crashes: 0,
-            resumed: false,
-            cancelled: false,
-        },
-    })
+    let (digest, config) = (hex_field("digest")?, hex_field("config")?);
+    let mut row = row_from_json(&v)?;
+    row.retries = u64_field("retries")?;
+    Ok(JournalEntry { digest, config, row })
 }
 
-/// Rebuilds [`PipelineStats`] from its `to_json` rendering. The two
-/// derived `*_hit_rate` keys are recomputed, not parsed; durations
-/// round-trip through the same `{:.6}` seconds formatting, so a
-/// parse→render cycle is byte-stable.
+/// Rebuilds [`PipelineStats`] from its `to_json` rendering; see
+/// [`PipelineStats::from_json`].
 pub fn pipeline_from_json(v: &Value) -> Result<PipelineStats, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        v.get(key).and_then(Value::as_u64).ok_or(format!("missing pipeline counter `{key}`"))
-    };
-    let d = |key: &str| -> Result<Duration, String> {
-        let secs =
-            v.get(key).and_then(Value::as_f64).ok_or(format!("missing pipeline span `{key}`"))?;
-        Duration::try_from_secs_f64(secs).map_err(|_| format!("unusable span `{key}`"))
-    };
-    Ok(PipelineStats {
-        solver: SolverCounters {
-            queries: u("solver_queries")?,
-            cache_hits: u("solver_cache_hits")?,
-            cache_misses: u("solver_cache_misses")?,
-            theory_rounds: u("theory_rounds")?,
-        },
-        abs: AbsCounters {
-            queries: u("abs_queries")?,
-            cache_hits: u("abs_cache_hits")?,
-            cache_misses: u("abs_cache_misses")?,
-        },
-        outer_rounds: u("outer_rounds")?,
-        reach_runs: u("reach_runs")?,
-        arg_nodes: u("arg_nodes")?,
-        sim_checks: u("sim_checks")?,
-        sim_edge_pairs: u("sim_edge_pairs")?,
-        collapse_runs: u("collapse_runs")?,
-        collapse_iterations: u("collapse_iterations")?,
-        refine_rounds: u("refine_rounds")?,
-        k_increments: u("k_increments")?,
-        preds_seeded: u("preds_seeded")?,
-        refine_rounds_saved: u("refine_rounds_saved")?,
-        mem_charged_bytes: u("mem_charged_bytes")?,
-        budget_polls: u("budget_polls")?,
-        faults_injected: u("faults_injected")?,
-        triage_stage0_decided: u("triage_stage0_decided")?,
-        triage_stage1_decided: u("triage_stage1_decided")?,
-        triage_fallthrough: u("triage_fallthrough")?,
-        store_recoveries: u("store_recoveries")?,
-        flush_errors: u("flush_errors")?,
-        phases: PhaseTimes {
-            reach: d("time_reach_s")?,
-            sim: d("time_sim_s")?,
-            collapse: d("time_collapse_s")?,
-            refine: d("time_refine_s")?,
-            omega: d("time_omega_s")?,
-        },
-    })
+    PipelineStats::from_json(v)
 }
 
 /// An open journal the supervisor appends completed rows to.
@@ -315,6 +241,10 @@ pub fn load(path: &Path, expected_config: u64) -> (HashMap<u64, JournalEntry>, V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{golden_row, ROW_PIPELINE_GOLDEN};
+    use crate::Verdict;
+    use circ_stats::{AbsCounters, PhaseTimes, SolverCounters};
+    use std::time::Duration;
 
     fn sample_row() -> FileRow {
         FileRow {
@@ -447,6 +377,22 @@ mod tests {
             "mem limit"
         );
         assert_ne!(base, config_fingerprint(false, 1, true, None, None, true), "triage");
+    }
+
+    #[test]
+    fn line_matches_the_pinned_v4_bytes() {
+        let line = render_line(&golden_row(), 0xdead_beef_0042_0007, CFG);
+        let want = [
+            r#"{"journal":"circ-batch","v":4,"digest":"deadbeef00420007","#,
+            r#""config":"0123456789abcdef","file":"dir/a \"quoted\".nesl","verdict":"race","#,
+            r#""detail":"race on x: 2 threads, 7 steps\t\u0001 é","stage":"sched+circ","#,
+            r#""retries":2,"time_s":0.037125,"pipeline":"#,
+            ROW_PIPELINE_GOLDEN,
+            "}\n",
+        ];
+        assert_eq!(line, want.concat());
+        let entry = parse_line(line.trim_end()).unwrap();
+        assert_eq!(render_line(&entry.row, entry.digest, entry.config), line);
     }
 
     #[test]

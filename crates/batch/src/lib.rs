@@ -71,7 +71,12 @@
 #![warn(missing_docs)]
 
 pub mod journal;
-pub mod mjson;
+
+/// The workspace JSON codec ([`circ_stats::json`]) under the name it
+/// had when it lived in this crate.
+pub use circ_stats::json as mjson;
+/// Escapes a string for embedding in a JSON string literal.
+pub use circ_stats::json::escape as json_escape;
 
 use circ_core::{
     circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore,
@@ -83,6 +88,7 @@ use circ_governor::{
 use circ_ir::{structural_digest, MtProgram};
 use circ_par::Pool;
 use circ_smt::{Atom, Formula, SatResult};
+use circ_stats::json::{self, Obj, Value};
 use circ_stats::{BatchTotals, PipelineStats};
 use circ_triage::{TriageConfig, TriageDecision};
 use std::collections::BTreeMap;
@@ -232,15 +238,10 @@ impl Verdict {
     /// The inverse of [`Verdict::name`], for journal replay and
     /// `--row-json` parsing.
     pub fn from_name(name: &str) -> Option<Verdict> {
-        Some(match name {
-            "safe" => Verdict::Safe,
-            "race" => Verdict::Race,
-            "inconclusive" => Verdict::Inconclusive,
-            "internal-error" => Verdict::InternalError,
-            "budget-exhausted" => Verdict::BudgetExhausted,
-            "compile-error" => Verdict::CompileError,
-            _ => return None,
-        })
+        use Verdict::*;
+        [Safe, Race, Inconclusive, InternalError, BudgetExhausted, CompileError]
+            .into_iter()
+            .find(|v| v.name() == name)
     }
 
     /// The exit code this verdict would produce for a single file,
@@ -365,25 +366,6 @@ pub struct BatchReport {
     pub warnings: Vec<String>,
 }
 
-/// Escapes a string for embedding in a JSON literal — the exact
-/// escaping every renderer in this workspace uses, exported so the
-/// serve protocol layer produces wire lines [`mjson`] reads back.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one report row as a JSON object (no trailing newline) —
 /// the same shape the aggregate report embeds and a `--row-json`
 /// child prints, so isolated and in-process rows agree byte-for-byte
@@ -391,17 +373,20 @@ pub fn json_escape(s: &str) -> String {
 /// deliberately absent: a resumed report must not differ from the
 /// cold one it reproduces.
 pub fn render_row_json(row: &FileRow) -> String {
-    format!(
-        "{{\"file\":\"{}\",\"verdict\":\"{}\",\"detail\":\"{}\",\"stage\":\"{}\",\"exit\":{},\
-         \"time_s\":{:.6},\"pipeline\":{}}}",
-        json_escape(&row.file),
-        row.verdict.name(),
-        json_escape(&row.detail),
-        json_escape(&row.stage),
-        row.verdict.exit_code(),
-        row.time_s,
-        row.pipeline.to_json(),
-    )
+    row_fields(Obj::default(), row)
+        .u64("exit", row.verdict.exit_code().into())
+        .f64("time_s", row.time_s)
+        .raw("pipeline", &row.pipeline.to_json())
+        .finish()
+}
+
+/// Appends the identifying fields every rendered row starts with — the
+/// report row and the journal line alike.
+fn row_fields(obj: Obj, row: &FileRow) -> Obj {
+    obj.str("file", &row.file)
+        .str("verdict", row.verdict.name())
+        .str("detail", &row.detail)
+        .str("stage", &row.stage)
 }
 
 /// The worst-wins exit code for a set of rows — the dominance
@@ -417,24 +402,29 @@ pub fn worst_exit(rows: &[FileRow]) -> u8 {
 /// [`FileRow`]. Any structural damage (a child killed mid-print) is
 /// an `Err`; the supervisor degrades it to an `internal-error` row.
 pub fn parse_row_json(line: &str) -> Result<FileRow, String> {
-    let v = mjson::parse(line.trim())?;
-    let str_field = |key: &str| -> Result<&str, String> {
-        v.get(key).and_then(mjson::Value::as_str).ok_or(format!("missing string `{key}`"))
-    };
-    let verdict_name = str_field("verdict")?;
+    row_from_json(&json::parse(line.trim())?)
+}
+
+/// A required string field of a parsed wire object.
+fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    v.get(key).and_then(Value::as_str).ok_or(format!("missing string `{key}`"))
+}
+
+/// Reads the row fields a report row and a journal line share (file,
+/// verdict, detail, stage, wall time, counters) back into a row.
+fn row_from_json(v: &Value) -> Result<FileRow, String> {
+    let verdict_name = str_field(v, "verdict")?;
     let verdict =
         Verdict::from_name(verdict_name).ok_or(format!("unknown verdict `{verdict_name}`"))?;
-    let time_s = v
+    let mut row =
+        FileRow::new(str_field(v, "file")?.into(), verdict, str_field(v, "detail")?.into());
+    row.stage = str_field(v, "stage")?.to_string();
+    row.time_s = v
         .get("time_s")
-        .and_then(mjson::Value::as_f64)
+        .and_then(Value::as_f64)
         .filter(|t| t.is_finite() && *t >= 0.0)
         .ok_or("missing or unusable `time_s`")?;
-    let pipeline = journal::pipeline_from_json(v.get("pipeline").ok_or("missing `pipeline`")?)?;
-    let mut row =
-        FileRow::new(str_field("file")?.to_string(), verdict, str_field("detail")?.to_string());
-    row.stage = str_field("stage")?.to_string();
-    row.time_s = time_s;
-    row.pipeline = pipeline;
+    row.pipeline = PipelineStats::from_json(v.get("pipeline").ok_or("missing `pipeline`")?)?;
     Ok(row)
 }
 
@@ -443,40 +433,26 @@ impl BatchReport {
     /// fixed and there is no `jobs` field, so two runs over the same
     /// inputs agree byte-for-byte once `"time*"` values are stripped.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"report\":\"circ-batch\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&render_row_json(row));
-        }
-        s.push_str("],\"totals\":");
-        s.push_str(&self.totals.to_json());
-        s.push_str(",\"quarantine\":[");
-        for (i, f) in self.quarantine.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\"", json_escape(f)));
-        }
-        s.push_str("],\"cache\":");
-        match &self.cache {
-            None => s.push_str("null"),
-            Some(c) => s.push_str(&format!(
-                "{{\"dir\":\"{}\",\"abs_seeded\":{},\"solver_seeded\":{},\
-                 \"abs_saved\":{},\"solver_saved\":{},\
-                 \"preds_seeded\":{},\"preds_saved\":{}}}",
-                json_escape(&c.dir),
-                c.abs_seeded,
-                c.solver_seeded,
-                c.abs_saved,
-                c.solver_saved,
-                c.preds_seeded,
-                c.preds_saved,
-            )),
-        }
-        s.push_str(&format!(",\"exit\":{}}}", self.exit));
-        s
+        let cache = self.cache.as_ref().map_or("null".to_string(), |c| {
+            Obj::default()
+                .str("dir", &c.dir)
+                .u64("abs_seeded", c.abs_seeded as u64)
+                .u64("solver_seeded", c.solver_seeded as u64)
+                .u64("abs_saved", c.abs_saved as u64)
+                .u64("solver_saved", c.solver_saved as u64)
+                .u64("preds_seeded", c.preds_seeded as u64)
+                .u64("preds_saved", c.preds_saved as u64)
+                .finish()
+        });
+        let quarantine = self.quarantine.iter().map(|f| json::string(f));
+        Obj::default()
+            .str("report", "circ-batch")
+            .raw("rows", &json::array(self.rows.iter().map(render_row_json)))
+            .raw("totals", &self.totals.to_json())
+            .raw("quarantine", &json::array(quarantine))
+            .raw("cache", &cache)
+            .u64("exit", self.exit.into())
+            .finish()
     }
 
     /// Renders a human-readable table plus the totals summary.
@@ -504,75 +480,16 @@ impl BatchReport {
     }
 }
 
-/// Parses a batch manifest: a JSON array of path strings. Only the
-/// escapes `\" \\ \/ \b \f \n \r \t \uXXXX` are recognized; anything
-/// beyond the closing `]` other than whitespace is an error.
+/// Parses a batch manifest: a JSON array of path strings.
 pub fn parse_manifest(text: &str) -> Result<Vec<String>, String> {
-    let mut chars = text.chars().peekable();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    skip_ws(&mut chars);
-    if chars.next() != Some('[') {
+    let Value::Arr(items) = json::parse(text)? else {
         return Err("manifest must be a JSON array of path strings".into());
-    }
-    let mut paths = Vec::new();
-    let mut after_comma = false;
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some(']') if !after_comma => {
-                chars.next();
-                break;
-            }
-            Some('"') => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        None => return Err("unterminated string in manifest".into()),
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some('/') => s.push('/'),
-                            Some('b') => s.push('\u{8}'),
-                            Some('f') => s.push('\u{c}'),
-                            Some('n') => s.push('\n'),
-                            Some('r') => s.push('\r'),
-                            Some('t') => s.push('\t'),
-                            Some('u') => {
-                                let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                                let cp = u32::from_str_radix(&hex, 16)
-                                    .map_err(|_| format!("bad \\u escape `{hex}` in manifest"))?;
-                                s.push(
-                                    char::from_u32(cp)
-                                        .ok_or(format!("bad code point \\u{hex} in manifest"))?,
-                                );
-                            }
-                            other => return Err(format!("bad escape {other:?} in manifest")),
-                        },
-                        Some(c) => s.push(c),
-                    }
-                }
-                paths.push(s);
-                skip_ws(&mut chars);
-                match chars.next() {
-                    Some(',') => after_comma = true,
-                    Some(']') => break,
-                    other => return Err(format!("expected `,` or `]` in manifest, got {other:?}")),
-                }
-            }
-            other => return Err(format!("expected a path string in manifest, got {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some(junk) = chars.next() {
-        return Err(format!("trailing content after manifest array: `{junk}`"));
-    }
-    Ok(paths)
+    };
+    items
+        .iter()
+        .map(|item| item.as_str().map(str::to_string))
+        .collect::<Option<_>>()
+        .ok_or("every manifest entry must be a path string".into())
 }
 
 /// Builds the batch work list from a directory (all `*.nesl` entries,
@@ -1521,6 +1438,146 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The pipeline block of [`golden_row`], as the parent format
+    /// rendered it: every counter distinct, so a miswired key shows.
+    pub(crate) const ROW_PIPELINE_GOLDEN: &str = concat!(
+        r#"{"outer_rounds":1,"reach_runs":2,"arg_nodes":3,"sim_checks":4,"#,
+        r#""sim_edge_pairs":5,"collapse_runs":6,"collapse_iterations":7,"#,
+        r#""refine_rounds":8,"k_increments":9,"preds_seeded":10,"#,
+        r#""refine_rounds_saved":11,"abs_queries":16,"abs_cache_hits":17,"#,
+        r#""abs_cache_misses":18,"abs_hit_rate":0.485714,"solver_queries":12,"#,
+        r#""solver_cache_hits":13,"solver_cache_misses":14,"#,
+        r#""solver_hit_rate":0.481481,"theory_rounds":15,"mem_charged_bytes":19,"#,
+        r#""budget_polls":20,"faults_injected":21,"triage_stage0_decided":22,"#,
+        r#""triage_stage1_decided":23,"triage_fallthrough":24,"#,
+        r#""store_recoveries":25,"flush_errors":26,"time_reach_s":0.001001,"#,
+        r#""time_sim_s":0.002002,"time_collapse_s":0.003003,"#,
+        r#""time_refine_s":0.004004,"time_omega_s":0.005005}"#,
+    );
+
+    /// A racy row with an escaped file name and detail and a distinct
+    /// value in every pipeline counter.
+    pub(crate) fn golden_row() -> FileRow {
+        use circ_stats::{AbsCounters, PhaseTimes, SolverCounters};
+        let mut row = FileRow::new(
+            "dir/a \"quoted\".nesl".into(),
+            Verdict::Race,
+            "race on x: 2 threads, 7 steps\t\u{1} é".into(),
+        );
+        row.stage = "sched+circ".into();
+        row.time_s = 0.037125;
+        row.retries = 2;
+        row.pipeline = PipelineStats {
+            solver: SolverCounters {
+                queries: 12,
+                cache_hits: 13,
+                cache_misses: 14,
+                theory_rounds: 15,
+            },
+            abs: AbsCounters { queries: 16, cache_hits: 17, cache_misses: 18 },
+            outer_rounds: 1,
+            reach_runs: 2,
+            arg_nodes: 3,
+            sim_checks: 4,
+            sim_edge_pairs: 5,
+            collapse_runs: 6,
+            collapse_iterations: 7,
+            refine_rounds: 8,
+            k_increments: 9,
+            preds_seeded: 10,
+            refine_rounds_saved: 11,
+            mem_charged_bytes: 19,
+            budget_polls: 20,
+            faults_injected: 21,
+            triage_stage0_decided: 22,
+            triage_stage1_decided: 23,
+            triage_fallthrough: 24,
+            store_recoveries: 25,
+            flush_errors: 26,
+            phases: PhaseTimes {
+                reach: Duration::from_micros(1_001),
+                sim: Duration::from_micros(2_002),
+                collapse: Duration::from_micros(3_003),
+                refine: Duration::from_micros(4_004),
+                omega: Duration::from_micros(5_005),
+            },
+        };
+        row
+    }
+
+    /// The row prefix of [`golden_row`] as the parent format rendered it.
+    const ROW_HEAD_GOLDEN: &str = concat!(
+        r#"{"file":"dir/a \"quoted\".nesl","verdict":"race","#,
+        r#""detail":"race on x: 2 threads, 7 steps\t\u0001 é","stage":"sched+circ","#,
+        r#""exit":1,"time_s":0.037125,"pipeline":"#,
+    );
+
+    #[test]
+    fn row_json_matches_the_pinned_bytes() {
+        let want = [ROW_HEAD_GOLDEN, ROW_PIPELINE_GOLDEN, "}"].concat();
+        assert_eq!(render_row_json(&golden_row()), want);
+        assert_eq!(render_row_json(&parse_row_json(&want).unwrap()), want);
+    }
+
+    #[test]
+    fn report_json_matches_the_pinned_bytes() {
+        let mut failed = FileRow::new(
+            "b.nesl".into(),
+            Verdict::InternalError,
+            "contained worker panic: boom".into(),
+        );
+        failed.time_s = 0.5;
+        failed.retries = 1;
+        let rows = vec![golden_row(), failed];
+        let mut totals = BatchTotals::default();
+        for row in &rows {
+            tally(&mut totals, row);
+        }
+        totals.pipeline.store_recoveries += 1;
+        let cache = CacheSummary {
+            dir: "/tmp/c \"x\"".into(),
+            abs_seeded: 1,
+            solver_seeded: 2,
+            abs_saved: 3,
+            solver_saved: 4,
+            preds_seeded: 5,
+            preds_saved: 6,
+        };
+        let quarantine = vec!["b.nesl".to_string()];
+        let report =
+            BatchReport { rows, totals, quarantine, cache: Some(cache), exit: 1, warnings: vec![] };
+        let zero_pipeline = concat!(
+            r#"{"outer_rounds":0,"reach_runs":0,"arg_nodes":0,"sim_checks":0,"#,
+            r#""sim_edge_pairs":0,"collapse_runs":0,"collapse_iterations":0,"refine_rounds":0,"#,
+            r#""k_increments":0,"preds_seeded":0,"refine_rounds_saved":0,"abs_queries":0,"#,
+            r#""abs_cache_hits":0,"abs_cache_misses":0,"abs_hit_rate":0.000000,"#,
+            r#""solver_queries":0,"solver_cache_hits":0,"solver_cache_misses":0,"#,
+            r#""solver_hit_rate":0.000000,"theory_rounds":0,"mem_charged_bytes":0,"#,
+            r#""budget_polls":0,"faults_injected":0,"triage_stage0_decided":0,"#,
+            r#""triage_stage1_decided":0,"triage_fallthrough":0,"store_recoveries":0,"#,
+            r#""flush_errors":0,"time_reach_s":0.000000,"time_sim_s":0.000000,"#,
+            r#""time_collapse_s":0.000000,"time_refine_s":0.000000,"time_omega_s":0.000000}"#,
+        );
+        let want = [
+            r#"{"report":"circ-batch","rows":["#,
+            ROW_HEAD_GOLDEN,
+            ROW_PIPELINE_GOLDEN,
+            r#"},{"file":"b.nesl","verdict":"internal-error","#,
+            r#""detail":"contained worker panic: boom","stage":"-","exit":2,"time_s":0.500000,"#,
+            r#""pipeline":"#,
+            zero_pipeline,
+            r#"}],"totals":{"files":2,"safe":0,"races":1,"inconclusive":1,"#,
+            r#""budget_exhausted":0,"compile_errors":0,"retries":3,"isolated_crashes":0,"#,
+            r#""resumed":0,"cancelled":0,"pipeline":"#,
+            // The totals pipeline is the golden row's plus one recovery.
+            &ROW_PIPELINE_GOLDEN.replace(r#""store_recoveries":25"#, r#""store_recoveries":26"#),
+            r#"},"quarantine":["b.nesl"],"#,
+            r#""cache":{"dir":"/tmp/c \"x\"","abs_seeded":1,"solver_seeded":2,"abs_saved":3,"#,
+            r#""solver_saved":4,"preds_seeded":5,"preds_saved":6},"exit":1}"#,
+        ];
+        assert_eq!(report.to_json(), want.concat());
     }
 
     const SAFE_SRC: &str = "global int x;\n#race x;\nthread t { loop { atomic { x = x + 1; } } }\n";

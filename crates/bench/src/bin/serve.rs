@@ -29,6 +29,7 @@ fn main() {
 #[cfg(unix)]
 mod unix {
     use circ_batch::mjson::{self, Value};
+    use circ_stats::PipelineStats;
     use std::io::{BufRead, BufReader, Write as _};
     use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
@@ -113,10 +114,10 @@ mod unix {
                     spawn_verdicts.push((input.display().to_string(), verdict));
                 }
                 for line in String::from_utf8_lossy(&out.stdout).lines() {
-                    if let Ok(v) = mjson::parse(line.trim()) {
-                        if let Some(m) = v.get("abs_cache_misses").and_then(Value::as_u64) {
-                            spawn_misses += m;
-                        }
+                    if let Ok(p) =
+                        mjson::parse(line.trim()).and_then(|v| PipelineStats::from_json(&v))
+                    {
+                        spawn_misses += p.abs.cache_misses;
                     }
                 }
             }
@@ -177,9 +178,10 @@ mod unix {
             .and_then(|s| s.get("service"))
             .and_then(|s| s.get("totals"))
             .and_then(|t| t.get("pipeline"))
-            .and_then(|p| p.get("abs_cache_misses"))
-            .and_then(Value::as_u64)
-            .expect("abs_cache_misses in stats payload");
+            .and_then(|p| PipelineStats::from_json(p).ok())
+            .expect("pipeline counters in stats payload")
+            .abs
+            .cache_misses;
         let term = Command::new("kill").args(["-TERM", &daemon.id().to_string()]).status().unwrap();
         assert!(term.success());
         let status = daemon.wait().expect("daemon exit");

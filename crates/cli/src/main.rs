@@ -904,16 +904,17 @@ fn cmd_client(args: &[String]) -> ExitCode {
             return ExitCode::from(74);
         }
     };
+    use circ_batch::mjson::{self, Obj, Value};
+    let op = |name: &str| Obj::default().str("op", name);
     let mut requests = Vec::new();
     if flags.health {
-        requests.push("{\"op\":\"health\"}".to_string());
+        requests.push(op("health").finish());
     }
     if flags.stats {
-        requests.push("{\"op\":\"stats\"}".to_string());
+        requests.push(op("stats").finish());
     }
     for path in &flags.paths {
-        requests
-            .push(format!("{{\"op\":\"check\",\"path\":\"{}\"}}", circ_batch::json_escape(path)));
+        requests.push(op("check").str("path", path).finish());
     }
     // Worst-wins across responses, mirroring batch: check responses
     // carry the server's own worst-wins `exit`; shed requests
@@ -928,7 +929,6 @@ fn cmd_client(args: &[String]) -> ExitCode {
             }
         };
         println!("{line}");
-        use circ_batch::mjson::{self, Value};
         let code = match mjson::parse(&line) {
             Ok(v) => {
                 if v.get("ok") == Some(&Value::Bool(true)) {

@@ -57,6 +57,7 @@ use circ_core::{AbsCache, PredStore, SolverPersist};
 use circ_governor::{
     carve_mem_limit, carve_timeout, panic_message, CancelToken, Envelope, FaultPlan, RetryPolicy,
 };
+use circ_stats::json::Obj;
 use circ_stats::ServiceStats;
 use std::borrow::Cow;
 use std::fmt;
@@ -486,107 +487,90 @@ fn run_check(state: &ServerState, input: &CheckInput) -> (Vec<FileRow>, u8) {
     (rows, exit)
 }
 
-/// The `stats` response payload: uptime, queue depths, cache sizes,
-/// and the single-lock [`ServiceStats`] snapshot.
+/// The `stats` response payload: the health fields, cache sizes, and
+/// the single-lock [`ServiceStats`] snapshot.
 fn stats_payload(state: &ServerState) -> String {
-    let (inflight, queued, draining) = state.admission.depths();
-    let snapshot = state.stats.snapshot();
-    format!(
-        "{{\"uptime_s\":{:.6},\"inflight\":{inflight},\"queued\":{queued},\
-         \"draining\":{draining},\"abs_entries\":{},\"solver_entries\":{},\
-         \"service\":{}}}",
-        state.started.elapsed().as_secs_f64(),
-        state.cache.len(),
-        state.persist.len(),
-        snapshot.to_json(),
-    )
+    health_fields(state)
+        .u64("abs_entries", state.cache.len() as u64)
+        .u64("solver_entries", state.persist.len() as u64)
+        .raw("service", &state.stats.snapshot().to_json())
+        .finish()
 }
 
 /// The `health` response payload — cheap enough to answer under full
 /// load (neither it nor `stats` passes through admission).
 fn health_payload(state: &ServerState) -> String {
+    health_fields(state).finish()
+}
+
+/// Uptime and queue depths, the fields `health` and `stats` share.
+fn health_fields(state: &ServerState) -> Obj {
     let (inflight, queued, draining) = state.admission.depths();
-    format!(
-        "{{\"uptime_s\":{:.6},\"inflight\":{inflight},\"queued\":{queued},\
-         \"draining\":{draining}}}",
-        state.started.elapsed().as_secs_f64(),
-    )
+    Obj::default()
+        .f64("uptime_s", state.started.elapsed().as_secs_f64())
+        .u64("inflight", inflight as u64)
+        .u64("queued", queued as u64)
+        .bool("draining", draining)
+}
+
+/// Counts and renders the `bad-request` response to an unusable
+/// request line.
+fn bad_request(state: &ServerState, detail: &str) -> String {
+    state.stats.apply(|s| {
+        s.requests += 1;
+        s.bad_requests += 1;
+    });
+    protocol::render_error(None, "bad-request", detail)
 }
 
 /// Handles one request line to one response line.
 fn handle_request(state: &ServerState, line: &str) -> String {
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => {
-            state.stats.apply(|s| {
-                s.requests += 1;
-                s.bad_requests += 1;
-            });
-            return protocol::render_error(None, "bad-request", &e);
-        }
+        Err(e) => return bad_request(state, &e),
     };
-    match request {
+    state.stats.apply(|s| s.requests += 1);
+    let (id, input) = match request {
         Request::Health { id } => {
-            state.stats.apply(|s| s.requests += 1);
-            protocol::render_payload_response(id.as_deref(), "health", &health_payload(state))
+            return protocol::render_payload_response(
+                id.as_deref(),
+                "health",
+                &health_payload(state),
+            )
         }
         Request::Stats { id } => {
-            state.stats.apply(|s| s.requests += 1);
-            protocol::render_payload_response(id.as_deref(), "stats", &stats_payload(state))
+            return protocol::render_payload_response(id.as_deref(), "stats", &stats_payload(state))
         }
-        Request::Check { id, input } => {
-            state.stats.apply(|s| s.requests += 1);
-            match state.admission.admit() {
-                Err(Rejected::Overloaded { inflight, queued }) => {
-                    state.stats.apply(|s| s.overloaded += 1);
-                    protocol::render_error(
-                        id.as_deref(),
-                        "overloaded",
-                        &format!("queue full ({inflight} in flight, {queued} queued); retry later"),
-                    )
-                }
-                Err(Rejected::ShuttingDown) => {
-                    state.stats.apply(|s| s.shed_shutting_down += 1);
-                    protocol::render_error(
-                        id.as_deref(),
-                        "shutting-down",
-                        "service is draining; no new work admitted",
-                    )
-                }
-                Ok(permit) => {
-                    // A queued waiter can win a freed slot in the gap
-                    // between the shutdown signal and the accept
-                    // loop's drain() call (cancelled checks release
-                    // permits quickly). Work that had not *started*
-                    // before the signal is shed, not admitted.
-                    if state.config.cancel.is_cancelled() {
-                        drop(permit);
-                        state.stats.apply(|s| s.shed_shutting_down += 1);
-                        return protocol::render_error(
-                            id.as_deref(),
-                            "shutting-down",
-                            "service is draining; no new work admitted",
-                        );
-                    }
-                    let start = Instant::now();
-                    let (rows, exit) = run_check(state, &input);
-                    drop(permit);
-                    state.stats.apply(|s| {
-                        s.checks += 1;
-                        for row in &rows {
-                            tally(&mut s.totals, row);
-                        }
-                    });
-                    protocol::render_check_response(
-                        id.as_deref(),
-                        &rows,
-                        exit,
-                        start.elapsed().as_secs_f64(),
-                    )
-                }
-            }
+        Request::Check { id, input } => (id, input),
+    };
+    let id = id.as_deref();
+    // A queued waiter can win a freed slot in the gap between the
+    // shutdown signal and the accept loop's drain() call (cancelled
+    // checks release permits quickly). Work that had not *started*
+    // before the signal is shed, not admitted.
+    let permit = match state.admission.admit() {
+        Ok(permit) if !state.config.cancel.is_cancelled() => permit,
+        Err(Rejected::Overloaded { inflight, queued }) => {
+            state.stats.apply(|s| s.overloaded += 1);
+            let detail = format!("queue full ({inflight} in flight, {queued} queued); retry later");
+            return protocol::render_error(id, "overloaded", &detail);
         }
-    }
+        Ok(_) | Err(Rejected::ShuttingDown) => {
+            state.stats.apply(|s| s.shed_shutting_down += 1);
+            let detail = "service is draining; no new work admitted";
+            return protocol::render_error(id, "shutting-down", detail);
+        }
+    };
+    let start = Instant::now();
+    let (rows, exit) = run_check(state, &input);
+    drop(permit);
+    state.stats.apply(|s| {
+        s.checks += 1;
+        for row in &rows {
+            tally(&mut s.totals, row);
+        }
+    });
+    protocol::render_check_response(id, &rows, exit, start.elapsed().as_secs_f64())
 }
 
 /// What one bounded line read produced.
@@ -645,15 +629,11 @@ fn handle_conn(state: Arc<ServerState>, stream: Stream) {
             Ok(LineRead::Eof) | Err(_) => return,
             Ok(LineRead::TooLong) => {
                 let guard = state.admission.begin_response();
-                state.stats.apply(|s| {
-                    s.requests += 1;
-                    s.bad_requests += 1;
-                });
                 let msg = format!(
                     "request line exceeds {} bytes; closing connection",
                     state.config.max_request_bytes
                 );
-                let response = protocol::render_error(None, "bad-request", &msg);
+                let response = bad_request(&state, &msg);
                 let _ = writeln!(writer, "{response}").and_then(|()| writer.flush());
                 drop(guard);
                 return;

@@ -23,12 +23,13 @@
 //! The `rows` array elements are byte-identical to `circ batch`'s
 //! report rows ([`circ_batch::render_row_json`]) — the soundness gate
 //! diffing serve verdicts against batch verdicts depends on the two
-//! sharing one renderer. Everything here parses with the same
-//! damage-rejecting [`circ_batch::mjson`] reader the supervision
-//! layer trusts across crash boundaries.
+//! sharing one renderer. Everything here is read and written by the
+//! workspace's one JSON codec ([`circ_stats::json`]), the same
+//! damage-rejecting reader the supervision layer trusts across crash
+//! boundaries.
 
-use circ_batch::mjson::{self, Value};
-use circ_batch::{json_escape, render_row_json, FileRow};
+use circ_batch::{render_row_json, FileRow};
+use circ_stats::json::{self, Obj, Value};
 
 /// What a `check` request asks the service to check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +75,7 @@ pub enum Request {
 /// (an object id would make response framing ambiguous).
 fn id_literal(v: &Value) -> Result<String, String> {
     match v {
-        Value::Str(s) => Ok(format!("\"{}\"", json_escape(s))),
+        Value::Str(s) => Ok(json::string(s)),
         Value::Num(raw) => Ok(raw.clone()),
         _ => Err("`id` must be a string or number".into()),
     }
@@ -84,10 +85,13 @@ fn id_literal(v: &Value) -> Result<String, String> {
 /// missing or unknown `op`, a `check` without exactly one input —
 /// is an `Err` the server answers with a `bad-request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = mjson::parse(line.trim()).map_err(|e| format!("unparseable request: {e}"))?;
-    let id = match v.get("id") {
-        None => None,
-        Some(idv) => Some(id_literal(idv)?),
+    let v = json::parse(line.trim()).map_err(|e| format!("unparseable request: {e}"))?;
+    let id = v.get("id").map(id_literal).transpose()?;
+    // An optional string field: absent is `None`, any other type is
+    // an error.
+    let text = |key: &str| -> Result<Option<String>, String> {
+        let field = v.get(key).map(|f| f.as_str().ok_or(format!("`{key}` must be a string")));
+        Ok(field.transpose()?.map(str::to_string))
     };
     let op = v
         .get("op")
@@ -97,40 +101,28 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "stats" => Ok(Request::Stats { id }),
         "health" => Ok(Request::Health { id }),
         "check" => {
-            let source = v.get("source").map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "`source` must be a string".to_string())
-            });
-            let path = v.get("path").map(|p| {
-                p.as_str().map(str::to_string).ok_or_else(|| "`path` must be a string".to_string())
-            });
-            match (source, path) {
+            let input = match (text("source")?, text("path")?) {
                 (Some(source), None) => {
-                    let name = match v.get("name") {
-                        None => "<inline>".to_string(),
-                        Some(n) => n
-                            .as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "`name` must be a string".to_string())?,
-                    };
-                    Ok(Request::Check { id, input: CheckInput::Source { name, source: source? } })
+                    let name = text("name")?.unwrap_or_else(|| "<inline>".to_string());
+                    CheckInput::Source { name, source }
                 }
-                (None, Some(path)) => Ok(Request::Check { id, input: CheckInput::Path(path?) }),
-                (None, None) => Err("check needs `source` or `path`".into()),
-                (Some(_), Some(_)) => Err("check takes `source` or `path`, not both".into()),
-            }
+                (None, Some(path)) => CheckInput::Path(path),
+                (None, None) => return Err("check needs `source` or `path`".into()),
+                (Some(_), Some(_)) => return Err("check takes `source` or `path`, not both".into()),
+            };
+            Ok(Request::Check { id, input })
         }
         other => Err(format!("unknown op `{other}` (expected check|stats|health)")),
     }
 }
 
-/// The `"id":<literal>,` fragment, or nothing when the request had no
-/// id.
-fn id_fragment(id: Option<&str>) -> String {
+/// A response object opened with its `ok` flag and, when the request
+/// had one, its echoed `id`.
+fn response(ok: bool, id: Option<&str>) -> Obj {
+    let obj = Obj::default().bool("ok", ok);
     match id {
-        Some(lit) => format!("\"id\":{lit},"),
-        None => String::new(),
+        Some(lit) => obj.raw("id", lit),
+        None => obj,
     }
 }
 
@@ -138,32 +130,24 @@ fn id_fragment(id: Option<&str>) -> String {
 /// exit code the same corpus would produce under `circ batch`, and
 /// the request's wall time.
 pub fn render_check_response(id: Option<&str>, rows: &[FileRow], exit: u8, time_s: f64) -> String {
-    let mut s = format!("{{\"ok\":true,{}\"rows\":[", id_fragment(id));
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&render_row_json(row));
-    }
-    s.push_str(&format!("],\"exit\":{exit},\"time_s\":{time_s:.6}}}"));
-    s
+    response(true, id)
+        .raw("rows", &json::array(rows.iter().map(render_row_json)))
+        .u64("exit", exit.into())
+        .f64("time_s", time_s)
+        .finish()
 }
 
 /// Renders a successful non-check response with one payload object
 /// under `key` (`stats` or `health`). `payload_json` must already be
 /// a JSON object.
 pub fn render_payload_response(id: Option<&str>, key: &str, payload_json: &str) -> String {
-    format!("{{\"ok\":true,{}\"{key}\":{payload_json}}}", id_fragment(id))
+    response(true, id).raw(key, payload_json).finish()
 }
 
 /// A structured error response: `kind` is one of the stable strings
 /// `overloaded`, `shutting-down`, `bad-request`, `internal-error`.
 pub fn render_error(id: Option<&str>, kind: &str, detail: &str) -> String {
-    format!(
-        "{{\"ok\":false,{}\"error\":\"{kind}\",\"detail\":\"{}\"}}",
-        id_fragment(id),
-        json_escape(detail)
-    )
+    response(false, id).str("error", kind).str("detail", detail).finish()
 }
 
 #[cfg(test)]
@@ -212,6 +196,58 @@ mod tests {
     }
 
     #[test]
+    fn non_json_numbers_are_bad_requests_not_echoed() {
+        // Each of these would come back verbatim as the `id` of a reply
+        // no JSON parser accepts.
+        for id in ["01", "1.", "-.5", "+1", "1e", ".5"] {
+            let line = format!("{{\"op\":\"health\",\"id\":{id}}}");
+            assert!(parse_request(&line).is_err(), "accepted id {id}");
+        }
+        for id in ["0", "-3", "1.5", "2e3"] {
+            let line = format!("{{\"op\":\"health\",\"id\":{id}}}");
+            assert_eq!(parse_request(&line), Ok(Request::Health { id: Some(id.into()) }));
+        }
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode() {
+        // What Python's `json.dumps` sends for a character outside the
+        // Basic Multilingual Plane.
+        let req = parse_request("{\"op\":\"check\",\"source\":\"\\ud83d\\ude00\"}");
+        let want = CheckInput::Source { name: "<inline>".into(), source: "😀".into() };
+        assert_eq!(req, Ok(Request::Check { id: None, input: want }));
+        assert!(parse_request("{\"op\":\"check\",\"source\":\"\\ud83d\"}").is_err());
+    }
+
+    #[test]
+    fn check_response_matches_the_pinned_bytes() {
+        use circ_batch::Verdict;
+        let req = r#"{"op":"check","source":"global int x;","id":"req \"1\""}"#;
+        let Ok(Request::Check { id, .. }) = parse_request(req) else { panic!() };
+        let mut row =
+            FileRow::new("<inline>".into(), Verdict::Safe, "1 race variable(s) race-free".into());
+        row.stage = "circ".into();
+        row.time_s = 0.125;
+        row.pipeline.outer_rounds = 2;
+        let want = concat!(
+            r#"{"ok":true,"id":"req \"1\"","rows":[{"file":"<inline>","verdict":"safe","#,
+            r#""detail":"1 race variable(s) race-free","stage":"circ","exit":0,"#,
+            r#""time_s":0.125000,"pipeline":{"outer_rounds":2,"reach_runs":0,"arg_nodes":0,"#,
+            r#""sim_checks":0,"sim_edge_pairs":0,"collapse_runs":0,"collapse_iterations":0,"#,
+            r#""refine_rounds":0,"k_increments":0,"preds_seeded":0,"refine_rounds_saved":0,"#,
+            r#""abs_queries":0,"abs_cache_hits":0,"abs_cache_misses":0,"#,
+            r#""abs_hit_rate":0.000000,"solver_queries":0,"solver_cache_hits":0,"#,
+            r#""solver_cache_misses":0,"solver_hit_rate":0.000000,"theory_rounds":0,"#,
+            r#""mem_charged_bytes":0,"budget_polls":0,"faults_injected":0,"#,
+            r#""triage_stage0_decided":0,"triage_stage1_decided":0,"triage_fallthrough":0,"#,
+            r#""store_recoveries":0,"flush_errors":0,"time_reach_s":0.000000,"#,
+            r#""time_sim_s":0.000000,"time_collapse_s":0.000000,"time_refine_s":0.000000,"#,
+            r#""time_omega_s":0.000000}}],"exit":0,"time_s":0.250000}"#,
+        );
+        assert_eq!(render_check_response(id.as_deref(), &[row], 0, 0.25), want);
+    }
+
+    #[test]
     fn responses_render_as_single_parseable_lines() {
         use circ_batch::Verdict;
         let row = FileRow::new("a.nesl".into(), Verdict::Safe, "1 race variable(s)".into());
@@ -221,11 +257,11 @@ mod tests {
             render_error(Some("\"x\""), "overloaded", "queue full (2 in flight, 4 queued)"),
         ] {
             assert!(!line.contains('\n'), "{line}");
-            let v = mjson::parse(&line).expect(&line);
+            let v = json::parse(&line).expect(&line);
             assert!(v.get("ok").is_some(), "{line}");
         }
         let err = render_error(None, "bad-request", "why \"quoted\"");
-        let v = mjson::parse(&err).unwrap();
+        let v = json::parse(&err).unwrap();
         assert_eq!(v.get("error").and_then(Value::as_str), Some("bad-request"));
         assert_eq!(v.get("detail").and_then(Value::as_str), Some("why \"quoted\""));
     }

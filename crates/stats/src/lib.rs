@@ -10,10 +10,14 @@
 //! `circ-core` assembles them into one [`PipelineStats`] per run,
 //! renderable as a human table ([`PipelineStats::render_table`]) or a
 //! single JSON line ([`PipelineStats::to_json`]) for `BENCH_*.json`
-//! tracking.
+//! tracking. One table declares every counter once; the human table,
+//! the JSON line, the decoder and the accumulator are derived from it.
+//! [`json`] is the workspace's one JSON codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::time::Duration;
 
@@ -59,13 +63,6 @@ pub struct AbsCounters {
 }
 
 impl AbsCounters {
-    /// Adds another snapshot into this one.
-    pub fn add(&mut self, other: &AbsCounters) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-    }
-
     /// The counter delta `self − base` (used to report per-run
     /// activity of a cache shared across runs).
     pub fn since(&self, base: &AbsCounters) -> AbsCounters {
@@ -95,17 +92,6 @@ pub struct PhaseTimes {
     pub refine: Duration,
     /// The ω-goodness check (ω-CIRC only).
     pub omega: Duration,
-}
-
-impl PhaseTimes {
-    /// Adds another snapshot into this one.
-    pub fn add(&mut self, other: &PhaseTimes) {
-        self.reach += other.reach;
-        self.sim += other.sim;
-        self.collapse += other.collapse;
-        self.refine += other.refine;
-        self.omega += other.omega;
-    }
 }
 
 /// The assembled statistics of one CIRC run (or the sum of several).
@@ -177,143 +163,159 @@ pub struct PipelineStats {
     pub phases: PhaseTimes,
 }
 
+/// How one entry of [`PIPELINE`] reads and writes its value.
+#[derive(Clone, Copy)]
+enum Cell {
+    /// A counter: summed by `add`, an integer on the wire.
+    Count(fn(&PipelineStats) -> u64, fn(&mut PipelineStats) -> &mut u64),
+    /// A wall-clock span: summed by `add`, fractional seconds on the
+    /// wire.
+    Span(fn(&PipelineStats) -> Duration, fn(&mut PipelineStats) -> &mut Duration),
+    /// A cache hit rate derived from its `(hits, misses)` pair:
+    /// rendered, never summed or decoded.
+    Rate(fn(&PipelineStats) -> (u64, u64)),
+}
+
+/// One pipeline counter or span: its stable JSON key, its label in the
+/// human table (empty when another row shows it), and its cell.
+struct Entry {
+    key: &'static str,
+    label: &'static str,
+    cell: Cell,
+}
+
+/// A [`Cell::Count`] or [`Cell::Span`] entry for the field at `path`.
+macro_rules! field {
+    ($kind:ident, $key:literal, $label:literal, $($path:ident).+) => {
+        Entry {
+            key: $key,
+            label: $label,
+            cell: Cell::$kind(|p| p.$($path).+, |p| &mut p.$($path).+),
+        }
+    };
+}
+
+/// A [`Cell::Rate`] entry over the `cache_hits`/`cache_misses` pair of
+/// the counter block `$block`.
+macro_rules! rate {
+    ($key:literal, $label:literal, $block:ident) => {
+        Entry {
+            key: $key,
+            label: $label,
+            cell: Cell::Rate(|p| (p.$block.cache_hits, p.$block.cache_misses)),
+        }
+    };
+}
+
+/// Every counter and span of [`PipelineStats`], in wire and table
+/// order: `add`, `render_table`, `to_json` and `from_json` are all
+/// derived from this one table. The keys are stable; `BENCH_*`
+/// tooling, journals and the serve protocol rely on them.
+const PIPELINE: [Entry; 33] = [
+    field!(Count, "outer_rounds", "outer rounds", outer_rounds),
+    field!(Count, "reach_runs", "reach runs", reach_runs),
+    field!(Count, "arg_nodes", "ARG nodes", arg_nodes),
+    field!(Count, "sim_checks", "sim checks", sim_checks),
+    field!(Count, "sim_edge_pairs", "sim edge pairs", sim_edge_pairs),
+    field!(Count, "collapse_runs", "collapse runs", collapse_runs),
+    field!(Count, "collapse_iterations", "collapse iterations", collapse_iterations),
+    field!(Count, "refine_rounds", "refine rounds", refine_rounds),
+    field!(Count, "k_increments", "k increments", k_increments),
+    field!(Count, "preds_seeded", "preds seeded", preds_seeded),
+    field!(Count, "refine_rounds_saved", "refine rounds saved", refine_rounds_saved),
+    field!(Count, "abs_queries", "abs entailment queries", abs.queries),
+    field!(Count, "abs_cache_hits", "", abs.cache_hits),
+    field!(Count, "abs_cache_misses", "", abs.cache_misses),
+    rate!("abs_hit_rate", "abs cache hits/misses", abs),
+    field!(Count, "solver_queries", "solver queries", solver.queries),
+    field!(Count, "solver_cache_hits", "", solver.cache_hits),
+    field!(Count, "solver_cache_misses", "", solver.cache_misses),
+    rate!("solver_hit_rate", "solver cache hits/misses", solver),
+    field!(Count, "theory_rounds", "solver theory rounds", solver.theory_rounds),
+    field!(Count, "mem_charged_bytes", "mem charged (bytes)", mem_charged_bytes),
+    field!(Count, "budget_polls", "budget polls", budget_polls),
+    field!(Count, "faults_injected", "faults injected", faults_injected),
+    field!(Count, "triage_stage0_decided", "triage stage-0 decided", triage_stage0_decided),
+    field!(Count, "triage_stage1_decided", "triage stage-1 decided", triage_stage1_decided),
+    field!(Count, "triage_fallthrough", "triage fallthrough", triage_fallthrough),
+    field!(Count, "store_recoveries", "store recoveries", store_recoveries),
+    field!(Count, "flush_errors", "flush errors", flush_errors),
+    field!(Span, "time_reach_s", "time: reach", phases.reach),
+    field!(Span, "time_sim_s", "time: sim", phases.sim),
+    field!(Span, "time_collapse_s", "time: collapse", phases.collapse),
+    field!(Span, "time_refine_s", "time: refine", phases.refine),
+    field!(Span, "time_omega_s", "time: omega", phases.omega),
+];
+
 impl PipelineStats {
     /// Adds another run's statistics into this one (for multi-variable
     /// CLI runs and bench totals).
     pub fn add(&mut self, other: &PipelineStats) {
-        self.solver.add(&other.solver);
-        self.abs.add(&other.abs);
-        self.outer_rounds += other.outer_rounds;
-        self.reach_runs += other.reach_runs;
-        self.arg_nodes += other.arg_nodes;
-        self.sim_checks += other.sim_checks;
-        self.sim_edge_pairs += other.sim_edge_pairs;
-        self.collapse_runs += other.collapse_runs;
-        self.collapse_iterations += other.collapse_iterations;
-        self.refine_rounds += other.refine_rounds;
-        self.k_increments += other.k_increments;
-        self.preds_seeded += other.preds_seeded;
-        self.refine_rounds_saved += other.refine_rounds_saved;
-        self.mem_charged_bytes += other.mem_charged_bytes;
-        self.budget_polls += other.budget_polls;
-        self.faults_injected += other.faults_injected;
-        self.triage_stage0_decided += other.triage_stage0_decided;
-        self.triage_stage1_decided += other.triage_stage1_decided;
-        self.triage_fallthrough += other.triage_fallthrough;
-        self.store_recoveries += other.store_recoveries;
-        self.flush_errors += other.flush_errors;
-        self.phases.add(&other.phases);
+        for e in &PIPELINE {
+            match e.cell {
+                Cell::Count(get, slot) => *slot(self) += get(other),
+                Cell::Span(get, slot) => *slot(self) += get(other),
+                Cell::Rate(_) => {}
+            }
+        }
     }
 
     /// Renders the human-readable statistics table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        let mut row = |k: &str, v: String| {
-            out.push_str(&format!("  {k:<28} {v:>14}\n"));
-        };
-        row("outer rounds", self.outer_rounds.to_string());
-        row("reach runs", self.reach_runs.to_string());
-        row("ARG nodes", self.arg_nodes.to_string());
-        row("sim checks", self.sim_checks.to_string());
-        row("sim edge pairs", self.sim_edge_pairs.to_string());
-        row("collapse runs", self.collapse_runs.to_string());
-        row("collapse iterations", self.collapse_iterations.to_string());
-        row("refine rounds", self.refine_rounds.to_string());
-        row("k increments", self.k_increments.to_string());
-        row("preds seeded", self.preds_seeded.to_string());
-        row("refine rounds saved", self.refine_rounds_saved.to_string());
-        row("abs entailment queries", self.abs.queries.to_string());
-        row(
-            "abs cache hits/misses",
-            format!(
-                "{}/{} ({:.1}%)",
-                self.abs.cache_hits,
-                self.abs.cache_misses,
-                100.0 * self.abs.hit_rate()
-            ),
-        );
-        row("solver queries", self.solver.queries.to_string());
-        row(
-            "solver cache hits/misses",
-            format!(
-                "{}/{} ({:.1}%)",
-                self.solver.cache_hits,
-                self.solver.cache_misses,
-                100.0 * self.solver.hit_rate()
-            ),
-        );
-        row("solver theory rounds", self.solver.theory_rounds.to_string());
-        row("mem charged (bytes)", self.mem_charged_bytes.to_string());
-        row("budget polls", self.budget_polls.to_string());
-        row("faults injected", self.faults_injected.to_string());
-        row("triage stage-0 decided", self.triage_stage0_decided.to_string());
-        row("triage stage-1 decided", self.triage_stage1_decided.to_string());
-        row("triage fallthrough", self.triage_fallthrough.to_string());
-        row("store recoveries", self.store_recoveries.to_string());
-        row("flush errors", self.flush_errors.to_string());
-        row("time: reach", format!("{:.2?}", self.phases.reach));
-        row("time: sim", format!("{:.2?}", self.phases.sim));
-        row("time: collapse", format!("{:.2?}", self.phases.collapse));
-        row("time: refine", format!("{:.2?}", self.phases.refine));
-        row("time: omega", format!("{:.2?}", self.phases.omega));
+        for e in PIPELINE.iter().filter(|e| !e.label.is_empty()) {
+            let value = match e.cell {
+                Cell::Count(get, _) => get(self).to_string(),
+                Cell::Span(get, _) => format!("{:.2?}", get(self)),
+                Cell::Rate(pair) => {
+                    let (hits, misses) = pair(self);
+                    format!("{hits}/{misses} ({:.1}%)", 100.0 * hit_rate(hits, misses))
+                }
+            };
+            out.push_str(&format!("  {:<28} {value:>14}\n", e.label));
+        }
         out
     }
 
     /// Renders the statistics as one JSON object on a single line
-    /// (durations in fractional seconds). Keys are stable; `BENCH_*`
-    /// tooling may rely on them.
+    /// (durations in fractional seconds).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"outer_rounds\":{},\"reach_runs\":{},\"arg_nodes\":{},\
-             \"sim_checks\":{},\"sim_edge_pairs\":{},\
-             \"collapse_runs\":{},\"collapse_iterations\":{},\
-             \"refine_rounds\":{},\"k_increments\":{},\
-             \"preds_seeded\":{},\"refine_rounds_saved\":{},\
-             \"abs_queries\":{},\"abs_cache_hits\":{},\"abs_cache_misses\":{},\
-             \"abs_hit_rate\":{},\
-             \"solver_queries\":{},\"solver_cache_hits\":{},\
-             \"solver_cache_misses\":{},\"solver_hit_rate\":{},\
-             \"theory_rounds\":{},\
-             \"mem_charged_bytes\":{},\"budget_polls\":{},\"faults_injected\":{},\
-             \"triage_stage0_decided\":{},\"triage_stage1_decided\":{},\
-             \"triage_fallthrough\":{},\
-             \"store_recoveries\":{},\"flush_errors\":{},\
-             \"time_reach_s\":{},\"time_sim_s\":{},\"time_collapse_s\":{},\
-             \"time_refine_s\":{},\"time_omega_s\":{}}}",
-            self.outer_rounds,
-            self.reach_runs,
-            self.arg_nodes,
-            self.sim_checks,
-            self.sim_edge_pairs,
-            self.collapse_runs,
-            self.collapse_iterations,
-            self.refine_rounds,
-            self.k_increments,
-            self.preds_seeded,
-            self.refine_rounds_saved,
-            self.abs.queries,
-            self.abs.cache_hits,
-            self.abs.cache_misses,
-            json_f64(self.abs.hit_rate()),
-            self.solver.queries,
-            self.solver.cache_hits,
-            self.solver.cache_misses,
-            json_f64(self.solver.hit_rate()),
-            self.solver.theory_rounds,
-            self.mem_charged_bytes,
-            self.budget_polls,
-            self.faults_injected,
-            self.triage_stage0_decided,
-            self.triage_stage1_decided,
-            self.triage_fallthrough,
-            self.store_recoveries,
-            self.flush_errors,
-            json_f64(self.phases.reach.as_secs_f64()),
-            json_f64(self.phases.sim.as_secs_f64()),
-            json_f64(self.phases.collapse.as_secs_f64()),
-            json_f64(self.phases.refine.as_secs_f64()),
-            json_f64(self.phases.omega.as_secs_f64()),
-        )
+        let obj = PIPELINE.iter().fold(json::Obj::default(), |obj, e| match e.cell {
+            Cell::Count(get, _) => obj.u64(e.key, get(self)),
+            Cell::Span(get, _) => obj.f64(e.key, get(self).as_secs_f64()),
+            Cell::Rate(pair) => {
+                let (hits, misses) = pair(self);
+                obj.f64(e.key, hit_rate(hits, misses))
+            }
+        });
+        obj.finish()
+    }
+
+    /// Rebuilds the statistics from their [`PipelineStats::to_json`]
+    /// rendering. The derived `*_hit_rate` keys are recomputed, not
+    /// parsed; durations round-trip through the same six-decimal
+    /// seconds, so a parse→render cycle is byte-stable.
+    pub fn from_json(v: &json::Value) -> Result<PipelineStats, String> {
+        let mut p = PipelineStats::default();
+        for e in &PIPELINE {
+            let value = v.get(e.key);
+            match e.cell {
+                Cell::Count(_, slot) => {
+                    *slot(&mut p) = value
+                        .and_then(json::Value::as_u64)
+                        .ok_or(format!("missing pipeline counter `{}`", e.key))?;
+                }
+                Cell::Span(_, slot) => {
+                    let secs = value
+                        .and_then(json::Value::as_f64)
+                        .ok_or(format!("missing pipeline span `{}`", e.key))?;
+                    *slot(&mut p) = Duration::try_from_secs_f64(secs)
+                        .map_err(|_| format!("unusable span `{}`", e.key))?;
+                }
+                Cell::Rate(_) => {}
+            }
+        }
+        Ok(p)
     }
 }
 
@@ -354,23 +356,19 @@ impl BatchTotals {
     /// Renders the roll-up as one JSON object on a single line (the
     /// `totals` value of the batch report). Keys are stable.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"files\":{},\"safe\":{},\"races\":{},\"inconclusive\":{},\
-             \"budget_exhausted\":{},\"compile_errors\":{},\
-             \"retries\":{},\"isolated_crashes\":{},\"resumed\":{},\"cancelled\":{},\
-             \"pipeline\":{}}}",
-            self.files,
-            self.safe,
-            self.races,
-            self.inconclusive,
-            self.budget_exhausted,
-            self.compile_errors,
-            self.retries,
-            self.isolated_crashes,
-            self.resumed,
-            self.cancelled,
-            self.pipeline.to_json(),
-        )
+        json::Obj::default()
+            .u64("files", self.files)
+            .u64("safe", self.safe)
+            .u64("races", self.races)
+            .u64("inconclusive", self.inconclusive)
+            .u64("budget_exhausted", self.budget_exhausted)
+            .u64("compile_errors", self.compile_errors)
+            .u64("retries", self.retries)
+            .u64("isolated_crashes", self.isolated_crashes)
+            .u64("resumed", self.resumed)
+            .u64("cancelled", self.cancelled)
+            .raw("pipeline", &self.pipeline.to_json())
+            .finish()
     }
 
     /// Renders a short human-readable summary line. Supervision
@@ -439,18 +437,15 @@ impl ServiceSnapshot {
     /// Renders the snapshot as one JSON object on a single line.
     /// Keys are stable; the serve protocol embeds this verbatim.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"requests\":{},\"checks\":{},\"overloaded\":{},\
-             \"shed_shutting_down\":{},\"bad_requests\":{},\
-             \"panics_contained\":{},\"totals\":{}}}",
-            self.requests,
-            self.checks,
-            self.overloaded,
-            self.shed_shutting_down,
-            self.bad_requests,
-            self.panics_contained,
-            self.totals.to_json(),
-        )
+        json::Obj::default()
+            .u64("requests", self.requests)
+            .u64("checks", self.checks)
+            .u64("overloaded", self.overloaded)
+            .u64("shed_shutting_down", self.shed_shutting_down)
+            .u64("bad_requests", self.bad_requests)
+            .u64("panics_contained", self.panics_contained)
+            .raw("totals", &self.totals.to_json())
+            .finish()
     }
 }
 
@@ -495,15 +490,6 @@ fn hit_rate(hits: u64, misses: u64) -> f64 {
         0.0
     } else {
         hits as f64 / total as f64
-    }
-}
-
-/// Formats an `f64` as a JSON-legal number (JSON has no NaN/Inf).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -690,6 +676,173 @@ mod tests {
         assert_eq!(final_snap.requests, 2000);
         assert_eq!(final_snap.totals.files, 4000);
         assert_eq!(final_snap.totals.safe + final_snap.totals.races, 4000);
+    }
+
+    /// Every counter and span set to a distinct non-zero value, so a
+    /// table entry wired to the wrong field shows up.
+    fn distinct() -> PipelineStats {
+        PipelineStats {
+            solver: SolverCounters {
+                queries: 12,
+                cache_hits: 13,
+                cache_misses: 14,
+                theory_rounds: 15,
+            },
+            abs: AbsCounters { queries: 16, cache_hits: 17, cache_misses: 18 },
+            outer_rounds: 1,
+            reach_runs: 2,
+            arg_nodes: 3,
+            sim_checks: 4,
+            sim_edge_pairs: 5,
+            collapse_runs: 6,
+            collapse_iterations: 7,
+            refine_rounds: 8,
+            k_increments: 9,
+            preds_seeded: 10,
+            refine_rounds_saved: 11,
+            mem_charged_bytes: 19,
+            budget_polls: 20,
+            faults_injected: 21,
+            triage_stage0_decided: 22,
+            triage_stage1_decided: 23,
+            triage_fallthrough: 24,
+            store_recoveries: 25,
+            flush_errors: 26,
+            phases: PhaseTimes {
+                reach: Duration::from_micros(1_001),
+                sim: Duration::from_micros(2_002),
+                collapse: Duration::from_micros(3_003),
+                refine: Duration::from_micros(4_004),
+                omega: Duration::from_micros(5_005),
+            },
+        }
+    }
+
+    #[test]
+    fn distinct_values_round_trip_double_and_render() {
+        let p = distinct();
+        let decoded = PipelineStats::from_json(&json::parse(&p.to_json()).unwrap()).unwrap();
+        assert_eq!(decoded, p);
+
+        let mut doubled = p.clone();
+        doubled.add(&p);
+        let twice = |d: Duration| d * 2;
+        assert_eq!(
+            doubled,
+            PipelineStats {
+                solver: SolverCounters {
+                    queries: 24,
+                    cache_hits: 26,
+                    cache_misses: 28,
+                    theory_rounds: 30,
+                },
+                abs: AbsCounters { queries: 32, cache_hits: 34, cache_misses: 36 },
+                outer_rounds: 2,
+                reach_runs: 4,
+                arg_nodes: 6,
+                sim_checks: 8,
+                sim_edge_pairs: 10,
+                collapse_runs: 12,
+                collapse_iterations: 14,
+                refine_rounds: 16,
+                k_increments: 18,
+                preds_seeded: 20,
+                refine_rounds_saved: 22,
+                mem_charged_bytes: 38,
+                budget_polls: 40,
+                faults_injected: 42,
+                triage_stage0_decided: 44,
+                triage_stage1_decided: 46,
+                triage_fallthrough: 48,
+                store_recoveries: 50,
+                flush_errors: 52,
+                phases: PhaseTimes {
+                    reach: twice(p.phases.reach),
+                    sim: twice(p.phases.sim),
+                    collapse: twice(p.phases.collapse),
+                    refine: twice(p.phases.refine),
+                    omega: twice(p.phases.omega),
+                },
+            }
+        );
+
+        // Each counter shows exactly once: the value column, minus the
+        // hit-rate percentages, holds 1..=26 and nothing else.
+        let table = p.render_table();
+        let mut shown: Vec<u64> = table
+            .lines()
+            .filter(|l| !l.contains("time:"))
+            .flat_map(|l| l[31..].split('(').next().unwrap().split('/'))
+            .map(|n| n.trim().parse().unwrap())
+            .collect();
+        shown.sort_unstable();
+        assert_eq!(shown, (1..=26).collect::<Vec<u64>>(), "{table}");
+        for ms in ["1.00ms", "2.00ms", "3.00ms", "4.00ms", "5.00ms"] {
+            assert!(table.contains(ms), "span {ms} missing from the table:\n{table}");
+        }
+    }
+
+    #[test]
+    fn table_and_json_match_the_pinned_bytes() {
+        assert_eq!(
+            distinct().render_table(),
+            "  outer rounds                              1
+  reach runs                                2
+  ARG nodes                                 3
+  sim checks                                4
+  sim edge pairs                            5
+  collapse runs                             6
+  collapse iterations                       7
+  refine rounds                             8
+  k increments                              9
+  preds seeded                             10
+  refine rounds saved                      11
+  abs entailment queries                   16
+  abs cache hits/misses         17/18 (48.6%)
+  solver queries                           12
+  solver cache hits/misses      13/14 (48.1%)
+  solver theory rounds                     15
+  mem charged (bytes)                      19
+  budget polls                             20
+  faults injected                          21
+  triage stage-0 decided                   22
+  triage stage-1 decided                   23
+  triage fallthrough                       24
+  store recoveries                         25
+  flush errors                             26
+  time: reach                          1.00ms
+  time: sim                            2.00ms
+  time: collapse                       3.00ms
+  time: refine                         4.00ms
+  time: omega                          5.00ms
+"
+        );
+        assert_eq!(
+            distinct().to_json(),
+            concat!(
+                r#"{"outer_rounds":1,"reach_runs":2,"arg_nodes":3,"sim_checks":4,"#,
+                r#""sim_edge_pairs":5,"collapse_runs":6,"collapse_iterations":7,"#,
+                r#""refine_rounds":8,"k_increments":9,"preds_seeded":10,"#,
+                r#""refine_rounds_saved":11,"abs_queries":16,"abs_cache_hits":17,"#,
+                r#""abs_cache_misses":18,"abs_hit_rate":0.485714,"solver_queries":12,"#,
+                r#""solver_cache_hits":13,"solver_cache_misses":14,"#,
+                r#""solver_hit_rate":0.481481,"theory_rounds":15,"mem_charged_bytes":19,"#,
+                r#""budget_polls":20,"faults_injected":21,"triage_stage0_decided":22,"#,
+                r#""triage_stage1_decided":23,"triage_fallthrough":24,"#,
+                r#""store_recoveries":25,"flush_errors":26,"time_reach_s":0.001001,"#,
+                r#""time_sim_s":0.002002,"time_collapse_s":0.003003,"#,
+                r#""time_refine_s":0.004004,"time_omega_s":0.005005}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn decoding_names_the_missing_key() {
+        let mut v = json::parse(&distinct().to_json()).unwrap();
+        let json::Value::Obj(map) = &mut v else { panic!() };
+        map.remove("flush_errors");
+        let err = PipelineStats::from_json(&v).unwrap_err();
+        assert!(err.contains("`flush_errors`"), "{err}");
     }
 
     #[test]
