@@ -18,7 +18,8 @@
 use crate::acfa::{Acfa, AcfaEdge, AcfaLocId};
 use crate::cube::Region;
 use circ_ir::Var;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use circ_par::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Output of [`collapse`].
 #[derive(Debug, Clone)]
@@ -42,7 +43,7 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
 
     // Each location's observable out-edges as (havoc id, destination),
     // with every distinct havoc set interned once; ids start after TAU.
-    let mut havoc_ids: HashMap<&BTreeSet<Var>, u32> = HashMap::new();
+    let mut havoc_ids: FxHashMap<&BTreeSet<Var>, u32> = FxHashMap::default();
     let moves: Vec<Vec<(u32, AcfaLocId)>> = g
         .locs()
         .map(|q| {
@@ -59,7 +60,7 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
     // Initial partition: by (region, atomic), blocks numbered by first
     // occurrence in location order.
     let mut block: Vec<u32> = {
-        let mut key_to_block: HashMap<(&Region, bool), u32> = HashMap::new();
+        let mut key_to_block: FxHashMap<(&Region, bool), u32> = FxHashMap::default();
         g.locs()
             .map(|q| {
                 let next = key_to_block.len() as u32;
@@ -72,7 +73,7 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
     // Refine until stable. Each new block splits an old one, so the
     // partition is stable exactly when the block count stops growing.
     let mut iterations = 0usize;
-    let mut key_to_block: HashMap<(u32, Vec<(u32, u32)>), u32> = HashMap::new();
+    let mut key_to_block: FxHashMap<(u32, Vec<(u32, u32)>), u32> = FxHashMap::default();
     let mut sig: Vec<(u32, u32)> = Vec::new();
     loop {
         iterations += 1;

@@ -23,8 +23,8 @@ use crate::acfa::{Acfa, AcfaLocId};
 use crate::cube::Region;
 use circ_governor::{Budget, Exhausted};
 use circ_ir::Var;
-use circ_par::Pool;
-use std::collections::{BTreeSet, HashMap};
+use circ_par::{FxHashMap, Pool};
+use std::collections::BTreeSet;
 
 /// Decides `g ⪯ a` using syntactic region containment (every cube of
 /// the left region subsumed by some cube of the right). See
@@ -179,7 +179,7 @@ pub fn check_sim_budgeted(
 /// location's label id and the distinct labels, numbered by first
 /// occurrence in location order.
 fn intern_labels(acfa: &Acfa) -> (Vec<u32>, Vec<(&Region, bool)>) {
-    let mut ids: HashMap<(&Region, bool), u32> = HashMap::new();
+    let mut ids: FxHashMap<(&Region, bool), u32> = FxHashMap::default();
     let mut labels = Vec::new();
     let of_loc = acfa
         .locs()

@@ -204,8 +204,13 @@ impl Default for BatchConfig {
     }
 }
 
-/// Per-file verdict, ordered by how bad it is for the batch exit code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-file verdict, declared (and so ordered) by how bad it is for
+/// the batch exit code, which worst-wins aggregation takes the
+/// maximum of: race > compile error > budget exhaustion > internal
+/// error > inconclusive > safe. (Internal error and inconclusive share
+/// an exit code; the finer order makes a transient failure win the
+/// within-file dominance so the retry policy can see it.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verdict {
     /// Every race variable proved race-free.
     Safe,
@@ -253,22 +258,6 @@ impl Verdict {
             Verdict::Inconclusive | Verdict::InternalError => 2,
             Verdict::BudgetExhausted => 3,
             Verdict::CompileError => 65,
-        }
-    }
-
-    /// Dominance rank for worst-wins aggregation: race > compile
-    /// error > budget exhaustion > internal error > inconclusive >
-    /// safe. (Internal error and inconclusive share an exit code; the
-    /// finer rank makes a transient failure win the within-file
-    /// dominance so the retry policy can see it.)
-    fn rank(self) -> u8 {
-        match self {
-            Verdict::Safe => 0,
-            Verdict::Inconclusive => 1,
-            Verdict::InternalError => 2,
-            Verdict::BudgetExhausted => 3,
-            Verdict::CompileError => 4,
-            Verdict::Race => 5,
         }
     }
 }
@@ -395,7 +384,7 @@ fn row_fields(obj: Obj, row: &FileRow) -> Obj {
 /// compile error > budget exhaustion > internal error > inconclusive
 /// > safe. An empty slice is a clean 0.
 pub fn worst_exit(rows: &[FileRow]) -> u8 {
-    rows.iter().map(|r| r.verdict).max_by_key(|v| v.rank()).map(Verdict::exit_code).unwrap_or(0)
+    rows.iter().map(|r| r.verdict).max().map_or(0, Verdict::exit_code)
 }
 
 /// Parses a row printed by a `--row-json` child back into a
@@ -866,7 +855,7 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
                         w.n_threads,
                         w.steps.len()
                     );
-                    if Verdict::Race.rank() > verdict.rank() {
+                    if Verdict::Race > verdict {
                         verdict = Verdict::Race;
                         detail = d;
                     }
@@ -927,7 +916,7 @@ pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStor
                 (v, format!("{vname}: {:?}", r.reason))
             }
         };
-        if v.rank() > verdict.rank() {
+        if v > verdict {
             verdict = v;
             detail = d;
         }
@@ -1432,6 +1421,21 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worst_wins_follows_declaration_order() {
+        use Verdict::*;
+        let order = [Safe, Inconclusive, InternalError, BudgetExhausted, CompileError, Race];
+        assert!(order.windows(2).all(|w| w[0] < w[1]));
+        let rows = |vs: &[Verdict]| -> Vec<FileRow> {
+            vs.iter().map(|&v| FileRow::new(v.name().into(), v, String::new())).collect()
+        };
+        assert_eq!(worst_exit(&[]), 0);
+        assert_eq!(worst_exit(&rows(&[Safe, Inconclusive])), 2);
+        assert_eq!(worst_exit(&rows(&[InternalError, BudgetExhausted, Safe])), 3);
+        assert_eq!(worst_exit(&rows(&[CompileError, BudgetExhausted])), 65);
+        assert_eq!(worst_exit(&rows(&[CompileError, Race, Safe])), 1);
+    }
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("circ-batch-{tag}-{}", std::process::id()));

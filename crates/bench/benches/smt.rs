@@ -44,12 +44,15 @@ fn bench_lia(c: &mut Criterion) {
             b.iter(|| assert!(!lia::is_sat_conj(les)));
         });
     }
+    // Every link of the chain is needed for the contradiction.
     let chain = eq_chain(32);
     g.bench_function("unsat_core_32", |b| {
-        b.iter(|| lia::unsat_core(&chain));
+        b.iter(|| assert_eq!(lia::unsat_core(&chain).len(), chain.len()));
     });
+    // Eliminating the middle of the cycle keeps it contradictory.
     let les = le_chain(16);
     let elim: std::collections::BTreeSet<SVar> = (1..16).map(v).collect();
+    assert!(!lia::is_sat_conj(&lia::project(&les, &elim)));
     g.bench_function("project_16", |b| {
         b.iter(|| lia::project(&les, &elim));
     });

@@ -835,55 +835,27 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
 }
 
-/// A client connection over either transport.
-enum ClientConn {
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
+/// A client connection to the daemon: the writer and a buffered
+/// reader over one [`circ_serve::Stream`], both opened once.
+struct ClientConn {
+    writer: circ_serve::Stream,
+    reader: std::io::BufReader<circ_serve::Stream>,
 }
 
 impl ClientConn {
     fn connect(flags: &ServeFlags) -> Result<ClientConn, String> {
-        match (&flags.socket, flags.port) {
-            (Some(path), _) => {
-                #[cfg(unix)]
-                {
-                    std::os::unix::net::UnixStream::connect(path)
-                        .map(ClientConn::Unix)
-                        .map_err(|e| format!("cannot connect to `{}`: {e}", path.display()))
-                }
-                #[cfg(not(unix))]
-                {
-                    Err(format!(
-                        "unix sockets are not supported on this platform (`{}`); use --port",
-                        path.display()
-                    ))
-                }
-            }
-            (None, Some(port)) => std::net::TcpStream::connect(("127.0.0.1", port))
-                .map(ClientConn::Tcp)
-                .map_err(|e| format!("cannot connect to 127.0.0.1:{port}: {e}")),
-            (None, None) => unreachable!("parser requires one address"),
-        }
+        let writer = circ_serve::Stream::connect(&flags.bind_to())?;
+        let reader = writer.try_clone().map_err(|e| format!("cannot open connection: {e}"))?;
+        Ok(ClientConn { writer, reader: std::io::BufReader::new(reader) })
     }
 
     fn roundtrip(&mut self, request: &str) -> Result<String, String> {
-        use std::io::{BufRead, BufReader, Write};
-        let (mut w, r): (Box<dyn Write>, Box<dyn std::io::Read>) = match self {
-            #[cfg(unix)]
-            ClientConn::Unix(s) => (
-                Box::new(s.try_clone().map_err(|e| e.to_string())?),
-                Box::new(s.try_clone().map_err(|e| e.to_string())?),
-            ),
-            ClientConn::Tcp(s) => (
-                Box::new(s.try_clone().map_err(|e| e.to_string())?),
-                Box::new(s.try_clone().map_err(|e| e.to_string())?),
-            ),
-        };
-        writeln!(w, "{request}").map_err(|e| format!("cannot send request: {e}"))?;
-        w.flush().map_err(|e| format!("cannot send request: {e}"))?;
+        use std::io::{BufRead, Write};
+        writeln!(self.writer, "{request}")
+            .and_then(|()| self.writer.flush())
+            .map_err(|e| format!("cannot send request: {e}"))?;
         let mut line = String::new();
-        BufReader::new(r).read_line(&mut line).map_err(|e| format!("cannot read response: {e}"))?;
+        self.reader.read_line(&mut line).map_err(|e| format!("cannot read response: {e}"))?;
         if line.trim().is_empty() {
             return Err("connection closed before a response arrived".into());
         }

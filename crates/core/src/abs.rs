@@ -196,8 +196,7 @@ impl AbsCtx {
     /// Abstract post for a main-thread edge; `None` when the edge is
     /// not enabled from the cube (assume guard unsatisfiable).
     pub fn post_edge(&self, cube: &Cube, edge_id: EdgeId) -> Option<Cube> {
-        let edge = self.cfa.edge(edge_id).clone();
-        match &edge.op {
+        match &self.cfa.edge(edge_id).op {
             Op::Assign(x, e) => {
                 let (result, _) = self
                     .assign_cache
@@ -222,6 +221,7 @@ impl AbsCtx {
         if let Some(rhs) = rhs {
             premises.push(Atom::eq(LinExpr::var(post(x)) - rhs));
         }
+        let premises = self.cache.premises(&premises);
         let mut out = Cube::top(self.preds.len());
         for i in self.preds.indices() {
             if !self.preds.mentions(i, x) {
@@ -233,9 +233,9 @@ impl AbsCtx {
                     continue;
                 }
                 if let Some(p_atom) = &self.pred_atoms[i.index()] {
-                    if self.cache.entails(&premises, p_atom) {
+                    if premises.entails(p_atom) {
                         out.set(i, true);
-                    } else if self.cache.entails(&premises, &p_atom.negate()) {
+                    } else if premises.entails(&p_atom.negate()) {
                         out.set(i, false);
                     }
                 }
@@ -251,9 +251,9 @@ impl AbsCtx {
             }) else {
                 continue;
             };
-            if self.cache.entails(&premises, &p_atom) {
+            if premises.entails(&p_atom) {
                 out.set(i, true);
-            } else if self.cache.entails(&premises, &p_atom.negate()) {
+            } else if premises.entails(&p_atom.negate()) {
                 out.set(i, false);
             }
         }

@@ -17,7 +17,8 @@
 use crate::preds::PredSet;
 use circ_acfa::{Acfa, AcfaEdge, AcfaLocId, Cube, Region};
 use circ_ir::{Cfa, EdgeId, Loc, Op, Var};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use circ_par::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An abstract thread state: main-thread control location plus data
 /// cube.
@@ -51,7 +52,7 @@ pub struct Arg {
     regions: Vec<Region>,
     states: Vec<BTreeSet<ThreadState>>,
     atomic: Vec<bool>,
-    state_to_loc: HashMap<ThreadState, usize>,
+    state_to_loc: FxHashMap<ThreadState, usize>,
     /// Location-level edges `(src slot, dst slot, havoc)`; slots are
     /// canonicalized lazily at export.
     loc_edges: Vec<(usize, usize, BTreeSet<Var>)>,
@@ -70,7 +71,7 @@ pub struct ExportedArg {
     /// The ARG as an abstract control flow automaton.
     pub acfa: Acfa,
     /// Exported location of each covered thread state.
-    pub state_loc: HashMap<ThreadState, AcfaLocId>,
+    pub state_loc: FxHashMap<ThreadState, AcfaLocId>,
 }
 
 impl Arg {
@@ -81,7 +82,7 @@ impl Arg {
             regions: Vec::new(),
             states: Vec::new(),
             atomic: Vec::new(),
-            state_to_loc: HashMap::new(),
+            state_to_loc: FxHashMap::default(),
             loc_edges: Vec::new(),
             edge_index: BTreeSet::new(),
             state_edges: Vec::new(),
@@ -197,9 +198,9 @@ impl Arg {
     }
 
     /// Algorithm 2 (`Connect`): records the transition `r --op--> r'`.
-    pub fn connect(&mut self, cfa: &Cfa, r: &ThreadState, kind: StateEdgeKind, r2: &ThreadState) {
-        let n = self.find_or_create(cfa, r);
-        let n2 = self.find_or_create(cfa, r2);
+    pub fn connect(&mut self, cfa: &Cfa, r: ThreadState, kind: StateEdgeKind, r2: ThreadState) {
+        let n = self.find_or_create(cfa, &r);
+        let n2 = self.find_or_create(cfa, &r2);
         match &kind {
             StateEdgeKind::MainOp(eid) => match &cfa.edge(*eid).op {
                 Op::Assign(x, _) => {
@@ -223,7 +224,7 @@ impl Arg {
                 self.union(n, n2);
             }
         }
-        self.state_edges.push(StateEdge { src: r.clone(), kind, dst: r2.clone() });
+        self.state_edges.push(StateEdge { src: r, kind, dst: r2 });
     }
 
     /// Exports the ARG as an ACFA over the global predicates.
@@ -317,8 +318,8 @@ mod tests {
         let mut arg = Arg::new();
         let top = Cube::top(2);
         arg.set_entry(&cfa, st(0, &top));
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), &st(1, &top));
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), &st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), st(1, &top));
         assert_eq!(arg.num_locs(), 2);
         assert_eq!(arg.state_edges().len(), 2);
     }
@@ -332,9 +333,9 @@ mod tests {
         arg.set_entry(&cfa, st(0, &top));
         arg.connect(
             &cfa,
-            &st(0, &top),
+            st(0, &top),
             StateEdgeKind::Context([cfa.var_by_name("state").unwrap()].into()),
-            &st(0, &c1),
+            st(0, &c1),
         );
         // both states share one location now
         assert_eq!(arg.num_locs(), 1);
@@ -350,8 +351,8 @@ mod tests {
         let cube = Cube::top(2).with(circ_acfa::PredIx(0), true).with(circ_acfa::PredIx(1), true);
         arg.set_entry(&cfa, st(0, &cube));
         // an assignment to the local `old` then to the global `state`
-        arg.connect(&cfa, &st(0, &cube), StateEdgeKind::MainOp(EdgeId::from_raw(0)), &st(1, &cube));
-        arg.connect(&cfa, &st(1, &cube), StateEdgeKind::MainOp(EdgeId::from_raw(2)), &st(3, &cube));
+        arg.connect(&cfa, st(0, &cube), StateEdgeKind::MainOp(EdgeId::from_raw(0)), st(1, &cube));
+        arg.connect(&cfa, st(1, &cube), StateEdgeKind::MainOp(EdgeId::from_raw(2)), st(3, &cube));
         let exported = arg.export(&cfa, &preds);
         let acfa = &exported.acfa;
         assert_eq!(acfa.num_locs(), 3);
@@ -379,15 +380,15 @@ mod tests {
         let top = Cube::top(2);
         arg.set_entry(&cfa, st(0, &top));
         // first an assignment edge 0 -> 1 (edge 0 of figure 1 assigns old)
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), &st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), st(1, &top));
         assert_eq!(arg.num_locs(), 2);
         // an assume between the same two locations adds no edge and
         // must NOT merge them (only context moves Union; merging here
         // would collapse the guard classes the proofs depend on).
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(1)), &st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(1)), st(1, &top));
         assert_eq!(arg.num_locs(), 2);
         // a second assignment between them merges havocs on the edge
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(2)), &st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(2)), st(1, &top));
         assert_eq!(arg.num_locs(), 2);
     }
 
@@ -398,7 +399,7 @@ mod tests {
         let top = Cube::top(2);
         arg.set_entry(&cfa, st(0, &top));
         // figure 1: location 1 (builder index 1) is atomic
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), &st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), st(1, &top));
         let exported = arg.export(&cfa, &preds);
         let entry = exported.acfa.entry();
         assert!(!exported.acfa.is_atomic(entry));
@@ -412,7 +413,7 @@ mod tests {
         let mut arg = Arg::new();
         let top = Cube::top(2);
         arg.set_entry(&cfa, st(0, &top));
-        arg.connect(&cfa, &st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), &st(1, &top));
+        arg.connect(&cfa, st(0, &top), StateEdgeKind::MainOp(EdgeId::from_raw(0)), st(1, &top));
         let exported = arg.export(&cfa, &preds);
         assert_eq!(exported.state_loc[&st(0, &top)], exported.acfa.entry());
     }

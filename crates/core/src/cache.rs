@@ -125,17 +125,14 @@ impl AbsCache {
 
     /// Does the conjunction of `premises` entail `goal`?
     pub fn entails(&self, premises: &[Atom], goal: &Atom) -> bool {
-        if !self.inner.enabled {
-            self.record(false);
-            return lia::entails(premises, goal);
-        }
-        let key = (canon_premises(premises), goal.canonical());
-        let (result, hit) = match seek(&self.inner.seed.inner.entails, &key) {
-            Some(seeded) => (seeded, true),
-            None => self.inner.entails.get_or_compute(key, || lia::entails(premises, goal)),
-        };
-        self.record(hit);
-        result
+        self.premises(premises).entails(goal)
+    }
+
+    /// Prepares `premises` for any number of [`Premises::entails`]
+    /// queries, canonicalizing them once rather than once per goal.
+    pub fn premises<'a>(&'a self, premises: &'a [Atom]) -> Premises<'a> {
+        let canon = if self.inner.enabled { canon_premises(premises) } else { Vec::new() };
+        Premises { cache: self, raw: premises, canon }
     }
 
     /// Is the conjunction of `atoms` satisfiable?
@@ -224,6 +221,33 @@ impl AbsCache {
                 self.inner.sat.insert(key, result);
             }
         }
+    }
+}
+
+/// A premise list bound to an [`AbsCache`], with its canonical form
+/// (the premise half of every entailment key) built once.
+#[derive(Debug)]
+pub struct Premises<'a> {
+    cache: &'a AbsCache,
+    raw: &'a [Atom],
+    canon: Vec<Atom>,
+}
+
+impl Premises<'_> {
+    /// Does the conjunction of the premises entail `goal`?
+    pub fn entails(&self, goal: &Atom) -> bool {
+        let (cache, premises) = (self.cache, self.raw);
+        if !cache.inner.enabled {
+            cache.record(false);
+            return lia::entails(premises, goal);
+        }
+        let key = (self.canon.clone(), goal.canonical());
+        let (result, hit) = match seek(&cache.inner.seed.inner.entails, &key) {
+            Some(seeded) => (seeded, true),
+            None => cache.inner.entails.get_or_compute(key, || lia::entails(premises, goal)),
+        };
+        cache.record(hit);
+        result
     }
 }
 

@@ -51,7 +51,7 @@ pub use crate::circ::{
 };
 pub use abs::AbsCtx;
 pub use arg::{Arg, ExportedArg, StateEdge, StateEdgeKind, ThreadState};
-pub use cache::{AbsCache, AbsSeed};
+pub use cache::{AbsCache, AbsSeed, Premises};
 pub use circ_governor::{Budget, CancelToken, Exhausted, FaultPlan};
 pub use circ_smt::{PersistError, SolverPersist};
 pub use circ_stats::{AbsCounters, PipelineStats, SolverCounters};

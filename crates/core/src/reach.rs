@@ -8,8 +8,8 @@ use crate::arg::{Arg, StateEdgeKind};
 use circ_acfa::{Acfa, AcfaLocId, CVal, ContextState, Cube};
 use circ_governor::{Budget, Exhausted};
 use circ_ir::{EdgeId, Loc, MtProgram};
-use circ_par::Pool;
-use std::collections::HashMap;
+use circ_par::{FxHashMap, Pool};
+use std::collections::hash_map::Entry;
 
 /// Approximate bytes one committed ARG state costs: the `AbsState`
 /// itself plus hash-map/vector bookkeeping. Coarse by design — the
@@ -165,7 +165,7 @@ pub fn reach_and_build(
     arg.set_entry(&cfa, (init_state.pc, init_state.cube.clone()));
 
     let mut states: Vec<AbsState> = vec![init_state.clone()];
-    let mut index: HashMap<AbsState, usize> = HashMap::new();
+    let mut index: FxHashMap<AbsState, usize> = FxHashMap::default();
     index.insert(init_state, 0);
     let mut parent: Vec<Option<(usize, TraceOp)>> = vec![None];
     let mut frontier: Vec<usize> = vec![0];
@@ -192,18 +192,20 @@ pub fn reach_and_build(
                 .map(chunk, |&six| expand_state(abs, program, acfa, k, property, x, &states[six]));
 
             // Phase 2 — sequential commit in batch order, replaying
-            // the sequential loop step for step.
-            for (exp, &six) in expansions.iter().zip(chunk.iter()) {
+            // the sequential loop step for step. Successors are moved
+            // out of their expansion, and each is hashed once: the
+            // index entry both answers "known?" and takes the new
+            // state.
+            for (exp, &six) in expansions.into_iter().zip(chunk.iter()) {
                 budget.check().map_err(ReachError::Budget)?;
-                let s = states[six].clone();
 
                 // Error check on the (logically) dequeued state.
-                if let Some(error) = &exp.error {
+                if let Some(error) = exp.error {
                     let steps = rebuild_trace(&states, &parent, six);
                     return Err(ReachError::Race(Box::new(AbstractCex {
                         steps,
-                        final_state: s,
-                        error: error.clone(),
+                        final_state: states[six].clone(),
+                        error,
                     })));
                 }
 
@@ -211,23 +213,24 @@ pub fn reach_and_build(
                     return Err(ReachError::StateLimit(max_states));
                 }
 
-                for (kind, succ, op) in &exp.succs {
+                let src_pc = states[six].pc;
+                for (kind, succ, op) in exp.succs {
                     // The ARG records every computed post edge,
                     // including re-entries into already-known states.
                     arg.connect(
                         &cfa,
-                        &(s.pc, s.cube.clone()),
-                        kind.clone(),
-                        &(succ.pc, succ.cube.clone()),
+                        (src_pc, states[six].cube.clone()),
+                        kind,
+                        (succ.pc, succ.cube.clone()),
                     );
-                    if index.contains_key(succ) {
+                    let Entry::Vacant(slot) = index.entry(succ) else {
                         continue;
-                    }
+                    };
                     let ix = states.len();
-                    budget.charge(state_bytes(succ));
-                    states.push(succ.clone());
-                    index.insert(succ.clone(), ix);
-                    parent.push(Some((six, op.clone())));
+                    budget.charge(state_bytes(slot.key()));
+                    states.push(slot.key().clone());
+                    slot.insert(ix);
+                    parent.push(Some((six, op)));
                     next.push(ix);
                 }
             }

@@ -35,8 +35,9 @@ use circ_governor::{Budget, Exhausted};
 use circ_ir::{
     BinOp, Cfa, CmpOp, EdgeId, Expr, Interp, MtProgram, Op, Pred, SchedChoice, ThreadId, Var,
 };
+use circ_par::FxHashMap;
 use circ_smt::{lia, translate, Atom, Formula, LinExpr, Rel, SVar, SatResult, Solver};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// A concrete interleaved error trace.
 #[derive(Debug, Clone)]
@@ -129,10 +130,10 @@ struct CtxExpansion {
 #[derive(Debug)]
 pub struct Concretizer {
     /// Main-op transitions of the previous ARG, grouped by source.
-    moves: HashMap<ThreadState, Vec<(EdgeId, ThreadState)>>,
+    moves: FxHashMap<ThreadState, Vec<(EdgeId, ThreadState)>>,
     /// Composed class map: thread state → location of the current
     /// ACFA (export map ∘ collapse map).
-    class: HashMap<ThreadState, AcfaLocId>,
+    class: FxHashMap<ThreadState, AcfaLocId>,
     entry: ThreadState,
 }
 
@@ -141,7 +142,7 @@ impl Concretizer {
     /// raw state edges), its export, and the collapse that produced
     /// the current context ACFA.
     pub fn new(arg: &Arg, exported: &ExportedArg, collapsed: &CollapseResult) -> Concretizer {
-        let mut moves: HashMap<ThreadState, Vec<(EdgeId, ThreadState)>> = HashMap::new();
+        let mut moves: FxHashMap<ThreadState, Vec<(EdgeId, ThreadState)>> = FxHashMap::default();
         for StateEdge { src, kind, dst } in arg.state_edges() {
             if let StateEdgeKind::MainOp(eid) = kind {
                 moves.entry(src.clone()).or_default().push((*eid, dst.clone()));
@@ -173,7 +174,7 @@ impl Concretizer {
     ) -> Option<CtxExpansion> {
         type Node = (ThreadState, bool);
         let start: Node = (cur.clone(), havoc.is_empty());
-        let mut prev: HashMap<Node, (Node, EdgeId)> = HashMap::new();
+        let mut prev: FxHashMap<Node, (Node, EdgeId)> = FxHashMap::default();
         let mut queue: VecDeque<Node> = VecDeque::new();
         queue.push_back(start.clone());
         let mut goal: Option<Node> = None;
@@ -259,7 +260,7 @@ impl Concretizer {
                 cfa.writes_at(s.0).contains(&var) || cfa.reads_at(s.0).contains(&var)
             }
         };
-        let mut prev: HashMap<ThreadState, (ThreadState, EdgeId)> = HashMap::new();
+        let mut prev: FxHashMap<ThreadState, (ThreadState, EdgeId)> = FxHashMap::default();
         let mut queue: VecDeque<ThreadState> = VecDeque::new();
         let mut seen: BTreeSet<ThreadState> = [cur.clone()].into();
         queue.push_back(cur.clone());
@@ -331,7 +332,7 @@ pub fn refine(
     let mut segments: Vec<Segment> = Vec::new();
     let mut ctx_threads: Vec<ThreadState> = Vec::new();
     // last segment index per thread tag (for float anchors)
-    let mut last_seg: HashMap<usize, usize> = HashMap::new();
+    let mut last_seg: FxHashMap<usize, usize> = FxHashMap::default();
     for (_state, op) in &cex.steps {
         match op {
             TraceOp::Main(eid) => {
@@ -627,9 +628,9 @@ struct SsaResult {
     /// Interleaving position of each clause.
     clause_pos: Vec<usize>,
     /// Solver var → (scope, program var).
-    origin: HashMap<SVar, (Scope, Var)>,
+    origin: FxHashMap<SVar, (Scope, Var)>,
     /// Fresh nondet var per interleaving position.
-    nondet_of_step: HashMap<usize, SVar>,
+    nondet_of_step: FxHashMap<usize, SVar>,
 }
 
 /// SSA bookkeeping: globals share one timeline, locals one per
@@ -644,7 +645,7 @@ fn build_trace_formula(
         next += 1;
         v
     };
-    let mut cur: HashMap<(Scope, Var), SVar> = HashMap::new();
+    let mut cur: FxHashMap<(Scope, Var), SVar> = FxHashMap::default();
     let mut out = SsaResult::default();
 
     for (pos, (tag, eid)) in interleaving.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Minimal parallel-execution substrate for the CIRC pipeline.
 //!
 //! The build environment has no crates.io access (all third-party
-//! dependencies are vendored shims), so this crate hand-rolls the two
+//! dependencies are vendored shims), so this crate hand-rolls the
 //! primitives the pipeline needs on top of `std` alone:
 //!
 //! * [`Pool`] — a scoped worker pool over [`std::thread::scope`] with
@@ -17,10 +17,20 @@
 //!   miss and every later query is a hit, under any thread
 //!   interleaving. Cache hit/miss counters therefore match the
 //!   sequential run exactly, which the determinism tests rely on.
+//! * [`FxHasher`] / [`FxHashMap`] — the one hasher every engine map
+//!   uses: a fixed multiply-rotate hash over machine words, far
+//!   cheaper than SipHash on the engine's structured keys (cubes,
+//!   atoms, formulas) and the same in every process.
 //!
-//! Both primitives are deliberately deterministic: `Pool::map` output
-//! order never depends on scheduling, and shard selection hashes with
-//! [`DefaultHasher::new`], which is stable within a build.
+//! All of them are deliberately deterministic: `Pool::map` output
+//! order never depends on scheduling, and both the shard a key lands
+//! in and its place inside the shard are fixed functions of the key.
+//! Results still never depend on map iteration order: snapshots are
+//! sorted by their callers and counters are computed under the shard
+//! lock. `FxHasher` is not keyed, so crafted keys can collide on
+//! purpose; the engine's inputs are bounded by each check's deadline
+//! and memory budget, so the worst a flood can do is slow one check
+//! into `Unknown(Budget)`.
 //!
 //! Panic containment: [`Pool::try_map`] catches unwinds *per task*
 //! and returns them as [`TaskError`] values, so one bad task cannot
@@ -32,10 +42,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -189,20 +199,99 @@ impl Default for Pool {
     }
 }
 
+/// A fast, fixed (unkeyed) hasher: each machine word is folded in by
+/// a rotate, an xor and a multiply by an odd constant (the "Fx" hash
+/// of the Firefox and rustc hash tables). Its high bits mix well and
+/// its low bits well enough for `HashMap`'s probing; it is not
+/// flood-resistant (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// A `HashMap` hashed with [`FxHasher`]; build with
+/// `FxHashMap::default()`.
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// The [`FxHasher`] hash of `value`.
+pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    FxBuildHasher::default().hash_one(value)
+}
+
+/// The shard (out of `shards`) a key with hash `hash` belongs to.
+/// Reads bits 32 and up: `HashMap` picks buckets from the low bits and
+/// tags from the top seven, so shard members still spread over the
+/// whole of their shard's table.
+pub fn shard_index(hash: u64, shards: usize) -> usize {
+    ((hash >> 32) as usize) % shards
+}
+
 /// Default shard count for [`ShardedMap`]. High enough that workers
 /// rarely collide, low enough that `len()` stays cheap.
 const DEFAULT_SHARDS: usize = 64;
 
 /// A `Mutex`-sharded hash map with compute-under-lock memoization.
 ///
-/// Shard selection is a pure function of the key's hash, so a given
-/// key always lands in the same shard and `get_or_compute` can make
-/// its exactly-once guarantee: concurrent callers with equal keys
-/// serialize on the shard lock, the first runs the closure, the rest
-/// observe the cached value.
+/// Shard selection is a pure function of the key's [`FxHasher`] hash
+/// (the shards hash with it too), so a given key always lands in the
+/// same shard and `get_or_compute` can make its exactly-once
+/// guarantee: concurrent callers with equal keys serialize on the
+/// shard lock, the first runs the closure, the rest observe the
+/// cached value.
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
-    shards: Box<[Mutex<HashMap<K, V>>]>,
+    shards: Box<[Mutex<FxHashMap<K, V>>]>,
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
@@ -214,13 +303,11 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// An empty map with `shards` shards (at least 1).
     pub fn with_shards(shards: usize) -> ShardedMap<K, V> {
         let shards = shards.max(1);
-        ShardedMap { shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect() }
+        ShardedMap { shards: (0..shards).map(|_| Mutex::new(FxHashMap::default())).collect() }
     }
 
     fn shard_of(&self, key: &K) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        shard_index(fx_hash(key), self.shards.len())
     }
 
     /// Look up `key`, running `compute` under the shard lock on a
@@ -236,12 +323,14 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         // after `compute` returns, so a poisoned shard still holds
         // consistent data.
         let mut shard = self.shards[self.shard_of(&key)].lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(v) = shard.get(&key) {
-            return (v.clone(), true);
+        match shard.entry(key) {
+            Entry::Occupied(hit) => (hit.get().clone(), true),
+            Entry::Vacant(slot) => {
+                let v = compute();
+                slot.insert(v.clone());
+                (v, false)
+            }
         }
-        let v = compute();
-        shard.insert(key, v.clone());
-        (v, false)
     }
 
     /// Inserts `key → value` directly, bypassing the compute path.
@@ -252,16 +341,18 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// inserted entry's first query still counts as a hit.
     pub fn insert(&self, key: K, value: V) -> bool {
         let mut shard = self.shards[self.shard_of(&key)].lock().unwrap_or_else(|e| e.into_inner());
-        if shard.contains_key(&key) {
-            return false;
+        match shard.entry(key) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                true
+            }
         }
-        shard.insert(key, value);
-        true
     }
 
-    /// Clones out every entry. Order is unspecified (per-shard hash
-    /// order, which varies between processes); callers that need
-    /// stable output must sort.
+    /// Clones out every entry. Order is unspecified (shard by shard in
+    /// hash order: fixed for a given key set, but an artifact of the
+    /// hasher); callers that need stable output must sort.
     pub fn snapshot(&self) -> Vec<(K, V)>
     where
         K: Clone,
@@ -440,6 +531,25 @@ mod tests {
         assert_eq!(copy.len(), 50);
         let (v, hit) = copy.get_or_compute(21, || unreachable!());
         assert_eq!((v, hit), (147, true));
+    }
+
+    #[test]
+    fn fx_hash_is_fixed_across_processes() {
+        // Unkeyed: the same key hashes the same in every process and
+        // build, so shard placement never varies between runs.
+        assert_eq!(fx_hash(&0u64), 0);
+        assert_eq!(fx_hash(&1u64), FX_SEED);
+        assert_eq!(fx_hash(&(1u32, 2i64)), fx_hash(&(1u32, 2i64)));
+        assert_ne!(fx_hash(&(1u32, 2i64)), fx_hash(&(2u32, 1i64)));
+    }
+
+    #[test]
+    fn shard_index_spreads_sequential_keys() {
+        let mut seen = [0usize; DEFAULT_SHARDS];
+        for k in 0..64_000u64 {
+            seen[shard_index(fx_hash(&k), DEFAULT_SHARDS)] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 500 && n < 1500), "uneven shards: {seen:?}");
     }
 
     #[test]

@@ -194,15 +194,43 @@ impl fmt::Display for ServeError {
     }
 }
 
-/// One accepted connection, unix or TCP.
-enum Stream {
+/// One connection, unix or TCP: what the daemon accepts and what a
+/// client opens with [`Stream::connect`].
+pub enum Stream {
+    /// A unix-domain socket connection.
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
+    /// A loopback TCP connection.
     Tcp(TcpStream),
 }
 
 impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
+    /// Connects to a daemon listening at `to`.
+    ///
+    /// # Errors
+    ///
+    /// A readable message naming the address when the connection is
+    /// refused (or unix sockets are unavailable on this platform).
+    pub fn connect(to: &BindTo) -> Result<Stream, String> {
+        match to {
+            #[cfg(unix)]
+            BindTo::Socket(path) => std::os::unix::net::UnixStream::connect(path)
+                .map(Stream::Unix)
+                .map_err(|e| format!("cannot connect to `{}`: {e}", path.display())),
+            #[cfg(not(unix))]
+            BindTo::Socket(path) => Err(format!(
+                "unix sockets are not supported on this platform (`{}`); use --port",
+                path.display()
+            )),
+            BindTo::Port(port) => TcpStream::connect(("127.0.0.1", *port))
+                .map(Stream::Tcp)
+                .map_err(|e| format!("cannot connect to 127.0.0.1:{port}: {e}")),
+        }
+    }
+
+    /// A second handle on the same connection (one to read, one to
+    /// write).
+    pub fn try_clone(&self) -> std::io::Result<Stream> {
         match self {
             #[cfg(unix)]
             Stream::Unix(s) => s.try_clone().map(Stream::Unix),

@@ -44,7 +44,7 @@ impl Atom {
         if e.constant_part() % g != 0 {
             return Atom::falsum();
         }
-        Atom { expr: e.scale(1).divide_exact(g), rel: Rel::Eq }
+        Atom { expr: e.divide_exact(g), rel: Rel::Eq }
     }
 
     /// `e ≤ 0`, GCD-tightened: `g·t + c ≤ 0` is equivalent (over the
@@ -189,9 +189,14 @@ impl Atom {
     pub fn canonical(&self) -> Atom {
         match self.rel {
             Rel::Eq | Rel::Ne => {
-                let flipped = self.expr.clone().scale(-1);
-                if flipped < self.expr {
-                    Atom { expr: flipped, rel: self.rel }
+                // The representative is the smaller of `e` and `−e`.
+                // The order decides at the first term, whose nonzero
+                // coefficient flips sign (at the constant when there
+                // is no term), so `−e < e` exactly when that leading
+                // number is positive: no need to build `−e` to know.
+                let lead = self.expr.terms().next().map_or(self.expr.constant_part(), |(_, a)| a);
+                if lead > 0 {
+                    Atom { expr: self.expr.scale(-1), rel: self.rel }
                 } else {
                     self.clone()
                 }

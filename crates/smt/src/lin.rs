@@ -1,6 +1,5 @@
 //! Linear integer expressions over solver variables.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops;
 
@@ -16,10 +15,16 @@ impl fmt::Display for SVar {
 }
 
 /// A linear expression `Σ aᵢ·xᵢ + c` with `i64` coefficients.
-/// Zero-coefficient terms are never stored.
+///
+/// Terms are a flat vector sorted by variable, and zero-coefficient
+/// terms are never stored, so equal expressions are equal vectors.
+/// The derived order compares the `(variable, coefficient)` sequence
+/// lexicographically, then the constant: the order a sorted map of
+/// the terms would give, which [`crate::Atom::canonical`], seed order
+/// and every persisted cache file rely on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<SVar, i64>,
+    terms: Vec<(SVar, i64)>,
     constant: i64,
 }
 
@@ -31,22 +36,17 @@ impl LinExpr {
 
     /// The constant expression `c`.
     pub fn constant(c: i64) -> LinExpr {
-        LinExpr { terms: BTreeMap::new(), constant: c }
+        LinExpr { terms: Vec::new(), constant: c }
     }
 
     /// The expression `1·v`.
     pub fn var(v: SVar) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        terms.insert(v, 1);
-        LinExpr { terms, constant: 0 }
+        LinExpr::scaled_var(v, 1)
     }
 
     /// The expression `a·v`.
     pub fn scaled_var(v: SVar, a: i64) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        if a != 0 {
-            terms.insert(v, a);
-        }
+        let terms = if a == 0 { Vec::new() } else { vec![(v, a)] };
         LinExpr { terms, constant: 0 }
     }
 
@@ -55,14 +55,19 @@ impl LinExpr {
         self.constant
     }
 
-    /// The coefficient of `v` (0 if absent).
-    pub fn coeff(&self, v: SVar) -> i64 {
-        self.terms.get(&v).copied().unwrap_or(0)
+    fn position(&self, v: SVar) -> Result<usize, usize> {
+        self.terms.binary_search_by_key(&v, |&(x, _)| x)
     }
 
-    /// Iterates over `(variable, nonzero coefficient)` pairs.
+    /// The coefficient of `v` (0 if absent).
+    pub fn coeff(&self, v: SVar) -> i64 {
+        self.position(v).map_or(0, |i| self.terms[i].1)
+    }
+
+    /// Iterates over `(variable, nonzero coefficient)` pairs in
+    /// variable order.
     pub fn terms(&self) -> impl Iterator<Item = (SVar, i64)> + '_ {
-        self.terms.iter().map(|(v, a)| (*v, *a))
+        self.terms.iter().copied()
     }
 
     /// Number of variables with nonzero coefficient.
@@ -77,20 +82,27 @@ impl LinExpr {
 
     /// The variables of the expression.
     pub fn vars(&self) -> impl Iterator<Item = SVar> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
     }
 
     /// Whether `v` occurs.
     pub fn mentions(&self, v: SVar) -> bool {
-        self.terms.contains_key(&v)
+        self.position(v).is_ok()
     }
 
     /// Adds `a·v` in place.
     pub fn add_term(&mut self, v: SVar, a: i64) {
-        let entry = self.terms.entry(v).or_insert(0);
-        *entry = entry.checked_add(a).expect("coefficient overflow");
-        if *entry == 0 {
-            self.terms.remove(&v);
+        match self.position(v) {
+            Ok(i) => {
+                let sum = self.terms[i].1.checked_add(a).expect("coefficient overflow");
+                if sum == 0 {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) if a != 0 => self.terms.insert(i, (v, a)),
+            Err(_) => {}
         }
     }
 
@@ -108,35 +120,42 @@ impl LinExpr {
             terms: self
                 .terms
                 .iter()
-                .map(|(v, a)| (*v, a.checked_mul(k).expect("coefficient overflow")))
+                .map(|&(v, a)| (v, a.checked_mul(k).expect("coefficient overflow")))
                 .collect(),
             constant: self.constant.checked_mul(k).expect("constant overflow"),
         }
     }
 
+    /// Adds `k · rhs` in place.
+    fn add_scaled(&mut self, k: i64, rhs: &LinExpr) {
+        for &(v, b) in &rhs.terms {
+            self.add_term(v, b.checked_mul(k).expect("coefficient overflow"));
+        }
+        self.add_constant(rhs.constant.checked_mul(k).expect("constant overflow"));
+    }
+
     /// Substitutes the expression `repl` for variable `v`:
     /// `self[v := repl]`.
     pub fn subst(&self, v: SVar, repl: &LinExpr) -> LinExpr {
-        let a = self.coeff(v);
-        if a == 0 {
-            return self.clone();
-        }
         let mut out = self.clone();
-        out.terms.remove(&v);
-        out + repl.scale(a)
+        if let Ok(i) = self.position(v) {
+            let (_, a) = out.terms.remove(i);
+            out.add_scaled(a, repl);
+        }
+        out
     }
 
     /// Greatest common divisor of the variable coefficients (0 when
     /// constant).
     pub fn coeff_gcd(&self) -> i64 {
-        self.terms.values().fold(0i64, |g, a| gcd(g, a.abs()))
+        self.terms.iter().fold(0i64, |g, &(_, a)| gcd(g, a.abs()))
     }
 
     /// Evaluates under an assignment.
     pub fn eval(&self, assign: &impl Fn(SVar) -> i64) -> i64 {
         let mut acc = self.constant as i128;
-        for (v, a) in &self.terms {
-            acc += (*a as i128) * (assign(*v) as i128);
+        for &(v, a) in &self.terms {
+            acc += (a as i128) * (assign(v) as i128);
         }
         i64::try_from(acc).expect("evaluation overflow")
     }
@@ -167,18 +186,16 @@ pub(crate) fn div_floor(a: i64, b: i64) -> i64 {
 impl ops::Add for LinExpr {
     type Output = LinExpr;
     fn add(mut self, rhs: LinExpr) -> LinExpr {
-        for (v, a) in rhs.terms {
-            self.add_term(v, a);
-        }
-        self.add_constant(rhs.constant);
+        self.add_scaled(1, &rhs);
         self
     }
 }
 
 impl ops::Sub for LinExpr {
     type Output = LinExpr;
-    fn sub(self, rhs: LinExpr) -> LinExpr {
-        self + rhs.scale(-1)
+    fn sub(mut self, rhs: LinExpr) -> LinExpr {
+        self.add_scaled(-1, &rhs);
+        self
     }
 }
 

@@ -36,7 +36,7 @@ use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
 use crate::solver::{shard_ix, SatResult, SOLVER_SHARDS};
 use circ_ir::digest::fnv1a64;
-use std::collections::HashMap;
+use circ_par::FxHashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -357,7 +357,7 @@ pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 const SOLVER_KIND: &str = "circ-solver-cache";
 
 /// One shard's slice of a [`SolverPersist`] seed.
-pub(crate) type SeedBucket = HashMap<Formula, SatResult>;
+pub(crate) type SeedBucket = FxHashMap<Formula, SatResult>;
 
 /// Shared, frozen-seed persistence store for [`crate::SharedSolver`]
 /// caches.
@@ -387,11 +387,11 @@ struct PersistInner {
     seed: Vec<SeedBucket>,
     /// Entries learned since construction (one per formula, none of
     /// them in the seed).
-    learned: Mutex<HashMap<Formula, SatResult>>,
+    learned: Mutex<FxHashMap<Formula, SatResult>>,
 }
 
 impl PersistInner {
-    fn learned(&self) -> MutexGuard<'_, HashMap<Formula, SatResult>> {
+    fn learned(&self) -> MutexGuard<'_, FxHashMap<Formula, SatResult>> {
         self.learned.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -407,7 +407,7 @@ impl SolverPersist {
     /// active-but-cold store). `Unknown` results are dropped, and a
     /// repeated formula keeps its first result.
     pub fn with_seed(seed: Vec<(Formula, SatResult)>) -> SolverPersist {
-        let mut buckets: Vec<SeedBucket> = vec![HashMap::new(); SOLVER_SHARDS];
+        let mut buckets: Vec<SeedBucket> = vec![SeedBucket::default(); SOLVER_SHARDS];
         for (f, r) in seed {
             if matches!(r, SatResult::Unknown) {
                 continue;
@@ -417,7 +417,7 @@ impl SolverPersist {
         SolverPersist {
             inner: Some(Arc::new(PersistInner {
                 seed: buckets,
-                learned: Mutex::new(HashMap::new()),
+                learned: Mutex::new(FxHashMap::default()),
             })),
         }
     }
@@ -429,7 +429,7 @@ impl SolverPersist {
 
     /// Number of distinct seed formulas across all buckets.
     pub fn seed_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.seed.iter().map(HashMap::len).sum())
+        self.inner.as_ref().map_or(0, |i| i.seed.iter().map(SeedBucket::len).sum())
     }
 
     /// Number of distinct formulas held, seed and learned: the length

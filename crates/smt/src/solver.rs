@@ -9,8 +9,8 @@ use crate::lia::{self, ConjResult, Model};
 use crate::persist::SeedBucket;
 use crate::sat::{BVar, CnfSolver, Lit};
 use circ_governor::Budget;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use circ_par::{fx_hash, shard_index, FxHashMap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Result of a satisfiability query.
@@ -49,7 +49,7 @@ pub struct Solver {
     /// only differ in negation placement share one entry. The solver
     /// is deterministic, so replaying a cached `Sat` model is
     /// indistinguishable from re-solving.
-    cache: HashMap<Formula, SatResult>,
+    cache: FxHashMap<Formula, SatResult>,
     cache_enabled: bool,
     cache_hits: u64,
     cache_misses: u64,
@@ -65,7 +65,7 @@ impl Default for Solver {
         Solver {
             queries: 0,
             theory_rounds: 0,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             cache_enabled: true,
             cache_hits: 0,
             cache_misses: 0,
@@ -273,9 +273,7 @@ pub(crate) const SOLVER_SHARDS: usize = 64;
 /// persistence layer so seed entries can be pre-bucketed once instead
 /// of re-hashed per [`SharedSolver`] construction.
 pub(crate) fn shard_ix(nnf: &Formula) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    nnf.hash(&mut h);
-    (h.finish() as usize) % SOLVER_SHARDS
+    shard_index(fx_hash(nnf), SOLVER_SHARDS)
 }
 
 /// A thread-shareable solver: a fixed array of [`Solver`]s behind

@@ -14,7 +14,7 @@
 
 use circ_smt::{lia, Atom, Formula, LinExpr, SVar, SatResult, Solver};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const NVARS: u32 = 3;
 const GRID: std::ops::RangeInclusive<i64> = -4..=4;
@@ -195,5 +195,140 @@ fn nnf_preserves_semantics() {
         let p = gen_point(&mut rng, 4);
         let assign = eval_at(&p);
         assert_eq!(f.eval(&assign), f.to_nnf().eval(&assign), "case {case}: {f} at {p:?}");
+    }
+}
+
+/// Reference model for [`LinExpr`]: its terms in an ordered map, with
+/// the fields in the order the derived `Ord` compares them. This is
+/// the representation whose order canonical atoms, seed sorting and
+/// every persisted cache file were built on.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct RefLin {
+    terms: BTreeMap<SVar, i64>,
+    constant: i64,
+}
+
+impl RefLin {
+    fn add_term(&mut self, v: SVar, a: i64) {
+        let c = self.terms.get(&v).copied().unwrap_or(0) + a;
+        if c == 0 {
+            self.terms.remove(&v);
+        } else {
+            self.terms.insert(v, c);
+        }
+    }
+
+    fn scale(&self, k: i64) -> RefLin {
+        let mut out = RefLin { terms: BTreeMap::new(), constant: self.constant * k };
+        for (&v, &a) in &self.terms {
+            out.add_term(v, a * k);
+        }
+        out
+    }
+
+    fn plus(&self, k: i64, rhs: &RefLin) -> RefLin {
+        let mut out = self.clone();
+        for (&v, &a) in &rhs.terms {
+            out.add_term(v, a * k);
+        }
+        out.constant += rhs.constant * k;
+        out
+    }
+
+    fn subst(&self, v: SVar, repl: &RefLin) -> RefLin {
+        let Some(&a) = self.terms.get(&v) else { return self.clone() };
+        let mut out = self.clone();
+        out.terms.remove(&v);
+        out.plus(a, repl)
+    }
+
+    fn render(&self) -> String {
+        let mut s = String::new();
+        for (i, (v, &a)) in self.terms.iter().enumerate() {
+            let mag = if a.abs() == 1 { String::new() } else { a.abs().to_string() };
+            match (i, a < 0) {
+                (0, false) => s += &format!("{mag}{v}"),
+                (0, true) => s += &format!("-{mag}{v}"),
+                (_, false) => s += &format!(" + {mag}{v}"),
+                (_, true) => s += &format!(" - {mag}{v}"),
+            }
+        }
+        match (s.is_empty(), self.constant) {
+            (true, c) => s = c.to_string(),
+            (false, c) if c > 0 => s += &format!(" + {c}"),
+            (false, c) if c < 0 => s += &format!(" - {}", -c),
+            _ => {}
+        }
+        s
+    }
+}
+
+/// A random expression built term by term (zero coefficients and
+/// repeated variables included, so cancellation is exercised).
+fn gen_lin_pair(rng: &mut StdRng) -> (LinExpr, RefLin) {
+    let c = rng.gen_range(-4i64..=4);
+    let (mut e, mut r) = (LinExpr::constant(c), RefLin { terms: BTreeMap::new(), constant: c });
+    for _ in 0..rng.gen_range(0..5) {
+        let (v, a) = (SVar(rng.gen_range(0u32..6)), rng.gen_range(-2i64..=2));
+        e.add_term(v, a);
+        r.add_term(v, a);
+    }
+    (e, r)
+}
+
+fn ref_of(e: &LinExpr) -> RefLin {
+    RefLin { terms: e.terms().collect(), constant: e.constant_part() }
+}
+
+fn assert_agrees(e: &LinExpr, r: &RefLin, what: &str) {
+    let want: Vec<(SVar, i64)> = r.terms.iter().map(|(&v, &a)| (v, a)).collect();
+    assert_eq!(e.terms().collect::<Vec<_>>(), want, "{what}: terms");
+    assert_eq!(e.constant_part(), r.constant, "{what}: constant");
+    for v in (0..8).map(SVar) {
+        assert_eq!(e.coeff(v), r.terms.get(&v).copied().unwrap_or(0), "{what}: coeff {v}");
+        assert_eq!(e.mentions(v), r.terms.contains_key(&v), "{what}: mentions {v}");
+    }
+    assert_eq!(e.to_string(), r.render(), "{what}: display");
+}
+
+#[test]
+fn flat_lin_expr_matches_ordered_map_model() {
+    let mut rng = StdRng::seed_from_u64(0x5317_0008);
+    for case in 0..256 {
+        let (mut e, mut r) = gen_lin_pair(&mut rng);
+        assert_agrees(&e, &r, &format!("case {case} start"));
+        for step in 0..10 {
+            let (e2, r2) = gen_lin_pair(&mut rng);
+            match rng.gen_range(0u32..5) {
+                0 => {
+                    let (v, a) = (SVar(rng.gen_range(0u32..6)), rng.gen_range(-3i64..=3));
+                    e.add_term(v, a);
+                    r.add_term(v, a);
+                }
+                1 => {
+                    let k = rng.gen_range(-2i64..=2);
+                    (e, r) = (e.scale(k), r.scale(k));
+                }
+                2 => {
+                    let v = SVar(rng.gen_range(0u32..6));
+                    (e, r) = (e.subst(v, &e2), r.subst(v, &r2));
+                }
+                3 => (e, r) = (e + e2.clone(), r.plus(1, &r2)),
+                _ => (e, r) = (e - e2.clone(), r.plus(-1, &r2)),
+            }
+            let what = format!("case {case} step {step}");
+            assert_agrees(&e, &r, &what);
+            // Order between random pairs is the ordered map's order.
+            assert_eq!(e.cmp(&e2), r.cmp(&r2), "{what}: cmp against {e2}");
+            assert_eq!(e == e2, r == r2, "{what}: eq against {e2}");
+            // Canonical atoms pick the smaller of `e` and `−e` in that
+            // same order, so they land exactly where they used to.
+            for atom in [Atom::eq(e.clone()), Atom::ne(e.clone())] {
+                let x = ref_of(atom.expr());
+                let neg = x.scale(-1);
+                let want = if neg < x { neg } else { x };
+                assert_eq!(ref_of(atom.canonical().expr()), want, "{what}: canonical of {atom}");
+            }
+        }
     }
 }
