@@ -121,7 +121,8 @@ pub fn parse_line(line: &str) -> Result<JournalEntry, String> {
 }
 
 /// Rebuilds [`PipelineStats`] from its `to_json` rendering; see
-/// [`PipelineStats::from_json`].
+/// [`PipelineStats::from_json`]. Only `perfbench/` still calls this;
+/// delete it once perfbench calls `PipelineStats::from_json`.
 pub fn pipeline_from_json(v: &Value) -> Result<PipelineStats, String> {
     PipelineStats::from_json(v)
 }

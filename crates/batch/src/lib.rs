@@ -73,9 +73,12 @@
 pub mod journal;
 
 /// The workspace JSON codec ([`circ_stats::json`]) under the name it
-/// had when it lived in this crate.
+/// had when it lived in this crate. Only `perfbench/` still uses this
+/// name; delete it once perfbench imports `circ_stats::json`.
 pub use circ_stats::json as mjson;
-/// Escapes a string for embedding in a JSON string literal.
+/// Escapes a string for embedding in a JSON string literal. Only
+/// `perfbench/` still uses this name; delete it once perfbench calls
+/// `circ_stats::json::escape`.
 pub use circ_stats::json::escape as json_escape;
 
 use circ_core::{

@@ -1,6 +1,7 @@
 //! The crash-point torture harness (`--features inject`): enumerate
 //! every [`IoFaultPoint`] against a full batch run over a small
-//! corpus and assert the storage contract end to end —
+//! synthetic corpus and the shipped `examples/` corpus, and assert the
+//! storage contract end to end —
 //!
 //! * the crashed run's *verdicts* are byte-identical to an
 //!   undisturbed reference (storage faults cost warm-start time,
@@ -83,52 +84,56 @@ fn tmp_litter(dir: &Path) -> Vec<String> {
 /// One crash point at a time, across the full batch lifecycle: warm
 /// load → pool run with journaling → locked merge-flush. Whatever the
 /// crash leaves behind, the crashed run and the recovery run must
-/// both reproduce the reference verdicts exactly.
+/// both reproduce the reference verdicts exactly. Runs over the small
+/// synthetic corpus and over the shipped `examples/` corpus at
+/// `jobs` 1 and 4.
 #[test]
 fn every_crash_point_recovers_warm_or_cold_with_identical_verdicts() {
-    let inputs = corpus("torture-corpus");
+    assert_every_crash_point_recovers(&corpus("torture-corpus"), "torture", 1);
+    let examples = collect_inputs(&examples_dir()).unwrap();
+    assert!(examples.len() >= 4, "examples corpus went missing");
+    for jobs in [1, 4] {
+        assert_every_crash_point_recovers(&examples, &format!("torture-examples-j{jobs}"), jobs);
+    }
+}
 
+fn examples_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples")
+}
+
+fn assert_every_crash_point_recovers(inputs: &[PathBuf], tag: &str, jobs: usize) {
     // Reference: an undisturbed cold run, then a warm run to pre-seed
     // the cache directory every torture case starts from.
-    let seed_dir = fresh_dir("torture-seed");
-    let reference = run_batch(&inputs, &config(&seed_dir, FaultPlan::inert(), 1));
-    assert!(reference.warnings.is_empty(), "{:?}", reference.warnings);
+    let seed_dir = fresh_dir(&format!("{tag}-seed"));
+    let reference = run_batch(inputs, &config(&seed_dir, FaultPlan::inert(), jobs));
+    assert!(reference.warnings.is_empty(), "{tag}: {:?}", reference.warnings);
     let essence = verdict_essence(&reference);
-    let warm = run_batch(&inputs, &config(&seed_dir, FaultPlan::inert(), 1));
-    assert_eq!(verdict_essence(&warm), essence, "warm reference diverged");
+    let warm = run_batch(inputs, &config(&seed_dir, FaultPlan::inert(), jobs));
+    assert_eq!(verdict_essence(&warm), essence, "{tag}: warm reference diverged");
 
     for point in IoFaultPoint::ALL {
-        let dir = clone_dir(&seed_dir, &format!("torture-{}", point.name()));
+        let case = format!("{tag}/{}", point.name());
+        let dir = clone_dir(&seed_dir, &format!("{tag}-{}", point.name()));
         let plan = FaultPlan::seeded(21).with_io_fault(point, 0);
 
-        let crashed = run_batch(&inputs, &config(&dir, plan, 1));
-        assert_eq!(
-            verdict_essence(&crashed),
-            essence,
-            "{}: crashed run changed a verdict",
-            point.name()
-        );
+        let crashed = run_batch(inputs, &config(&dir, plan, jobs));
+        assert_eq!(verdict_essence(&crashed), essence, "{case}: crashed run changed a verdict");
         let observed = crashed.totals.pipeline.store_recoveries
             + crashed.totals.pipeline.flush_errors
             + u64::from(!crashed.warnings.is_empty());
-        assert!(observed > 0, "{}: the armed fault was never observed", point.name());
+        assert!(observed > 0, "{case}: the armed fault was never observed");
 
-        let recovery = run_batch(&inputs, &config(&dir, FaultPlan::inert(), 1));
-        assert_eq!(
-            verdict_essence(&recovery),
-            essence,
-            "{}: recovery run changed a verdict",
-            point.name()
-        );
-        assert_eq!(recovery.totals.pipeline.flush_errors, 0, "{}", point.name());
-        assert_eq!(tmp_litter(&dir), Vec::<String>::new(), "{}", point.name());
+        let recovery = run_batch(inputs, &config(&dir, FaultPlan::inert(), jobs));
+        assert_eq!(verdict_essence(&recovery), essence, "{case}: recovery run changed a verdict");
+        assert_eq!(recovery.totals.pipeline.flush_errors, 0, "{case}");
+        assert_eq!(tmp_litter(&dir), Vec::<String>::new(), "{case}");
 
         // And the directory is fully healed: one more clean run sees
         // no anomalies at all.
-        let healed = run_batch(&inputs, &config(&dir, FaultPlan::inert(), 1));
-        assert_eq!(verdict_essence(&healed), essence, "{}", point.name());
-        assert_eq!(healed.totals.pipeline.store_recoveries, 0, "{}", point.name());
-        assert!(healed.warnings.is_empty(), "{}: {:?}", point.name(), healed.warnings);
+        let healed = run_batch(inputs, &config(&dir, FaultPlan::inert(), jobs));
+        assert_eq!(verdict_essence(&healed), essence, "{case}");
+        assert_eq!(healed.totals.pipeline.store_recoveries, 0, "{case}");
+        assert!(healed.warnings.is_empty(), "{case}: {:?}", healed.warnings);
     }
 }
 
@@ -157,12 +162,13 @@ fn storage_counters_are_jobs_invariant_under_injection() {
 
 /// Sticky disk-full across the whole flush: every artifact write
 /// fails, each with a warning naming the intact previous snapshot,
-/// and the prior on-disk state survives byte-for-byte.
+/// the prior on-disk state survives byte-for-byte, and the verdicts
+/// equal an undisturbed run's.
 #[test]
 fn enospc_during_flush_degrades_to_logged_no_persist() {
     let inputs = corpus("torture-enospc-corpus");
     let dir = fresh_dir("torture-enospc");
-    run_batch(&inputs, &config(&dir, FaultPlan::inert(), 1));
+    let reference = run_batch(&inputs, &config(&dir, FaultPlan::inert(), 1));
     let before: Vec<(String, String)> = ["abs.cache", "solver.cache", "preds.store"]
         .iter()
         .map(|n| (n.to_string(), fs::read_to_string(dir.join(n)).unwrap()))
@@ -176,6 +182,11 @@ fn enospc_during_flush_degrades_to_logged_no_persist() {
         &config(&dir, FaultPlan::seeded(21).with_io_fault(IoFaultPoint::NoSpace, 4), 1),
     );
     assert!(crashed.totals.pipeline.flush_errors > 0);
+    assert_eq!(
+        verdict_essence(&crashed),
+        verdict_essence(&reference),
+        "a full disk changed a verdict"
+    );
     assert!(
         crashed.warnings.iter().any(|w| w.contains("previous snapshot intact")),
         "{:?}",

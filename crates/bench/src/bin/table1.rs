@@ -3,191 +3,55 @@
 //! wall-clock time — side by side with the paper's reported numbers.
 //!
 //! ```text
-//! cargo run --release -p circ-bench --bin table1 [-- --jobs N --timeout-secs N]
+//! cargo run --release -p circ-bench --bin table1 [-- --timeout-secs N]
 //! ```
 //!
 //! `--timeout-secs N` gives every row its own wall-clock budget; a row
-//! that exhausts it is recorded as `"outcome": "timeout"` in the JSON
-//! report (and does not fail the harness) instead of hanging the whole
-//! table.
+//! that exhausts it is printed as `BUDGET EXHAUSTED` (and does not
+//! fail the harness) instead of hanging the whole table. Any other
+//! unexpected outcome exits 1.
 //!
 //! Absolute times differ (the paper ran BLAST + Simplify on a 2 GHz
 //! IBM T30); the comparison is about *shape*: every row proves safe,
 //! the counter parameter is always 1, predicate counts are small, and
 //! ACFAs are an order of magnitude below the CFA size.
-//!
-//! Every row also runs a second time with all caching disabled and the
-//! outcomes are compared — a live check of the cache's equivalence
-//! guarantee. The run writes `BENCH_table1.json` with per-row times
-//! (cached and uncached), pipeline counters, and cache hit rates.
-//!
-//! Finally, the whole row set (paper rows plus injected-bug variants,
-//! replicated [`PAR_REPLICATION`] times so the task pool comfortably
-//! outnumbers the workers) is re-run twice — once on one worker, once
-//! on `--jobs N` workers (default 4) — with a fresh per-task cache in
-//! both passes so the two passes do byte-identical work. The
-//! sequential-vs-parallel wall times, per-task times, and the
-//! outcome-equality check land in the `parallel` section of
-//! `BENCH_table1.json`.
 
-use circ_core::{circ, circ_with_cache, AbsCache, CircConfig, CircOutcome, UnknownReason};
-use circ_par::Pool;
-use std::fmt::Write as _;
+use circ_core::{circ_with_cache, AbsCache, CircConfig, CircOutcome};
 use std::time::{Duration, Instant};
 
-/// How many times the row set is replicated for the
-/// sequential-vs-parallel differential.
-const PAR_REPLICATION: usize = 3;
-
-/// The verdict-relevant content of an outcome: everything except
-/// statistics and timings, which legitimately differ between cached
-/// and uncached runs.
-fn essence(outcome: &CircOutcome) -> String {
-    match outcome {
-        CircOutcome::Safe(r) => {
-            format!("Safe preds={:?} k={} acfa={:?}", r.preds, r.k, r.acfa)
-        }
-        CircOutcome::Unsafe(r) => format!("Unsafe cex={:?} k={}", r.cex, r.k),
-        CircOutcome::Unknown(r) => format!("Unknown reason={:?}", r.reason),
-    }
-}
-
-/// A one-word verdict label for the JSON report, with budget-exhausted
-/// `Unknown`s (this run's own per-row timeout) told apart from the
-/// analysis giving up on its own.
-fn verdict(outcome: &CircOutcome) -> &'static str {
-    match outcome {
-        CircOutcome::Safe(_) => "safe",
-        CircOutcome::Unsafe(_) => "race",
-        CircOutcome::Unknown(r) => match &r.reason {
-            UnknownReason::Deadline(_) => "timeout",
-            UnknownReason::MemoryLimit { .. } => "memory-limit",
-            UnknownReason::Cancelled => "cancelled",
-            UnknownReason::InternalError(_) => "internal-error",
-            _ => "unknown",
+fn parse_timeout_secs() -> Option<u64> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => None,
+        [flag, n] if flag == "--timeout-secs" => match n.parse::<u64>() {
+            Ok(n) => Some(n),
+            Err(_) => {
+                eprintln!("--timeout-secs expects a number");
+                std::process::exit(64);
+            }
         },
+        _ => {
+            eprintln!("usage: table1 [--timeout-secs N]");
+            std::process::exit(64);
+        }
     }
 }
 
-struct RowRecord {
-    label: String,
-    time_s: f64,
-    uncached_time_s: f64,
-    outcomes_match: bool,
-    outcome: &'static str,
-}
-
-/// The per-row configuration: ω-CIRC, plus this invocation's per-row
-/// wall-clock budget (`--timeout-secs`), if any.
-fn row_cfg(timeout_secs: Option<u64>) -> CircConfig {
-    CircConfig { timeout: timeout_secs.map(Duration::from_secs), ..CircConfig::omega() }
-}
-
-/// Runs one program cached (against the shared cache) and uncached,
-/// returning the cached outcome plus the differential record.
-fn run_both(
-    label: String,
+/// Runs one program in ω-CIRC mode against the shared cache, under
+/// this invocation's per-row budget, if any.
+fn run(
     program: &circ_ir::MtProgram,
     cache: &AbsCache,
     timeout_secs: Option<u64>,
-) -> (CircOutcome, RowRecord) {
-    let cached_cfg = row_cfg(timeout_secs);
+) -> (CircOutcome, Duration) {
+    let cfg = CircConfig { timeout: timeout_secs.map(Duration::from_secs), ..CircConfig::omega() };
     let t0 = Instant::now();
-    let outcome = circ_with_cache(program, &cached_cfg, cache);
-    let time_s = t0.elapsed().as_secs_f64();
-
-    let uncached_cfg = CircConfig { use_cache: false, ..row_cfg(timeout_secs) };
-    let t1 = Instant::now();
-    let uncached = circ(program, &uncached_cfg);
-    let uncached_time_s = t1.elapsed().as_secs_f64();
-
-    let outcomes_match = essence(&outcome) == essence(&uncached);
-    let outcome_label = verdict(&outcome);
-    (outcome, RowRecord { label, time_s, uncached_time_s, outcomes_match, outcome: outcome_label })
-}
-
-struct Args {
-    jobs: usize,
-    timeout_secs: Option<u64>,
-}
-
-fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let mut parsed = Args { jobs: 4, timeout_secs: None };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => parsed.jobs = n,
-                _ => {
-                    eprintln!("--jobs expects a number");
-                    std::process::exit(64);
-                }
-            },
-            "--timeout-secs" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => parsed.timeout_secs = Some(n),
-                _ => {
-                    eprintln!("--timeout-secs expects a number");
-                    std::process::exit(64);
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument `{other}` (usage: table1 [--jobs N] [--timeout-secs N])"
-                );
-                std::process::exit(64);
-            }
-        }
-    }
-    parsed
-}
-
-/// One task of the parallel differential: a full ω-CIRC run with its
-/// own cache (so the sequential and parallel passes do identical
-/// work), reported as (verdict essence, wall time).
-fn run_task(program: &circ_ir::MtProgram, timeout_secs: Option<u64>) -> (String, f64) {
-    let cache = AbsCache::new();
-    let cfg = row_cfg(timeout_secs);
-    let t = Instant::now();
-    let outcome = circ_with_cache(program, &cfg, &cache);
-    (essence(&outcome), t.elapsed().as_secs_f64())
-}
-
-struct ParRecord {
-    label: String,
-    seq_time_s: f64,
-    par_time_s: f64,
-    outcomes_match: bool,
-}
-
-/// Runs the sequential-vs-parallel differential over `tasks`,
-/// returning per-task records plus the two wall-clock totals.
-fn parallel_differential(
-    tasks: &[(String, circ_ir::MtProgram)],
-    jobs: usize,
-    timeout_secs: Option<u64>,
-) -> (Vec<ParRecord>, f64, f64) {
-    let t0 = Instant::now();
-    let seq: Vec<(String, f64)> = Pool::sequential().map(tasks, |(_, p)| run_task(p, timeout_secs));
-    let seq_wall = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let par: Vec<(String, f64)> = Pool::new(jobs).map(tasks, |(_, p)| run_task(p, timeout_secs));
-    let par_wall = t1.elapsed().as_secs_f64();
-    let records = tasks
-        .iter()
-        .zip(seq.iter().zip(&par))
-        .map(|((label, _), (s, p))| ParRecord {
-            label: label.clone(),
-            seq_time_s: s.1,
-            par_time_s: p.1,
-            outcomes_match: s.0 == p.0,
-        })
-        .collect();
-    (records, seq_wall, par_wall)
+    let outcome = circ_with_cache(program, &cfg, cache);
+    (outcome, t0.elapsed())
 }
 
 fn main() {
-    let Args { jobs, timeout_secs } = parse_args();
+    let timeout_secs = parse_timeout_secs();
     println!("Table 1 — experimental results with CIRC (ω-CIRC mode)");
     println!("(paper columns measured on a 2 GHz IBM T30 with BLAST + Simplify)\n");
     println!(
@@ -200,14 +64,11 @@ fn main() {
     );
     let cache = AbsCache::new();
     let mut totals = circ_core::CircStats::default();
-    let mut records: Vec<RowRecord> = Vec::new();
-    let mut injected: Vec<RowRecord> = Vec::new();
     let mut all_ok = true;
     for m in circ_nesc::models() {
         for row in m.paper_rows {
             let program = m.program();
-            let label = format!("{}/{}", row.app, row.variable);
-            let (outcome, record) = run_both(label, &program, &cache, timeout_secs);
+            let (outcome, time) = run(&program, &cache, timeout_secs);
             totals.pipeline.add(&outcome.stats().pipeline);
             match outcome {
                 CircOutcome::Safe(r) => {
@@ -221,7 +82,7 @@ fn main() {
                         r.preds.len(),
                         r.acfa.num_locs(),
                         r.k,
-                        format!("{:.2?}", std::time::Duration::from_secs_f64(record.time_s)),
+                        format!("{time:.2?}"),
                         program.cfa().num_locs(),
                     );
                 }
@@ -243,18 +104,12 @@ fn main() {
                     );
                 }
             }
-            if !record.outcomes_match {
-                all_ok = false;
-                println!("  !! cached and uncached outcomes differ for {}", record.label);
-            }
-            records.push(record);
         }
     }
     println!("\nInjected-bug variants (not in the paper's table; §6 reports such");
     println!("races being found in secureTosBase and sense before fixes):\n");
     for m in circ_nesc::models().iter().filter(|m| !m.expected_safe) {
-        let program = m.program();
-        let (outcome, record) = run_both(m.name.to_string(), &program, &cache, timeout_secs);
+        let (outcome, time) = run(&m.program(), &cache, timeout_secs);
         totals.pipeline.add(&outcome.stats().pipeline);
         match outcome {
             CircOutcome::Unknown(ref r)
@@ -263,27 +118,21 @@ fn main() {
                 println!("  {:<24} BUDGET EXHAUSTED: {:?}", m.name, r.reason);
             }
             CircOutcome::Unsafe(r) => println!(
-                "  {:<24} RACE: {} threads, {}-step schedule, concretely replayed: {} ({:.2?})",
+                "  {:<24} RACE: {} threads, {}-step schedule, concretely replayed: {} ({time:.2?})",
                 m.name,
                 r.cex.n_threads,
                 r.cex.steps.len(),
                 r.cex.replay_ok,
-                std::time::Duration::from_secs_f64(record.time_s),
             ),
             other => {
                 all_ok = false;
                 println!("  {:<24} UNEXPECTED: {other:?}", m.name);
             }
         }
-        if !record.outcomes_match {
-            all_ok = false;
-            println!("  !! cached and uncached outcomes differ for {}", record.label);
-        }
-        injected.push(record);
     }
 
     let abs = cache.counters();
-    println!("\nPipeline totals (cached runs, shared entailment cache):");
+    println!("\nPipeline totals (shared entailment cache):");
     print!("{}", totals.pipeline.render_table());
     println!(
         "\nShared cache lifetime: {} queries, {} hits / {} misses ({:.1}% hit rate), {} entries",
@@ -293,143 +142,8 @@ fn main() {
         100.0 * abs.hit_rate(),
         cache.len(),
     );
-    let cached_total: f64 = records.iter().chain(&injected).map(|r| r.time_s).sum();
-    let uncached_total: f64 = records.iter().chain(&injected).map(|r| r.uncached_time_s).sum();
-    println!(
-        "End-to-end: cached {cached_total:.3}s vs uncached {uncached_total:.3}s, all outcomes match: {}",
-        records.iter().chain(&injected).all(|r| r.outcomes_match)
-    );
-
-    // ---- sequential-vs-parallel differential --------------------------
-    let mut tasks: Vec<(String, circ_ir::MtProgram)> = Vec::new();
-    for rep in 0..PAR_REPLICATION {
-        for m in circ_nesc::models() {
-            for row in m.paper_rows {
-                tasks.push((format!("{}/{}#{rep}", row.app, row.variable), m.program()));
-            }
-            if !m.expected_safe {
-                tasks.push((format!("{}#{rep}", m.name), m.program()));
-            }
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "\nSequential-vs-parallel differential: {} tasks ({}x replication), jobs = {jobs}, \
-         {cores} core(s) available",
-        tasks.len(),
-        PAR_REPLICATION,
-    );
-    let (par_records, seq_wall, par_wall) = parallel_differential(&tasks, jobs, timeout_secs);
-    let par_match = par_records.iter().all(|r| r.outcomes_match);
-    let speedup = if par_wall > 0.0 { seq_wall / par_wall } else { 0.0 };
-    println!(
-        "  sequential {seq_wall:.3}s, parallel {par_wall:.3}s, speedup {speedup:.2}x, \
-         all outcomes match: {par_match}"
-    );
-    if cores == 1 {
-        println!("  (single-core host: wall-clock speedup is capped at ~1x by hardware)");
-    }
-    if !par_match {
-        all_ok = false;
-        println!("  !! sequential and parallel verdicts differ");
-    }
-
-    let json = render_json(
-        &records,
-        &injected,
-        &totals,
-        &cache,
-        &par_records,
-        jobs,
-        cores,
-        seq_wall,
-        par_wall,
-        timeout_secs,
-    );
-    let out_path = "BENCH_table1.json";
-    match std::fs::write(out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            all_ok = false;
-            eprintln!("cannot write {out_path}: {e}");
-        }
-    }
 
     if !all_ok {
         std::process::exit(1);
     }
-}
-
-fn render_rows(rows: &[RowRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":{:?},\"outcome\":{:?},\"time_s\":{:.6},\"uncached_time_s\":{:.6},\
-             \"outcomes_match\":{}}}",
-            r.label, r.outcome, r.time_s, r.uncached_time_s, r.outcomes_match
-        );
-    }
-    out.push(']');
-    out
-}
-
-fn render_par_rows(rows: &[ParRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":{:?},\"seq_time_s\":{:.6},\"par_time_s\":{:.6},\"outcomes_match\":{}}}",
-            r.label, r.seq_time_s, r.par_time_s, r.outcomes_match
-        );
-    }
-    out.push(']');
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    rows: &[RowRecord],
-    injected: &[RowRecord],
-    totals: &circ_core::CircStats,
-    cache: &AbsCache,
-    par_records: &[ParRecord],
-    jobs: usize,
-    cores: usize,
-    seq_wall: f64,
-    par_wall: f64,
-    timeout_secs: Option<u64>,
-) -> String {
-    let abs = cache.counters();
-    let speedup = if par_wall > 0.0 { seq_wall / par_wall } else { 0.0 };
-    format!(
-        "{{\"timeout_secs\":{},\"rows\":{},\"injected\":{},\"pipeline\":{},\
-         \"cache\":{{\"queries\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"entries\":{}}},\
-         \"parallel\":{{\"jobs\":{},\"cores\":{},\"tasks\":{},\"replication\":{},\"seq_wall_s\":{:.6},\
-         \"par_wall_s\":{:.6},\"speedup\":{:.3},\"outcomes_match\":{},\"rows\":{}}}}}\n",
-        timeout_secs.map_or("null".to_string(), |t| t.to_string()),
-        render_rows(rows),
-        render_rows(injected),
-        totals.pipeline.to_json(),
-        abs.queries,
-        abs.cache_hits,
-        abs.cache_misses,
-        abs.hit_rate(),
-        cache.len(),
-        jobs,
-        cores,
-        par_records.len(),
-        PAR_REPLICATION,
-        seq_wall,
-        par_wall,
-        speedup,
-        par_records.iter().all(|r| r.outcomes_match),
-        render_par_rows(par_records),
-    )
 }

@@ -876,7 +876,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
             return ExitCode::from(74);
         }
     };
-    use circ_batch::mjson::{self, Obj, Value};
+    use circ_stats::json::{self, Obj, Value};
     let op = |name: &str| Obj::default().str("op", name);
     let mut requests = Vec::new();
     if flags.health {
@@ -901,7 +901,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
             }
         };
         println!("{line}");
-        let code = match mjson::parse(&line) {
+        let code = match json::parse(&line) {
             Ok(v) => {
                 if v.get("ok") == Some(&Value::Bool(true)) {
                     v.get("exit").and_then(Value::as_u64).unwrap_or(0) as u8

@@ -3,17 +3,27 @@
 //! with structured errors when over capacity, drain gracefully on
 //! SIGTERM (in-flight requests finish or degrade to cancelled rows,
 //! queued ones get `shutting-down`, exit 3), reclaim stale sockets,
-//! refuse live ones with exit 74, and restart warm from the same
-//! `--cache-dir` (strictly fewer cache misses than a cold start).
+//! refuse live ones with exit 74, restart warm from the same
+//! `--cache-dir` (strictly fewer cache misses than a cold start), and
+//! re-check a corpus more cheaply than one `circ check` spawn per file.
 
 #![cfg(unix)]
 
-use circ_batch::mjson::{self, Value};
+use circ_stats::json::{self, Value};
+use circ_stats::PipelineStats;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Runs the tests of this file one at a time: one of them compares
+/// wall times, which a concurrent 80-file request would skew.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn circ() -> Command {
     Command::new(env!("CARGO_BIN_EXE_circ"))
@@ -101,7 +111,7 @@ fn roundtrip(socket: &Path, request: &str) -> Value {
     writeln!(conn, "{request}").expect("send");
     let mut line = String::new();
     BufReader::new(conn).read_line(&mut line).expect("receive");
-    mjson::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
+    json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
 }
 
 /// `(inflight, queued)` from a health probe.
@@ -142,6 +152,7 @@ fn abs_misses(socket: &Path) -> u64 {
 
 #[test]
 fn stale_socket_is_reclaimed_and_live_socket_refused_with_74() {
+    let _serial = serial();
     let socket = socket_path("bind");
     // Plant a stale socket file: bind and immediately drop the
     // listener, as an unclean shutdown would leave behind.
@@ -170,6 +181,7 @@ fn stale_socket_is_reclaimed_and_live_socket_refused_with_74() {
 
 #[test]
 fn serve_verdicts_match_batch_and_restart_is_warm() {
+    let _serial = serial();
     let cache_dir = tmp("serve-warm-cache");
     let socket = socket_path("warm");
     let examples = examples_dir();
@@ -178,7 +190,7 @@ fn serve_verdicts_match_batch_and_restart_is_warm() {
     // Ground truth: the same corpus through `circ batch --json`.
     let batch = circ().args(["batch", examples_arg, "--json"]).output().unwrap();
     assert_eq!(batch.status.code(), Some(1), "racy example must dominate");
-    let batch_json = mjson::parse(String::from_utf8_lossy(&batch.stdout).trim()).unwrap();
+    let batch_json = json::parse(String::from_utf8_lossy(&batch.stdout).trim()).unwrap();
     let batch_rows: Vec<_> = match batch_json.get("rows") {
         Some(Value::Arr(rows)) => rows.iter().map(row_key).collect(),
         other => panic!("no rows in batch report: {other:?}"),
@@ -197,7 +209,7 @@ fn serve_verdicts_match_batch_and_restart_is_warm() {
         "client exit must be worst-wins like batch; stderr: {}",
         String::from_utf8_lossy(&client.stderr)
     );
-    let response = mjson::parse(String::from_utf8_lossy(&client.stdout).trim()).unwrap();
+    let response = json::parse(String::from_utf8_lossy(&client.stdout).trim()).unwrap();
     assert_eq!(
         response_rows(&response),
         batch_rows,
@@ -222,7 +234,7 @@ fn serve_verdicts_match_batch_and_restart_is_warm() {
         .output()
         .unwrap();
     assert_eq!(client.status.code(), Some(1));
-    let warm_response = mjson::parse(String::from_utf8_lossy(&client.stdout).trim()).unwrap();
+    let warm_response = json::parse(String::from_utf8_lossy(&client.stdout).trim()).unwrap();
     assert_eq!(response_rows(&warm_response), batch_rows, "warm verdicts must not change");
     let warm_misses = abs_misses(&socket);
     assert!(
@@ -233,8 +245,90 @@ fn serve_verdicts_match_batch_and_restart_is_warm() {
     assert_eq!(exit, 3);
 }
 
+/// The daemon's reason to exist: re-checking the `examples/` corpus
+/// as repeated requests to one `circ serve` must agree with the same
+/// number of passes of per-file `circ check` spawns (exit 0/1 read as
+/// safe/race), stay stable across passes, and cost strictly fewer
+/// entailment-cache misses and less wall time, because every spawn
+/// starts cold while the daemon's caches stay warm. Ten passes, not
+/// three: in the unoptimised test build a warm request still costs
+/// about 10 ms of checking, so three passes left the wall-time margin
+/// as thin as 1.1x; ten amortise the daemon's cold first request.
+#[test]
+fn daemon_beats_per_file_spawns_with_identical_verdicts() {
+    let _serial = serial();
+    const PASSES: usize = 10;
+    let examples = examples_dir();
+    let inputs = circ_batch::collect_inputs(&examples).unwrap();
+
+    let mut spawn_verdicts = Vec::new();
+    let mut spawn_misses = 0;
+    let t0 = Instant::now();
+    for pass in 0..PASSES {
+        for input in &inputs {
+            let out = circ().args(["check", input.to_str().unwrap(), "--json"]).output().unwrap();
+            let verdict = match out.status.code() {
+                Some(0) => "safe",
+                Some(1) => "race",
+                other => panic!(
+                    "`circ check {}` exited {other:?}: {}",
+                    input.display(),
+                    String::from_utf8_lossy(&out.stderr)
+                ),
+            };
+            if pass == 0 {
+                spawn_verdicts.push((input.display().to_string(), verdict.to_string()));
+            }
+            spawn_misses += String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter_map(|l| {
+                    json::parse(l.trim()).and_then(|v| PipelineStats::from_json(&v)).ok()
+                })
+                .map(|p| p.abs.cache_misses)
+                .sum::<u64>();
+        }
+    }
+    let spawn_time = t0.elapsed();
+
+    let socket = socket_path("spawns");
+    let daemon = Daemon::spawn(&socket, &[]);
+    let request =
+        format!("{{\"op\":\"check\",\"path\":\"{}\"}}", json::escape(examples.to_str().unwrap()));
+    // One connection for every pass, as an editor integration would
+    // hold it.
+    let t1 = Instant::now();
+    let mut conn = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let passes: Vec<Vec<(String, String)>> = (0..PASSES)
+        .map(|_| {
+            writeln!(conn, "{request}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let rows = response_rows(&json::parse(line.trim()).unwrap());
+            rows.into_iter().map(|(file, verdict, ..)| (file, verdict)).collect()
+        })
+        .collect();
+    let daemon_time = t1.elapsed();
+    drop((conn, reader));
+    let daemon_misses = abs_misses(&socket);
+    let (exit, stderr) = daemon.shutdown();
+    assert_eq!(exit, 3, "drain must exit 3; stderr: {stderr}");
+
+    assert!(passes.iter().all(|p| *p == passes[0]), "daemon verdicts changed between passes");
+    assert_eq!(passes[0], spawn_verdicts, "daemon verdicts differ from spawned checks");
+    assert!(
+        daemon_misses < spawn_misses,
+        "daemon must miss less: {daemon_misses} vs {spawn_misses} over {PASSES} spawn passes"
+    );
+    assert!(
+        daemon_time < spawn_time,
+        "daemon must be faster: {daemon_time:?} vs {spawn_time:?} over {PASSES} spawn passes"
+    );
+}
+
 #[test]
 fn overload_sheds_queue_gets_shutting_down_and_inflight_completes() {
+    let _serial = serial();
     let dir = tmp("serve-drain-corpus");
     let corpus = dir.join("files");
     std::fs::create_dir_all(&corpus).unwrap();
@@ -258,7 +352,7 @@ fn overload_sheds_queue_gets_shutting_down_and_inflight_completes() {
     writeln!(
         conn_a,
         "{{\"op\":\"check\",\"id\":\"big\",\"path\":\"{}\"}}",
-        circ_batch::json_escape(corpus.to_str().unwrap())
+        json::escape(corpus.to_str().unwrap())
     )
     .unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -273,7 +367,7 @@ fn overload_sheds_queue_gets_shutting_down_and_inflight_completes() {
     writeln!(
         conn_b,
         "{{\"op\":\"check\",\"id\":\"queued\",\"path\":\"{}\"}}",
-        circ_batch::json_escape(read_only.to_str().unwrap())
+        json::escape(read_only.to_str().unwrap())
     )
     .unwrap();
     while depths(&socket) != (1, 1) {
@@ -284,10 +378,7 @@ fn overload_sheds_queue_gets_shutting_down_and_inflight_completes() {
     // Connection C: both the slot and the queue are full — shed now.
     let shed = roundtrip(
         &socket,
-        &format!(
-            "{{\"op\":\"check\",\"path\":\"{}\"}}",
-            circ_batch::json_escape(read_only.to_str().unwrap())
-        ),
+        &format!("{{\"op\":\"check\",\"path\":\"{}\"}}", json::escape(read_only.to_str().unwrap())),
     );
     assert_eq!(shed.get("ok"), Some(&Value::Bool(false)));
     assert_eq!(shed.get("error").and_then(Value::as_str), Some("overloaded"));
@@ -306,7 +397,7 @@ fn overload_sheds_queue_gets_shutting_down_and_inflight_completes() {
     // B was queued: it must get a structured shutting-down rejection.
     let mut line = String::new();
     BufReader::new(&mut conn_b).read_line(&mut line).unwrap();
-    let b = mjson::parse(line.trim()).unwrap();
+    let b = json::parse(line.trim()).unwrap();
     assert_eq!(b.get("error").and_then(Value::as_str), Some("shutting-down"), "{line}");
     assert_eq!(b.get("id").and_then(Value::as_str), Some("queued"));
 
@@ -314,7 +405,7 @@ fn overload_sheds_queue_gets_shutting_down_and_inflight_completes() {
     // degrade to cancelled budget-exhausted, but never flip verdicts.
     line.clear();
     BufReader::new(&mut conn_a).read_line(&mut line).unwrap();
-    let a = mjson::parse(line.trim()).unwrap();
+    let a = json::parse(line.trim()).unwrap();
     assert_eq!(a.get("ok"), Some(&Value::Bool(true)), "in-flight request must complete: {line}");
     assert_eq!(a.get("id").and_then(Value::as_str), Some("big"));
     let Some(Value::Arr(rows)) = a.get("rows") else { panic!("no rows: {line}") };

@@ -6,10 +6,10 @@
 //! the stats payload.
 #![cfg(all(unix, feature = "inject"))]
 
-use circ_batch::mjson::{self, Value};
 use circ_batch::{run_batch, BatchConfig, Verdict};
 use circ_governor::{FaultPlan, RetryPolicy};
 use circ_serve::{serve, BindTo, ServeConfig};
+use circ_stats::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -53,7 +53,7 @@ impl Server {
         writeln!(conn, "{request}").expect("write request");
         let mut line = String::new();
         BufReader::new(conn).read_line(&mut line).expect("read response");
-        mjson::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
+        json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
     }
 
     fn stop(mut self) -> u8 {
@@ -100,10 +100,8 @@ fn injected_panics_only_degrade_and_retries_recover_the_clean_verdict() {
         let server = Server::start(config, &format!("s{seed}"));
         let mut all_clean = true;
         for (src, clean) in [(SAFE_READER, "safe"), (RACY, "race")] {
-            let resp = server.roundtrip(&format!(
-                "{{\"op\":\"check\",\"source\":\"{}\"}}",
-                circ_batch::json_escape(src)
-            ));
+            let resp = server
+                .roundtrip(&format!("{{\"op\":\"check\",\"source\":\"{}\"}}", json::escape(src)));
             assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "seed {seed}: {resp:?}");
             let v = sole_verdict(&resp);
             assert!(
@@ -157,10 +155,8 @@ fn batch_and_serve_rows_agree_under_injection() {
             let batch = &report.rows[0];
             injected |= batch.retries > 0 || batch.verdict == Verdict::InternalError;
 
-            let resp = server.roundtrip(&format!(
-                "{{\"op\":\"check\",\"source\":\"{}\"}}",
-                circ_batch::json_escape(src)
-            ));
+            let resp = server
+                .roundtrip(&format!("{{\"op\":\"check\",\"source\":\"{}\"}}", json::escape(src)));
             let Some(Value::Arr(rows)) = resp.get("rows") else { panic!("no rows in {resp:?}") };
             let field = |key| rows[0].get(key).and_then(Value::as_str).unwrap_or_default();
             assert_eq!(
@@ -214,7 +210,7 @@ fn drain_flush_failure_keeps_exit_code_and_drops_no_responses() {
         // A completed request before the drain...
         let resp = server.roundtrip(&format!(
             "{{\"op\":\"check\",\"source\":\"{}\"}}",
-            circ_batch::json_escape(SAFE_READER)
+            json::escape(SAFE_READER)
         ));
         assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{tag}: {resp:?}");
         assert_eq!(sole_verdict(&resp), "safe", "{tag}");
@@ -227,7 +223,7 @@ fn drain_flush_failure_keeps_exit_code_and_drops_no_responses() {
         let socket = server.socket.clone();
         let inflight = std::thread::spawn(move || {
             let mut conn = UnixStream::connect(&socket).expect("connect");
-            writeln!(conn, "{{\"op\":\"check\",\"source\":\"{}\"}}", circ_batch::json_escape(RACY))
+            writeln!(conn, "{{\"op\":\"check\",\"source\":\"{}\"}}", json::escape(RACY))
                 .expect("write request");
             let mut line = String::new();
             BufReader::new(conn).read_line(&mut line).expect("read response");
@@ -258,7 +254,7 @@ fn drain_flush_failure_keeps_exit_code_and_drops_no_responses() {
         assert_eq!(exit, 3, "{tag}: a failed drain flush must not change the exit code");
         let line = inflight.join().expect("in-flight request thread");
         let resp =
-            mjson::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"));
+            json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"));
         if resp.get("ok") == Some(&Value::Bool(true)) {
             let verdict = sole_verdict(&resp);
             if verdict != "race" {

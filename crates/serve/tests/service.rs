@@ -3,9 +3,9 @@
 //! overload shedding and graceful drain.
 #![cfg(unix)]
 
-use circ_batch::mjson::{self, Value};
 use circ_governor::{CancelToken, Envelope};
 use circ_serve::{serve, BindTo, ServeConfig};
+use circ_stats::json::{self, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -56,7 +56,7 @@ impl RunningServer {
         writeln!(conn, "{request}").expect("write request");
         let mut line = String::new();
         BufReader::new(conn).read_line(&mut line).expect("read response");
-        mjson::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
+        json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
     }
 
     fn shutdown(mut self) -> u8 {
@@ -103,17 +103,15 @@ fn inline_checks_round_trip_with_batch_identical_verdicts() {
 
     let safe = server.roundtrip(&format!(
         "{{\"op\":\"check\",\"id\":1,\"name\":\"reader.nesl\",\"source\":\"{}\"}}",
-        circ_batch::json_escape(SAFE_READER)
+        json::escape(SAFE_READER)
     ));
     assert_eq!(safe.get("ok"), Some(&Value::Bool(true)));
     assert_eq!(safe.get("id").and_then(Value::as_u64), Some(1));
     assert_eq!(safe.get("exit").and_then(Value::as_u64), Some(0));
     assert_eq!(row_verdicts(&safe), vec![("reader.nesl".to_string(), "safe".to_string())]);
 
-    let racy = server.roundtrip(&format!(
-        "{{\"op\":\"check\",\"id\":2,\"source\":\"{}\"}}",
-        circ_batch::json_escape(RACY)
-    ));
+    let racy = server
+        .roundtrip(&format!("{{\"op\":\"check\",\"id\":2,\"source\":\"{}\"}}", json::escape(RACY)));
     assert_eq!(racy.get("exit").and_then(Value::as_u64), Some(1));
     assert_eq!(row_verdicts(&racy), vec![("<inline>".to_string(), "race".to_string())]);
 
@@ -167,10 +165,8 @@ fn malformed_lines_degrade_to_bad_request_and_server_survives() {
     assert_eq!(resp.get("ok"), Some(&Value::Bool(true)));
     assert_eq!(resp.get("exit").and_then(Value::as_u64), Some(65));
     // And the server still answers real work afterwards.
-    let ok = server.roundtrip(&format!(
-        "{{\"op\":\"check\",\"source\":\"{}\"}}",
-        circ_batch::json_escape(SAFE_READER)
-    ));
+    let ok = server
+        .roundtrip(&format!("{{\"op\":\"check\",\"source\":\"{}\"}}", json::escape(SAFE_READER)));
     assert_eq!(ok.get("exit").and_then(Value::as_u64), Some(0));
     let exit = server.shutdown();
     assert_eq!(exit, 3);
@@ -186,7 +182,7 @@ fn oversized_request_lines_are_rejected_with_the_connection_closed() {
     let mut reader = BufReader::new(conn);
     let mut line = String::new();
     reader.read_line(&mut line).expect("read");
-    let resp = mjson::parse(line.trim()).expect("parse");
+    let resp = json::parse(line.trim()).expect("parse");
     assert_eq!(resp.get("error").and_then(Value::as_str), Some("bad-request"));
     // The connection is closed after an oversized line.
     line.clear();
@@ -256,7 +252,7 @@ fn overload_sheds_and_drain_finishes_inflight_work() {
     writeln!(
         slow_conn,
         "{{\"op\":\"check\",\"id\":\"slow\",\"path\":\"{}\"}}",
-        circ_batch::json_escape(&corpus.display().to_string())
+        json::escape(&corpus.display().to_string())
     )
     .expect("write slow");
 
@@ -273,10 +269,8 @@ fn overload_sheds_and_drain_finishes_inflight_work() {
     }
 
     // Queue depth 0: the next check is shed immediately.
-    let shed = server.roundtrip(&format!(
-        "{{\"op\":\"check\",\"source\":\"{}\"}}",
-        circ_batch::json_escape(SAFE_READER)
-    ));
+    let shed = server
+        .roundtrip(&format!("{{\"op\":\"check\",\"source\":\"{}\"}}", json::escape(SAFE_READER)));
     assert_eq!(shed.get("error").and_then(Value::as_str), Some("overloaded"));
     assert!(shed.get("detail").and_then(Value::as_str).unwrap().contains("queue full"), "{shed:?}");
 
@@ -284,7 +278,7 @@ fn overload_sheds_and_drain_finishes_inflight_work() {
     server.cancel.cancel();
     let mut line = String::new();
     BufReader::new(&mut slow_conn).read_line(&mut line).expect("slow response");
-    let slow_resp = mjson::parse(line.trim()).expect("parse slow response");
+    let slow_resp = json::parse(line.trim()).expect("parse slow response");
     assert_eq!(slow_resp.get("ok"), Some(&Value::Bool(true)), "in-flight must complete: {line}");
     assert_eq!(slow_resp.get("id").and_then(Value::as_str), Some("slow"));
     let exit = server.shutdown();
@@ -316,7 +310,7 @@ fn repeated_requests_on_a_warm_cache_dir_keep_the_solver_store_flat() {
     let source = include_str!("../../../examples/test_and_set.nesl");
     let request = format!(
         "{{\"op\":\"check\",\"name\":\"tas.nesl\",\"source\":\"{}\"}}",
-        circ_batch::json_escape(source)
+        json::escape(source)
     );
     let solver_entries = |server: &RunningServer| {
         let stats = server.roundtrip("{\"op\":\"stats\"}");

@@ -3,7 +3,7 @@
 //! the paper's qualitative shape (counter parameter 1, small
 //! predicate sets, compact ACFAs).
 
-use circ_core::{circ, CircConfig, CircOutcome};
+use circ_core::{circ, circ_with_cache, AbsCache, CircConfig, CircOutcome};
 
 #[test]
 fn every_table1_row_verifies_in_omega_mode() {
@@ -60,6 +60,37 @@ fn buggy_variants_produce_replayable_races() {
             assert!(report.cex.n_threads >= 2, "{}: a race needs two threads", m.name);
         }
     }
+}
+
+/// The verdict-relevant content of an outcome: everything except
+/// statistics and timings, which legitimately differ between cached
+/// and uncached runs.
+fn essence(outcome: &CircOutcome) -> String {
+    match outcome {
+        CircOutcome::Safe(r) => format!("Safe preds={:?} k={} acfa={:?}", r.preds, r.k, r.acfa),
+        CircOutcome::Unsafe(r) => format!("Unsafe cex={:?} k={}", r.cex, r.k),
+        CircOutcome::Unknown(r) => format!("Unknown reason={:?}", r.reason),
+    }
+}
+
+/// The `table1` run, cached and uncached: every paper row and then
+/// every buggy variant, in ω mode, all against one shared entailment
+/// cache that grows across rows. Each outcome must equal an uncached
+/// run's, so a memoized answer never changes a verdict, predicate
+/// set, ACFA or counterexample.
+#[test]
+fn shared_cache_outcomes_equal_uncached_for_every_model() {
+    let models = circ_nesc::models();
+    let paper_rows = models.iter().flat_map(|m| m.paper_rows.iter().map(move |_| m));
+    let buggy = models.iter().filter(|m| !m.expected_safe);
+    let cache = AbsCache::new();
+    for m in paper_rows.chain(buggy) {
+        let program = m.program();
+        let cached = circ_with_cache(&program, &CircConfig::omega(), &cache);
+        let uncached = circ(&program, &CircConfig { use_cache: false, ..CircConfig::omega() });
+        assert_eq!(essence(&cached), essence(&uncached), "{}: cached and uncached differ", m.name);
+    }
+    assert!(cache.counters().cache_hits > 0, "the shared cache was never reused");
 }
 
 #[test]
