@@ -27,4 +27,4 @@ mod sched;
 
 pub use flow::{flow_check, FlowFinding, FlowReport};
 pub use lockset::{eraser, EraserReport, VarState};
-pub use sched::{random_run, RunRecord};
+pub use sched::{random_run, random_run_to_race, RunRecord};

@@ -28,6 +28,29 @@ pub struct RunRecord {
 /// Records every visited race state (the dynamic tools' ground
 /// truth).
 pub fn random_run(program: &MtProgram, n_threads: usize, max_steps: usize, seed: u64) -> RunRecord {
+    schedule(program, n_threads, max_steps, seed, false)
+}
+
+/// [`random_run`] stopped at its first race state. `race_positions`
+/// then holds exactly one position, `steps.len()`: `steps` is the
+/// prefix that reaches the race, the same prefix [`random_run`]
+/// executes with the same seed.
+pub fn random_run_to_race(
+    program: &MtProgram,
+    n_threads: usize,
+    max_steps: usize,
+    seed: u64,
+) -> RunRecord {
+    schedule(program, n_threads, max_steps, seed, true)
+}
+
+fn schedule(
+    program: &MtProgram,
+    n_threads: usize,
+    max_steps: usize,
+    seed: u64,
+    stop_at_race: bool,
+) -> RunRecord {
     let interp = Interp::new(program.clone(), n_threads);
     if let Some(diag) = interp.malformed() {
         return RunRecord {
@@ -41,24 +64,28 @@ pub fn random_run(program: &MtProgram, n_threads: usize, max_steps: usize, seed:
     let mut s = interp.initial();
     let mut steps = Vec::new();
     let mut race_positions = Vec::new();
+    let mut enabled = Vec::new();
     loop {
         // Check before deciding whether to stop, so the state reached
         // by the final step (budget exhausted or deadlock) is covered
         // too — a race first reachable there must not be dropped.
         if interp.race(&s).is_some() {
             race_positions.push(steps.len());
+            if stop_at_race {
+                break;
+            }
         }
         if steps.len() >= max_steps {
             break;
         }
-        let enabled = interp.enabled(&s);
+        interp.enabled_into(&s, &mut enabled);
         if enabled.is_empty() {
             break;
         }
         let (t, e) = enabled[rng.gen_range(0..enabled.len())];
         let nondet = rng.gen_range(-2i64..=2);
         steps.push((t, e, nondet));
-        s = interp.step(&s, SchedChoice { thread: t, edge: e, nondet });
+        interp.step_in_place(&mut s, SchedChoice { thread: t, edge: e, nondet });
     }
     RunRecord { steps, race_positions, final_state: s, diagnostic: None }
 }

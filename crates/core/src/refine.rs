@@ -601,12 +601,16 @@ fn replay(
 ) -> bool {
     let interp = Interp::new(program.clone(), n_threads);
     let mut s = interp.initial();
+    let mut enabled = Vec::new();
     for &(tag, eid, nd) in steps {
-        let enabled = interp.enabled(&s);
+        interp.enabled_into(&s, &mut enabled);
         if !enabled.contains(&(ThreadId(tag as u32), eid)) {
             return false;
         }
-        s = interp.step(&s, SchedChoice { thread: ThreadId(tag as u32), edge: eid, nondet: nd });
+        interp.step_in_place(
+            &mut s,
+            SchedChoice { thread: ThreadId(tag as u32), edge: eid, nondet: nd },
+        );
     }
     match property {
         Property::Race => interp.race(&s).is_some(),

@@ -191,6 +191,13 @@ pub struct Cfa {
     error: BTreeSet<Loc>,
     out: Vec<Vec<EdgeId>>,
     loc_names: Vec<Option<String>>,
+    /// Per location: whether it is atomic, and the variables its
+    /// out-edges write and read. Derived from the fields above once,
+    /// in [`CfaBuilder::build`], because the interpreter and the race
+    /// checks ask for them at every visited state.
+    atomic_mask: Vec<bool>,
+    writes: Vec<BTreeSet<Var>>,
+    reads: Vec<BTreeSet<Var>>,
 }
 
 impl Cfa {
@@ -216,7 +223,7 @@ impl Cfa {
 
     /// Whether `l` is an atomic location.
     pub fn is_atomic(&self, l: Loc) -> bool {
-        self.atomic.contains(&l)
+        self.atomic_mask[l.index()]
     }
 
     /// The set of atomic locations.
@@ -304,24 +311,18 @@ impl Cfa {
 
     /// Variables *written* by some out-edge of `l` — `Write.i.x` holds
     /// iff `x ∈ writes_at(pc_i)` (§4.1).
-    pub fn writes_at(&self, l: Loc) -> BTreeSet<Var> {
-        self.out_edges(l).iter().filter_map(|e| self.edge(*e).op.written()).collect()
+    pub fn writes_at(&self, l: Loc) -> &BTreeSet<Var> {
+        &self.writes[l.index()]
     }
 
     /// Variables *read* by some out-edge of `l`.
-    pub fn reads_at(&self, l: Loc) -> BTreeSet<Var> {
-        let mut s = BTreeSet::new();
-        for e in self.out_edges(l) {
-            s.extend(self.edge(*e).op.reads());
-        }
-        s
+    pub fn reads_at(&self, l: Loc) -> &BTreeSet<Var> {
+        &self.reads[l.index()]
     }
 
     /// Variables read or written by some out-edge of `l`.
     pub fn accesses_at(&self, l: Loc) -> BTreeSet<Var> {
-        let mut s = self.reads_at(l);
-        s.extend(self.writes_at(l));
-        s
+        self.reads_at(l).union(self.writes_at(l)).copied().collect()
     }
 
     /// Whether a thread at `l` can access `v` with the given kind.
@@ -439,10 +440,17 @@ impl CfaBuilder {
                 assert!(v.0 < nvars, "edge {e:?} mentions undeclared variable {v}");
             }
         }
-        let mut out = vec![Vec::new(); self.num_locs as usize];
+        let n = self.num_locs as usize;
+        let mut out = vec![Vec::new(); n];
+        let mut writes = vec![BTreeSet::new(); n];
+        let mut reads = vec![BTreeSet::new(); n];
         for (ix, e) in self.edges.iter().enumerate() {
-            out[e.src.index()].push(EdgeId(ix as u32));
+            let src = e.src.index();
+            out[src].push(EdgeId(ix as u32));
+            writes[src].extend(e.op.written());
+            reads[src].extend(e.op.reads());
         }
+        let atomic_mask = (0..self.num_locs).map(|l| self.atomic.contains(&Loc(l))).collect();
         Cfa {
             name: self.name,
             vars: self.vars,
@@ -453,6 +461,9 @@ impl CfaBuilder {
             error: self.error,
             out,
             loc_names: self.loc_names,
+            atomic_mask,
+            writes,
+            reads,
         }
     }
 }

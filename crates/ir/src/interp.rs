@@ -134,17 +134,17 @@ impl Interp {
 
     /// Threads allowed to run in `s` by the atomic-scheduling rule:
     /// the unique atomic thread if one exists, else all threads.
-    pub fn schedulable(&self, s: &ConcreteState) -> Vec<ThreadId> {
+    pub fn schedulable(&self, s: &ConcreteState) -> impl Iterator<Item = ThreadId> {
         let cfa = self.program.cfa();
-        let atomic: Vec<ThreadId> =
-            (0..self.n_threads as u32).map(ThreadId).filter(|t| cfa.is_atomic(s.pc(*t))).collect();
-        match atomic.len() {
-            0 => (0..self.n_threads as u32).map(ThreadId).collect(),
-            1 => atomic,
+        let mut atomic = (0..self.n_threads as u32).filter(|t| cfa.is_atomic(s.pcs[*t as usize]));
+        let range = match (atomic.next(), atomic.next()) {
+            (None, _) => 0..self.n_threads as u32,
+            (Some(t), None) => t..t + 1,
             // Unreachable from the initial state when the entry is
             // non-atomic (§2.1), but be defensive: nobody runs.
-            _ => Vec::new(),
-        }
+            (Some(_), Some(_)) => 0..0,
+        };
+        range.map(ThreadId)
     }
 
     /// All `(thread, edge)` pairs executable from `s`. Edges whose
@@ -156,12 +156,20 @@ impl Interp {
     /// rather than panicking, so exploration of a hand-built malformed
     /// automaton degrades instead of crashing.
     pub fn enabled(&self, s: &ConcreteState) -> Vec<(ThreadId, EdgeId)> {
-        let cfa = self.program.cfa();
         let mut out = Vec::new();
+        self.enabled_into(s, &mut out);
+        out
+    }
+
+    /// [`Interp::enabled`] into a caller-owned buffer, which is
+    /// cleared first: a schedule loop reuses one buffer for every
+    /// step. The order is the same — by thread, then by out-edge.
+    pub fn enabled_into(&self, s: &ConcreteState, out: &mut Vec<(ThreadId, EdgeId)>) {
+        let cfa = self.program.cfa();
+        out.clear();
         for t in self.schedulable(s) {
             for &e in cfa.out_edges(s.pc(t)) {
-                let edge = cfa.edge(e);
-                let ok = match &edge.op {
+                let ok = match &cfa.edge(e).op {
                     Op::Assume(p) => p.eval(&|v| s.read(cfa, t, v)).unwrap_or(false),
                     Op::Assign(_, _) => true,
                 };
@@ -170,7 +178,6 @@ impl Interp {
                 }
             }
         }
-        out
     }
 
     /// A diagnostic if the program is malformed for concrete
@@ -194,11 +201,21 @@ impl Interp {
     ///
     /// Panics if the chosen edge is not enabled for the thread in `s`.
     pub fn step(&self, s: &ConcreteState, choice: SchedChoice) -> ConcreteState {
+        let mut next = s.clone();
+        self.step_in_place(&mut next, choice);
+        next
+    }
+
+    /// [`Interp::step`] without the copy: `s` becomes its successor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chosen edge is not enabled for the thread in `s`.
+    pub fn step_in_place(&self, s: &mut ConcreteState, choice: SchedChoice) {
         let cfa = self.program.cfa();
         let t = choice.thread;
         let edge = cfa.edge(choice.edge);
         assert_eq!(edge.src, s.pc(t), "edge source must match thread pc");
-        let mut next = s.clone();
         match &edge.op {
             Op::Assume(p) => {
                 // `None` (nondet in the guard) is "not enabled": such an
@@ -208,11 +225,10 @@ impl Interp {
             }
             Op::Assign(v, e) => {
                 let val = eval_with_nondet(e, &|v| s.read(cfa, t, v), choice.nondet);
-                next.write(cfa, t, *v, val);
+                s.write(cfa, t, *v, val);
             }
         }
-        next.pcs[t.index()] = edge.dst;
-        next
+        s.pcs[t.index()] = edge.dst;
     }
 
     /// Checks the race condition of §4.1 on a single state: no thread
@@ -221,22 +237,25 @@ impl Interp {
     pub fn race(&self, s: &ConcreteState) -> Option<RaceWitness> {
         let cfa = self.program.cfa();
         let x = self.program.race_var();
-        if (0..self.n_threads as u32).any(|t| cfa.is_atomic(s.pc(ThreadId(t)))) {
+        if s.pcs.iter().any(|pc| cfa.is_atomic(*pc)) {
             return None;
         }
-        let ts: Vec<ThreadId> = (0..self.n_threads as u32).map(ThreadId).collect();
-        for &w in &ts {
-            if !cfa.writes_at(s.pc(w)).contains(&x) {
+        for (w, &wpc) in s.pcs.iter().enumerate() {
+            if !cfa.writes_at(wpc).contains(&x) {
                 continue;
             }
-            for &o in &ts {
+            for (o, &opc) in s.pcs.iter().enumerate() {
                 if o == w {
                     continue;
                 }
-                let writes = cfa.writes_at(s.pc(o)).contains(&x);
-                let reads = cfa.reads_at(s.pc(o)).contains(&x);
-                if writes || reads {
-                    return Some(RaceWitness { var: x, writer: w, other: o, other_writes: writes });
+                let writes = cfa.writes_at(opc).contains(&x);
+                if writes || cfa.reads_at(opc).contains(&x) {
+                    return Some(RaceWitness {
+                        var: x,
+                        writer: ThreadId(w as u32),
+                        other: ThreadId(o as u32),
+                        other_writes: writes,
+                    });
                 }
             }
         }
@@ -345,7 +364,7 @@ mod tests {
         let (t, e) = interp.enabled(&s).into_iter().find(|(t, _)| *t == ThreadId(0)).unwrap();
         let s2 = interp.step(&s, SchedChoice { thread: t, edge: e, nondet: 0 });
         // Now thread 0 is atomic; only it may run.
-        assert_eq!(interp.schedulable(&s2), vec![ThreadId(0)]);
+        assert_eq!(interp.schedulable(&s2).collect::<Vec<_>>(), vec![ThreadId(0)]);
         assert!(interp.enabled(&s2).iter().all(|(t, _)| *t == ThreadId(0)));
     }
 

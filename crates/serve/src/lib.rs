@@ -65,15 +65,16 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A resettable latch for "flush caches now" requests (the CLI wires
-/// SIGHUP to it). Cloning shares the latch; the accept loop takes it
-/// between accepts.
+/// SIGHUP to it). Cloning shares the latch; the service's watcher
+/// thread takes it within 10 ms.
 #[derive(Debug, Clone, Default)]
 pub struct FlushTrigger {
-    flag: Arc<std::sync::atomic::AtomicBool>,
+    flag: Arc<AtomicBool>,
 }
 
 impl FlushTrigger {
@@ -84,12 +85,12 @@ impl FlushTrigger {
 
     /// Request a flush. Idempotent until taken.
     pub fn set(&self) {
-        self.flag.store(true, std::sync::atomic::Ordering::Relaxed);
+        self.flag.store(true, Ordering::Relaxed);
     }
 
     /// Consume a pending request, if any.
     pub fn take(&self) -> bool {
-        self.flag.swap(false, std::sync::atomic::Ordering::Relaxed)
+        self.flag.swap(false, Ordering::Relaxed)
     }
 }
 
@@ -237,16 +238,6 @@ impl Stream {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
         }
     }
-
-    /// Accepted streams can inherit the listener's non-blocking mode
-    /// on some platforms; request handling wants plain blocking I/O.
-    fn set_blocking(&self) {
-        let _ = match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(false),
-            Stream::Tcp(s) => s.set_nonblocking(false),
-        };
-    }
 }
 
 impl Read for Stream {
@@ -286,19 +277,21 @@ enum Listener {
 }
 
 impl Listener {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(true),
-            Listener::Tcp(l) => l.set_nonblocking(true),
-        }
-    }
-
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
             #[cfg(unix)]
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+        }
+    }
+
+    /// Opens and drops a connection to this listener, so an `accept`
+    /// blocked on it returns.
+    fn wake(&self) -> std::io::Result<()> {
+        match self {
+            #[cfg(unix)]
+            Listener::Unix(_, path) => std::os::unix::net::UnixStream::connect(path).map(drop),
+            Listener::Tcp(l) => TcpStream::connect(l.local_addr()?).map(drop),
         }
     }
 
@@ -648,7 +641,6 @@ fn read_line_bounded(reader: &mut impl BufRead, cap: usize) -> std::io::Result<L
 /// fallback — is written while a response guard is held, so a
 /// graceful drain never exits under a half-written line.
 fn handle_conn(state: Arc<ServerState>, stream: Stream) {
-    stream.set_blocking();
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
@@ -751,6 +743,40 @@ fn build_state(config: ServeConfig) -> (Arc<ServerState>, Vec<String>) {
     (state, warm.warnings)
 }
 
+/// The accept loop's companion: every 10 ms it runs a pending
+/// [`FlushTrigger`] flush, and once `cancel` trips it connects to the
+/// listener until the blocked accept loop has seen the wake-up and set
+/// `stopped`.
+fn watch(
+    listener: &Listener,
+    state: &ServerState,
+    cancel: &CancelToken,
+    flush: &FlushTrigger,
+    stopped: &AtomicBool,
+) {
+    let tick = Duration::from_millis(10);
+    while !cancel.is_cancelled() {
+        if flush.take() {
+            for w in &flush_caches(state) {
+                eprintln!("circ serve: warning: {w}");
+            }
+            eprintln!("circ serve: flushed caches ({} abs entries)", state.cache.len());
+        }
+        std::thread::sleep(tick);
+    }
+    let mut warned = false;
+    while !stopped.load(Ordering::Relaxed) {
+        match listener.wake() {
+            Err(e) if !warned => {
+                eprintln!("circ serve: cannot wake the accept loop: {e}; retrying");
+                warned = true;
+            }
+            _ => {}
+        }
+        std::thread::sleep(tick);
+    }
+}
+
 /// Runs the service until its [`CancelToken`] trips, then drains
 /// gracefully. Returns the process exit code (3, "drained" — the
 /// same code a cancelled batch run uses) or a [`ServeError`] the CLI
@@ -759,9 +785,6 @@ pub fn serve(config: ServeConfig) -> Result<u8, ServeError> {
     let (listener, reclaimed) = bind(&config.bind)?;
     if reclaimed {
         eprintln!("circ serve: reclaimed stale socket left by an unclean shutdown");
-    }
-    if listener.set_nonblocking().is_err() {
-        return Err(ServeError::Bind("cannot set the listener non-blocking".into()));
     }
     let cancel = config.cancel.clone();
     let flush = config.flush.clone();
@@ -775,31 +798,30 @@ pub fn serve(config: ServeConfig) -> Result<u8, ServeError> {
         state.config.max_inflight.max(1),
         state.config.queue_depth
     );
-    while !cancel.is_cancelled() {
-        if flush.take() {
-            let flush_warnings = flush_caches(&state);
-            for w in &flush_warnings {
-                eprintln!("circ serve: warning: {w}");
-            }
-            eprintln!("circ serve: flushed caches ({} abs entries)", state.cache.len());
-        }
-        match listener.accept() {
-            Ok(stream) => {
-                let state = Arc::clone(&state);
-                // Detached on purpose: connection threads block on
-                // client reads; drain must not wait for clients to
-                // hang up, only for in-flight *requests* to settle.
-                std::thread::spawn(move || handle_conn(state, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => {
-                eprintln!("circ serve: accept failed: {e}; continuing");
-                std::thread::sleep(Duration::from_millis(50));
+    // The accept loop blocks, so a fresh connection is served the
+    // moment it arrives; the watcher runs flushes and wakes the loop
+    // once cancellation trips.
+    let stopped = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| watch(&listener, &state, &cancel, &flush, &stopped));
+        while !cancel.is_cancelled() {
+            match listener.accept() {
+                Ok(stream) => {
+                    let state = Arc::clone(&state);
+                    // Detached on purpose: connection threads block on
+                    // client reads; drain must not wait for clients to
+                    // hang up, only for in-flight *requests* to settle.
+                    // The watcher's wake-up connection ends at once.
+                    std::thread::spawn(move || handle_conn(state, stream));
+                }
+                Err(e) => {
+                    eprintln!("circ serve: accept failed: {e}; continuing");
+                    std::thread::sleep(Duration::from_millis(50));
+                }
             }
         }
-    }
+        stopped.store(true, Ordering::Relaxed);
+    });
     let (inflight, queued, _) = state.admission.depths();
     eprintln!("circ serve: draining ({inflight} in flight, {queued} queued)");
     state.admission.drain();

@@ -194,6 +194,27 @@ fn oversized_request_lines_are_rejected_with_the_connection_closed() {
 }
 
 #[test]
+fn fresh_connections_are_accepted_without_a_polling_delay() {
+    // The accept loop blocks on the listener, so a new connection is
+    // served as soon as it arrives. A loop that polls a non-blocking
+    // listener every 10 ms makes each of these sequential requests
+    // wait for its next tick: about 20 × 10 ms in all.
+    let server = RunningServer::start(ServeConfig::default(), "fresh");
+    server.roundtrip("{\"op\":\"health\"}");
+    let started = Instant::now();
+    for _ in 0..20 {
+        let ok = server.roundtrip("{\"op\":\"health\"}");
+        assert_eq!(ok.get("ok"), Some(&Value::Bool(true)));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 fresh-connection requests took {elapsed:?}; expected well under 200 ms"
+    );
+    assert_eq!(server.shutdown(), 3);
+}
+
+#[test]
 fn stale_socket_is_reclaimed_and_live_socket_is_refused() {
     use std::os::unix::net::UnixListener;
     // A socket file with no listener behind it (a crash leftover):

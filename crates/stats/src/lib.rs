@@ -9,8 +9,8 @@
 //! worker threads share under `--jobs N` — and
 //! `circ-core` assembles them into one [`PipelineStats`] per run,
 //! renderable as a human table ([`PipelineStats::render_table`]) or a
-//! single JSON line ([`PipelineStats::to_json`]) for `BENCH_*.json`
-//! tracking. One table declares every counter once; the human table,
+//! single JSON line ([`PipelineStats::to_json`]) for `--json` output,
+//! batch journals and the serve protocol. One table declares every counter once; the human table,
 //! the JSON line, the decoder and the accumulator are derived from it.
 //! [`json`] is the workspace's one JSON codec.
 
@@ -209,8 +209,8 @@ macro_rules! rate {
 
 /// Every counter and span of [`PipelineStats`], in wire and table
 /// order: `add`, `render_table`, `to_json` and `from_json` are all
-/// derived from this one table. The keys are stable; `BENCH_*`
-/// tooling, journals and the serve protocol rely on them.
+/// derived from this one table. The keys are stable; `--json`
+/// consumers, journals and the serve protocol rely on them.
 const PIPELINE: [Entry; 33] = [
     field!(Count, "outer_rounds", "outer rounds", outer_rounds),
     field!(Count, "reach_runs", "reach runs", reach_runs),

@@ -32,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use circ_baselines::{flow_check, random_run};
+use circ_baselines::{flow_check, random_run_to_race};
 use circ_ir::{EdgeId, Interp, MtProgram, RaceWitness, SchedChoice, ThreadId};
 
 /// Budget of the cheap stages. The defaults are deliberately small:
@@ -121,15 +121,16 @@ pub fn triage(program: &MtProgram, cfg: &TriageConfig) -> TriageDecision {
         }
         for i in 0..cfg.runs_per_count {
             let seed = cfg.seed_base + n as u64 * cfg.runs_per_count + i;
-            let run = random_run(program, n, cfg.max_steps, seed);
+            // The schedule stops at its first race state, so its steps
+            // are the witness prefix.
+            let run = random_run_to_race(program, n, cfg.max_steps, seed);
             if run.diagnostic.is_some() {
                 // Unexecutable program: nothing stage 1 says is
                 // trustworthy. Let the full engine diagnose it.
                 return TriageDecision::Fallthrough;
             }
-            if let Some(&pos) = run.race_positions.first() {
-                let witness =
-                    TriageWitness { n_threads: n, seed, steps: run.steps[..pos].to_vec() };
+            if !run.race_positions.is_empty() {
+                let witness = TriageWitness { n_threads: n, seed, steps: run.steps };
                 if replay_witness(program, &witness).is_ok() {
                     return TriageDecision::Stage1Race(witness);
                 }
@@ -150,11 +151,13 @@ pub fn replay_witness(program: &MtProgram, w: &TriageWitness) -> Result<RaceWitn
         return Err(format!("program is malformed: {diag}"));
     }
     let mut s = interp.initial();
+    let mut enabled = Vec::new();
     for (ix, &(t, e, nondet)) in w.steps.iter().enumerate() {
-        if !interp.enabled(&s).contains(&(t, e)) {
+        interp.enabled_into(&s, &mut enabled);
+        if !enabled.contains(&(t, e)) {
             return Err(format!("step {ix}: ({t}, edge {e:?}) is not enabled"));
         }
-        s = interp.step(&s, SchedChoice { thread: t, edge: e, nondet });
+        interp.step_in_place(&mut s, SchedChoice { thread: t, edge: e, nondet });
     }
     interp.race(&s).ok_or_else(|| "final state exhibits no race".to_string())
 }
