@@ -30,7 +30,7 @@
 //!   not-yet-started files drain immediately, and the partial report
 //!   plus cache files are still produced;
 //! * `--isolate` re-runs each file in a child process
-//!   (`circ check --row-json`, see [`check_single`]), so a crash or
+//!   (`circ check --row-json`, see [`check_file`]), so a crash or
 //!   OOM kill in one input degrades to an `internal-error` row with
 //!   the child's stderr captured, while sibling rows are unaffected;
 //! * a deterministic [`RetryPolicy`] re-runs files whose verdict is a
@@ -82,18 +82,19 @@ pub use circ_stats::json as mjson;
 pub use circ_stats::json::escape as json_escape;
 
 use circ_core::{
-    circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore,
+    circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore, Property,
     SolverPersist, UnknownReason,
 };
+use circ_frontend::Compiled;
 use circ_governor::{
     carve_mem_limit, carve_timeout, panic_message, CancelToken, FaultPlan, RetryPolicy,
 };
-use circ_ir::{structural_digest, MtProgram};
+use circ_ir::{structural_digest, MtProgram, Var};
 use circ_par::Pool;
 use circ_smt::{Atom, Formula, SatResult};
 use circ_stats::json::{self, Obj, Value};
 use circ_stats::{BatchTotals, PipelineStats};
-use circ_triage::{TriageConfig, TriageDecision};
+use circ_triage::{TriageConfig, TriageDecision, TriageWitness};
 use std::collections::BTreeMap;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -180,6 +181,21 @@ impl BatchConfig {
     /// unless caching is off.
     fn active_cache_dir(&self) -> Option<&Path> {
         self.cache_dir.as_deref().filter(|_| self.use_cache)
+    }
+
+    /// The base engine settings every check under this configuration
+    /// starts from: mode, `k`, cache policy and cancellation, with one
+    /// engine worker so per-file counters stay jobs-invariant. The
+    /// per-variable loop carves the budget into it and sets the faults.
+    pub fn circ_config(&self) -> CircConfig {
+        CircConfig {
+            omega_mode: self.omega,
+            initial_k: self.initial_k,
+            use_cache: self.use_cache,
+            jobs: 1,
+            cancel: self.cancel.clone(),
+            ..CircConfig::default()
+        }
     }
 }
 
@@ -611,6 +627,18 @@ pub struct WarmStart {
     pub recovered: u64,
 }
 
+impl WarmStart {
+    /// A per-file entailment cache seeded from this warm start
+    /// (pass-through when caching is off).
+    pub fn file_cache(&self, use_cache: bool) -> AbsCache {
+        if use_cache {
+            AbsCache::with_seed(&self.abs_seed)
+        } else {
+            AbsCache::disabled()
+        }
+    }
+}
+
 /// The one warm start `circ check`, `circ batch`, its isolated
 /// children and `circ serve` share. With `dir`: sweep stale staging
 /// files first (when `sweep`; an isolated child passes `false` so
@@ -759,22 +787,26 @@ pub fn flush_caches_in(
 }
 
 /// Everything one source-level check needs from its surroundings: the
-/// batch configuration, this unit's budget slice, the caches to run
-/// against, and the (already reseeded) fault plan for this attempt.
-/// [`run_batch`] builds one per file attempt and `circ serve` builds
-/// one per request unit, so batch rows and serve rows come out of the
-/// same code path by construction.
+/// batch configuration, the engine settings, this unit's budget slice,
+/// the caches to run against, and the (already reseeded) fault plan
+/// for this attempt. Batch builds one per file attempt, serve one per
+/// request unit and `circ check` one per run, so their answers come
+/// out of the same code path by construction.
 pub struct CheckCtx<'a> {
-    /// Batch-level options (mode, `k`, cache policy, triage, cancel).
+    /// Batch-level options (triage).
     pub config: &'a BatchConfig,
+    /// Base engine settings ([`BatchConfig::circ_config`]; `circ check`
+    /// overrides `jobs` and `property`).
+    pub circ: &'a CircConfig,
     /// Wall-clock slice for this unit, carved further across its race
     /// variables.
     pub file_timeout: Option<Duration>,
     /// Accounted-memory slice for this unit.
     pub file_mem: Option<u64>,
     /// Entailment cache the check runs against: an isolated seeded
-    /// cache for jobs-invariant per-file counters (batch) or a shared
-    /// warm master (serve) — per-run counters are deltas either way.
+    /// cache for jobs-invariant per-file counters (batch, check) or a
+    /// shared warm master (serve) — per-run counters are deltas either
+    /// way.
     pub cache: &'a AbsCache,
     /// Solver-answer store shared across the run.
     pub persist: &'a SolverPersist,
@@ -785,210 +817,227 @@ pub struct CheckCtx<'a> {
     pub faults: &'a FaultPlan,
 }
 
-/// Checks one named source text: compile, then worst-wins over its
-/// race variables against the caches in `ctx`. Budget-exhausted and
-/// cancelled outcomes keep the partial pipeline counters sealed up to
-/// that point. Returns the row plus the predicate-store entries the
-/// check discovered, for sequential post-run merging.
-pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> (FileRow, PredStore) {
-    let start = Instant::now();
-    let config = ctx.config;
-    let row = |verdict: Verdict, detail: String, pipeline: PipelineStats, start: Instant| {
-        let mut r = FileRow::new(name.to_string(), verdict, detail);
-        r.time_s = start.elapsed().as_secs_f64();
-        r.pipeline = pipeline;
-        r
-    };
-    let compiled = match circ_frontend::compile(src) {
-        Ok(c) => c,
-        Err(e) => {
-            let r = row(Verdict::CompileError, e.to_string(), Default::default(), start);
-            return (r, PredStore::new());
+/// Which stage decided one race variable, and what it found.
+#[derive(Debug)]
+pub enum Decided {
+    /// Triage stage 0: the flow check certified it race-free.
+    Flow,
+    /// Triage stage 1: a replay-validated random schedule.
+    Sched(TriageWitness),
+    /// The full engine.
+    Circ(Box<CircOutcome>),
+}
+
+impl Decided {
+    /// The name the row's `stage` column records.
+    pub fn stage(&self) -> &'static str {
+        match self {
+            Decided::Flow => "flow",
+            Decided::Sched(_) => "sched",
+            Decided::Circ(_) => "circ",
         }
-    };
+    }
+}
+
+/// One checked race variable.
+#[derive(Debug)]
+pub struct VarCheck {
+    /// The race variable.
+    pub var: Var,
+    /// The deciding stage and its evidence.
+    pub decided: Decided,
+    /// This variable's share of the row's counters.
+    pub pipeline: PipelineStats,
+}
+
+/// The result of one source-level check: the row, the predicate-store
+/// entries it discovered (for sequential post-run merging) and, in
+/// variable order, what each checked variable decided (batch and serve
+/// drop these with the row; `circ check` renders them).
+pub struct Checked {
+    /// The report row.
+    pub row: FileRow,
+    /// Discovered predicate-store entries.
+    pub learned: PredStore,
+    /// Per-variable results, in variable order.
+    pub vars: Vec<VarCheck>,
+}
+
+impl Checked {
+    fn new(name: &str, verdict: Verdict, detail: String) -> Checked {
+        let row = FileRow::new(name.to_string(), verdict, detail);
+        Checked { row, learned: PredStore::new(), vars: Vec::new() }
+    }
+}
+
+/// Checks one named source text: compile, then [`check_compiled`].
+pub fn check_source(name: &str, src: &str, ctx: &CheckCtx) -> Checked {
+    match circ_frontend::compile(src) {
+        Ok(compiled) => check_compiled(name, &compiled, ctx),
+        Err(e) => Checked::new(name, Verdict::CompileError, e.to_string()),
+    }
+}
+
+/// The workspace's one per-variable loop (§4.1 decides each `#race`
+/// variable with its own CIRC run): triage when enabled, predicate-store
+/// seeding, the engine against the caches in `ctx`, and recording, with
+/// the unit's budget split evenly across the variables (only the first
+/// one under [`Property::Assertions`], a program-wide property). The
+/// row's verdict is worst-wins over them. Budget-exhausted and
+/// cancelled outcomes keep the partial counters sealed up to that point.
+pub fn check_compiled(name: &str, compiled: &Compiled, ctx: &CheckCtx) -> Checked {
+    let start = Instant::now();
     if compiled.race_vars.is_empty() {
         let detail = "no `#race` directive — nothing to check".to_string();
-        let r = row(Verdict::CompileError, detail, Default::default(), start);
-        return (r, PredStore::new());
+        return Checked::new(name, Verdict::CompileError, detail);
     }
-    let n_vars = compiled.race_vars.len();
-    let cache = ctx.cache;
-    let (file_timeout, file_mem) = (ctx.file_timeout, ctx.file_mem);
-    let (persist, pred_seed, faults) = (ctx.persist, ctx.pred_seed, ctx.faults);
+    let mut checked = Checked::new(name, Verdict::Safe, String::new());
+    let row = &mut checked.row;
+    let asserts = ctx.circ.property == Property::Assertions;
+    let vars = if asserts { &compiled.race_vars[..1] } else { &compiled.race_vars[..] };
     let cfg = CircConfig {
-        omega_mode: config.omega,
-        initial_k: config.initial_k,
-        use_cache: config.use_cache,
-        jobs: 1,
-        timeout: carve_timeout(file_timeout, n_vars),
-        mem_limit_bytes: carve_mem_limit(file_mem, n_vars),
-        cancel: config.cancel.clone(),
-        faults: faults.clone(),
-        ..CircConfig::default()
+        timeout: carve_timeout(ctx.file_timeout, vars.len()),
+        mem_limit_bytes: carve_mem_limit(ctx.file_mem, vars.len()),
+        faults: ctx.faults.clone(),
+        ..ctx.circ.clone()
     };
     // Keyed by the *structural* digest of the lowered automaton plus a
     // per-race-variable config fingerprint — computed from the base
     // config, before seeding, so warm runs rebuild the recorded key.
     let cfa_digest = structural_digest(&compiled.cfa);
-    let mut learned = PredStore::new();
-    let mut verdict = Verdict::Safe;
-    let mut detail = String::new();
-    let mut pipeline = PipelineStats::default();
-    let mut cancelled = false;
-    let mut stages: Vec<&'static str> = Vec::with_capacity(n_vars);
-    for &var in &compiled.race_vars {
+    for &var in vars {
         let program = MtProgram::new(compiled.cfa.clone(), var);
-        let vname = compiled.cfa.var_name(var).to_string();
-        if config.triage {
-            // Cheap stages first: each can decide in one direction
-            // only (stage 0 Safe, stage 1 Unsafe), so a decided
-            // variable gets the same verdict the engine would have
-            // produced — minus the engine run.
-            match circ_triage::triage(&program, &TriageConfig::default()) {
-                TriageDecision::Stage0Safe => {
-                    pipeline.triage_stage0_decided += 1;
-                    stages.push("flow");
-                    continue; // verdict stays at the Safe floor
-                }
-                TriageDecision::Stage1Race(w) => {
-                    pipeline.triage_stage1_decided += 1;
-                    stages.push("sched");
-                    let d = format!(
-                        "race on {vname}: {} threads, {} steps",
-                        w.n_threads,
-                        w.steps.len()
-                    );
-                    if Verdict::Race > verdict {
-                        verdict = Verdict::Race;
-                        detail = d;
-                    }
-                    continue;
-                }
-                TriageDecision::Fallthrough => {
-                    pipeline.triage_fallthrough += 1;
-                    stages.push("circ");
-                }
-            }
+        let vname = compiled.cfa.var_name(var);
+        // Cheap stages first: each can decide in one direction only
+        // (stage 0 Safe, stage 1 Unsafe), so a decided variable gets
+        // the same verdict the engine would have produced — minus the
+        // engine run.
+        let triaged = if ctx.config.triage {
+            circ_triage::triage(&program, &TriageConfig::default())
         } else {
-            stages.push("circ");
-        }
-        let config_fp = pred_store::config_fingerprint(
-            cfg.initial_k,
-            cfg.omega_mode,
-            cfg.minimize,
-            &cfg.initial_preds,
-            &format!("race v{}", var.index()),
-        );
-        let mut var_cfg = cfg.clone();
-        let prior =
-            pred_seed.and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
-        let outcome = circ_with_caches(&program, &var_cfg, cache, persist);
-        let mut run_stats = outcome.stats().pipeline.clone();
-        if let Some(prior_rounds) = prior {
-            run_stats.preds_seeded = var_cfg.initial_preds.len() as u64;
-            run_stats.refine_rounds_saved = prior_rounds.saturating_sub(run_stats.refine_rounds);
-        }
-        pipeline.add(&run_stats);
-        pred_store::record_outcome(
-            &mut learned,
-            cfa_digest,
-            config_fp,
-            &outcome,
-            prior.unwrap_or(0),
-        );
-        let (v, d) = match outcome {
-            CircOutcome::Safe(_) => (Verdict::Safe, String::new()),
-            CircOutcome::Unsafe(r) => (
-                Verdict::Race,
-                format!(
-                    "race on {vname}: {} threads, {} steps",
-                    r.cex.n_threads,
-                    r.cex.steps.len()
-                ),
-            ),
-            CircOutcome::Unknown(r) => {
-                let v = match &r.reason {
-                    UnknownReason::Cancelled => {
-                        cancelled = true;
-                        Verdict::BudgetExhausted
-                    }
-                    UnknownReason::InternalError(_) => Verdict::InternalError,
-                    reason if reason.is_budget_exhausted() => Verdict::BudgetExhausted,
-                    _ => Verdict::Inconclusive,
-                };
-                (v, format!("{vname}: {:?}", r.reason))
+            TriageDecision::Fallthrough
+        };
+        let mut pipeline = PipelineStats::default();
+        let decided = match triaged {
+            TriageDecision::Stage0Safe => {
+                pipeline.triage_stage0_decided = 1;
+                Decided::Flow
+            }
+            TriageDecision::Stage1Race(w) => {
+                pipeline.triage_stage1_decided = 1;
+                Decided::Sched(w)
+            }
+            TriageDecision::Fallthrough => {
+                let tag =
+                    if asserts { "asserts".to_string() } else { format!("race v{}", var.index()) };
+                let config_fp = pred_store::config_fingerprint(
+                    cfg.initial_k,
+                    cfg.omega_mode,
+                    cfg.minimize,
+                    &cfg.initial_preds,
+                    &tag,
+                );
+                let mut var_cfg = cfg.clone();
+                let prior = ctx
+                    .pred_seed
+                    .and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
+                let outcome = circ_with_caches(&program, &var_cfg, ctx.cache, ctx.persist);
+                pipeline = outcome.stats().pipeline.clone();
+                pipeline.triage_fallthrough = u64::from(ctx.config.triage);
+                if let Some(prior_rounds) = prior {
+                    pipeline.preds_seeded = var_cfg.initial_preds.len() as u64;
+                    pipeline.refine_rounds_saved =
+                        prior_rounds.saturating_sub(pipeline.refine_rounds);
+                }
+                pred_store::record_outcome(
+                    &mut checked.learned,
+                    cfa_digest,
+                    config_fp,
+                    &outcome,
+                    prior.unwrap_or(0),
+                );
+                Decided::Circ(Box::new(outcome))
             }
         };
-        if v > verdict {
-            verdict = v;
-            detail = d;
+        let race = |n_threads: usize, steps: usize| {
+            (Verdict::Race, format!("race on {vname}: {n_threads} threads, {steps} steps"))
+        };
+        let (verdict, detail) = match &decided {
+            Decided::Flow => (Verdict::Safe, String::new()),
+            Decided::Sched(w) => race(w.n_threads, w.steps.len()),
+            Decided::Circ(outcome) => match &**outcome {
+                CircOutcome::Safe(_) => (Verdict::Safe, String::new()),
+                CircOutcome::Unsafe(r) => race(r.cex.n_threads, r.cex.steps.len()),
+                CircOutcome::Unknown(r) => {
+                    let v = match &r.reason {
+                        UnknownReason::Cancelled => {
+                            row.cancelled = true;
+                            Verdict::BudgetExhausted
+                        }
+                        UnknownReason::InternalError(_) => Verdict::InternalError,
+                        reason if reason.is_budget_exhausted() => Verdict::BudgetExhausted,
+                        _ => Verdict::Inconclusive,
+                    };
+                    (v, format!("{vname}: {:?}", r.reason))
+                }
+            },
+        };
+        if verdict > row.verdict {
+            row.verdict = verdict;
+            row.detail = detail;
         }
+        row.pipeline.add(&pipeline);
+        checked.vars.push(VarCheck { var, decided, pipeline });
         // Draining: once cancellation is observed there is no point
         // starting the remaining variables; the row is re-checked on
         // resume anyway because cancelled rows are never journaled.
-        if cancelled {
+        if row.cancelled {
             break;
         }
     }
-    if verdict == Verdict::Safe {
-        detail = format!("{n_vars} race variable(s) race-free");
+    if row.verdict == Verdict::Safe {
+        row.detail = format!("{} race variable(s) race-free", vars.len());
     }
-    let mut r = row(verdict, detail, pipeline, start);
-    r.stage = stages.join("+");
-    r.cancelled = cancelled;
-    (r, learned)
+    row.stage = checked.vars.iter().map(|v| v.decided.stage()).collect::<Vec<_>>().join("+");
+    row.time_s = start.elapsed().as_secs_f64();
+    checked
 }
 
-/// Checks one file: read it, then run [`check_source`] against an
-/// isolated cache seeded from the shared warm start, so per-file
-/// statistics are independent of which worker ran it. Returns the
-/// row, plus the file's cache and the learned predicate-store
-/// entries for sequential post-run merging.
-fn check_file(
+/// Checks one file as a batch worker does: read it, then run
+/// [`check_source`] against a per-file cache seeded from `warm`, so
+/// per-file statistics are independent of which worker ran it. Returns
+/// the result and the file's cache, for sequential post-run merging.
+/// The `circ check --row-json` child of `--isolate` calls it too.
+pub fn check_file(
     path: &Path,
     config: &BatchConfig,
+    circ: &CircConfig,
     file_timeout: Option<Duration>,
     file_mem: Option<u64>,
     warm: &WarmStart,
     faults: &FaultPlan,
-) -> (FileRow, (AbsCache, PredStore)) {
-    let start = Instant::now();
+) -> (Checked, AbsCache) {
     let file = path.display().to_string();
     let src = match fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
-            let mut r = FileRow::new(file, Verdict::CompileError, format!("cannot read: {e}"));
-            r.time_s = start.elapsed().as_secs_f64();
-            return (r, Default::default());
+            let checked = Checked::new(&file, Verdict::CompileError, format!("cannot read: {e}"));
+            return (checked, AbsCache::default());
         }
     };
-    let cache =
-        if config.use_cache { AbsCache::with_seed(&warm.abs_seed) } else { AbsCache::disabled() };
+    let cache = warm.file_cache(config.use_cache);
     let (persist, pred_seed) = (&warm.persist, warm.preds.as_ref());
-    let ctx =
-        CheckCtx { config, file_timeout, file_mem, cache: &cache, persist, pred_seed, faults };
-    let (row, learned) = check_source(&file, &src, &ctx);
-    (row, (cache, learned))
-}
-
-/// Checks one file exactly as an in-process batch worker would — the
-/// same budget carving across race variables, the same cache seeding,
-/// the same counters — and returns the completed row plus any
-/// cache-load warnings. This is the child half of `--isolate`:
-/// `circ check <file> --row-json` calls it and prints the row, so an
-/// isolated batch produces rows identical to an in-process one by
-/// construction. Learned cache entries are discarded — an isolated
-/// child never writes cache files (the parent would race it).
-pub fn check_single(path: &Path, config: &BatchConfig) -> (FileRow, Vec<String>) {
-    let io = circ_store::Store::with_faults(&config.faults);
-    // The isolated child never sweeps or persists, so recovery
-    // bookkeeping stays with the parent driver (keeps per-row counters
-    // jobs-invariant).
-    let warm = warm_start(&io, config.active_cache_dir(), config.pred_store, false);
-    let key = content_key(path);
-    let faults = config.faults.reseeded(key ^ 1);
-    let (row, _) = check_file(path, config, config.timeout, config.mem_limit_bytes, &warm, &faults);
-    (row, warm.warnings)
+    let ctx = CheckCtx {
+        config,
+        circ,
+        file_timeout,
+        file_mem,
+        cache: &cache,
+        persist,
+        pred_seed,
+        faults,
+    };
+    (check_source(&file, &src, &ctx), cache)
 }
 
 /// The deterministic per-file key used to reseed fault plans and draw
@@ -1126,6 +1175,7 @@ pub fn tally(totals: &mut BatchTotals, row: &FileRow) {
 /// process isolation, journaling, and the `cancel_after` hook.
 struct Supervisor<'a> {
     config: &'a BatchConfig,
+    circ: CircConfig,
     file_timeout: Option<Duration>,
     file_mem: Option<u64>,
     warm: &'a WarmStart,
@@ -1158,7 +1208,16 @@ impl Supervisor<'_> {
                 if self.config.isolate {
                     (self.isolated(&task.path, remaining, &mut crashes), Default::default())
                 } else {
-                    check_file(&task.path, self.config, remaining, self.file_mem, self.warm, faults)
+                    let (checked, cache) = check_file(
+                        &task.path,
+                        self.config,
+                        &self.circ,
+                        remaining,
+                        self.file_mem,
+                        self.warm,
+                        faults,
+                    );
+                    (checked.row, (cache, checked.learned))
                 }
             });
         row.isolated_crashes = crashes;
@@ -1213,7 +1272,9 @@ impl Supervisor<'_> {
             cmd.arg("--triage");
         }
         if let Some(t) = attempt_timeout {
-            cmd.arg("--timeout-millis").arg(t.as_millis().to_string());
+            // Clamped: a u128 millisecond count past u64 would not parse.
+            let millis = u64::try_from(t.as_millis()).unwrap_or(u64::MAX);
+            cmd.arg("--timeout-millis").arg(millis.to_string());
         }
         if let Some(m) = self.file_mem {
             cmd.arg("--mem-limit-bytes").arg(m.to_string());
@@ -1354,6 +1415,7 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     let append_failures = AtomicUsize::new(0);
     let supervisor = Supervisor {
         config,
+        circ: config.circ_config(),
         file_timeout: carve_timeout(config.timeout, n),
         file_mem: carve_mem_limit(config.mem_limit_bytes, n),
         warm: &warm,

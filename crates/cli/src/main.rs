@@ -1,23 +1,5 @@
-//! `circ` — the command-line race checker.
-//!
-//! ```text
-//! circ check <file.nesl> [--mode circ|omega] [--k N] [--jobs N] [--print-acfa]
-//!                        [--trace] [--stats] [--json] [--no-cache] [--row-json]
-//!                        [--timeout-secs N | --timeout-millis N]
-//!                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]
-//! circ batch <dir|manifest.json|file.nesl> [--mode circ|omega] [--k N] [--jobs N]
-//!                        [--json] [--no-cache] [--timeout-secs N]
-//!                        [--mem-limit-mb N] [--cache-dir DIR]
-//!                        [--journal FILE] [--resume] [--isolate] [--retries N]
-//! circ serve --socket PATH | --port N [--jobs N] [--max-inflight N]
-//!                        [--queue-depth N] [--timeout-secs N] [--mem-limit-mb N]
-//!                        [--cache-dir DIR] [--no-cache] [--mode circ|omega] [--k N]
-//!                        [--pred-store | --no-pred-store] [--triage | --no-triage]
-//!                        [--retries N]
-//! circ client --socket PATH | --port N [--stats] [--health] [paths...]
-//! circ compile <file.nesl> [--dot]
-//! circ baselines <file.nesl>
-//! ```
+//! `circ` — the command-line race checker. `circ --help` lists the
+//! subcommands and their flags.
 //!
 //! Exit codes: 0 = all checked variables race-free, 1 = a race was
 //! found, 2 = inconclusive (the analysis gave up within its own
@@ -32,21 +14,13 @@
 //! its check responses, 75 when the service shed a request
 //! (overloaded or shutting down), and 74 when it cannot connect.
 //!
-//! `batch` runs under crash-safe supervision: `--journal FILE` records
-//! every completed row, `--resume` replays journaled rows for
-//! unchanged inputs, SIGINT/SIGTERM drain the run gracefully (the
-//! partial report and cache files are still written; a second signal
-//! force-kills), `--isolate` re-execs this binary per file so one
-//! crashing input degrades to a single `internal-error` row, and
-//! `--retries N` re-runs transient internal errors with deterministic
-//! backoff. `--row-json` is the isolation protocol's child mode: check
-//! one file with batch-style budget carving and print the report row
-//! as one JSON line (exit code as above).
+//! `check` is a one-file batch unit rendered verbosely; with
+//! `--row-json` (the child mode of `batch --isolate`) it prints the
+//! report row instead and leaves the cache directory alone.
 
-use circ_core::{
-    circ, circ_with_caches, pred_store, AbsCache, CircConfig, CircEvent, CircOutcome, Property,
-};
-use circ_ir::{dot, structural_digest, Cfa, MtProgram};
+use circ_batch::{Decided, VarCheck};
+use circ_core::{CircConfig, CircEvent, CircOutcome, Property};
+use circ_ir::{dot, Cfa, MtProgram};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -108,12 +82,13 @@ fn print_help() {
          pipeline phases for `check`, whole files for `batch` — with\n\
          bit-identical verdicts and statistics at any setting;\n\
          `--timeout-secs N` / `--mem-limit-mb N` bound the run's wall clock /\n\
-         accounted memory (split evenly across files for `batch`) — on\n\
-         exhaustion the verdict is INCONCLUSIVE with partial statistics and\n\
-         exit code 3; `--cache-dir DIR` persists the entailment and solver\n\
-         caches across runs: loaded on start (a damaged file degrades to a\n\
-         logged cold start), written back on exit. `--k N` (N >= 1) sets the\n\
-         initial thread-counter parameter.\n\n\
+         accounted memory, split evenly across race variables for `check`\n\
+         and across files and then variables for `batch` — on exhaustion\n\
+         the verdict is INCONCLUSIVE with partial statistics and exit code 3;\n\
+         `--cache-dir DIR` persists the entailment and solver caches across\n\
+         runs: loaded on start (a damaged file degrades to a logged cold\n\
+         start), written back on exit. `--k N` (N >= 1) sets the initial\n\
+         thread-counter parameter.\n\n\
          Incremental re-checking: with `--cache-dir`, each check's discovered\n\
          predicate set and final k are persisted to a predicate store\n\
          (preds.store) keyed by a structural digest of the lowered automaton\n\
@@ -260,7 +235,11 @@ impl CommonFlags {
             "--jobs" => self.jobs = number(flag, it)?,
             "--timeout-secs" => self.timeout_secs = Some(number(flag, it)?),
             "--timeout-millis" => self.timeout_millis = Some(number(flag, it)?),
-            "--mem-limit-mb" => self.mem_limit_mb = Some(number(flag, it)?),
+            "--mem-limit-mb" => {
+                let mb: u64 = number(flag, it)?;
+                mb.checked_mul(1 << 20).ok_or("--mem-limit-mb overflows 64 bits of bytes")?;
+                self.mem_limit_mb = Some(mb);
+            }
             "--mem-limit-bytes" => self.mem_limit_bytes = Some(number(flag, it)?),
             "--retries" => self.retries = number(flag, it)?,
             "--cache-dir" => {
@@ -319,7 +298,8 @@ impl CommonFlags {
             .or(self.timeout_millis.map(Duration::from_millis))
     }
 
-    /// The effective memory ceiling in bytes.
+    /// The effective memory ceiling in bytes (the parser rejects a
+    /// `--mem-limit-mb` whose byte count overflows).
     fn mem_limit(&self) -> Option<u64> {
         self.mem_limit_mb.map(|mb| mb * 1024 * 1024).or(self.mem_limit_bytes)
     }
@@ -374,10 +354,16 @@ impl std::ops::Deref for Parsed {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<Parsed, String> {
+/// Parses the flags of `check`, `batch`, `compile` and `baselines`.
+/// `check` rejects the supervision flags that only `batch` (and, for
+/// `--retries`, `serve`) acts on, rather than ignoring them.
+fn parse_flags(args: &[String], check: bool) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if check && ["--journal", "--resume", "--isolate", "--retries"].contains(&a.as_str()) {
+            return Err(format!("`check` does not take {a} (a `batch` supervision flag)"));
+        }
         if parsed.common.parse_flag(a, &mut it)? {
             continue;
         }
@@ -447,215 +433,159 @@ fn named(cfa: &Cfa, mut s: String) -> String {
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, true)) else { return usage() };
+    let cfg = parsed.batch_config();
+    let property = if parsed.asserts { Property::Assertions } else { Property::Race };
+    let circ = CircConfig { jobs: parsed.jobs, property, ..cfg.circ_config() };
+    let io = circ_store::Store::real();
+    let dir = parsed.cache_dir.as_deref();
+    // The `--row-json` child of `batch --isolate` leaves the cache
+    // directory alone (the supervising parent sweeps and flushes it).
+    let mut warm = circ_batch::warm_start(&io, dir, cfg.pred_store, !parsed.row_json);
+    for w in &warm.warnings {
+        eprintln!("warning: {w}");
+    }
+    let (file_timeout, file_mem) = (cfg.timeout, cfg.mem_limit_bytes);
     if parsed.row_json {
-        // Isolation-protocol child mode: check one file exactly the
-        // way a batch worker would (same budget semantics, read-only
-        // cache seeding) and emit the report row as one JSON line on
-        // stdout — the supervising parent parses it back.
-        let cfg = parsed.batch_config();
-        let (row, warnings) = circ_batch::check_single(Path::new(&parsed.source_path), &cfg);
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        println!("{}", circ_batch::render_row_json(&row));
-        return ExitCode::from(row.verdict.exit_code());
+        let path = Path::new(&parsed.source_path);
+        let (checked, _) =
+            circ_batch::check_file(path, &cfg, &circ, file_timeout, file_mem, &warm, &cfg.faults);
+        println!("{}", circ_batch::render_row_json(&checked.row));
+        return ExitCode::from(checked.row.verdict.exit_code());
     }
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
     };
-    if compiled.race_vars.is_empty() {
-        eprintln!("{}: no `#race` directive — nothing to check", parsed.source_path);
+    let cache = warm.file_cache(cfg.use_cache);
+    let ctx = circ_batch::CheckCtx {
+        config: &cfg,
+        circ: &circ,
+        file_timeout,
+        file_mem,
+        cache: &cache,
+        persist: &warm.persist,
+        pred_seed: warm.preds.as_ref(),
+        faults: &cfg.faults,
+    };
+    let checked = circ_batch::check_compiled(&parsed.source_path, &compiled, &ctx);
+    if checked.row.verdict == circ_batch::Verdict::CompileError {
+        eprintln!("{}: {}", parsed.source_path, checked.row.detail);
         return ExitCode::from(65);
     }
-    let cfg = CircConfig {
-        omega_mode: parsed.mode_omega,
-        initial_k: parsed.initial_k,
-        use_cache: !parsed.no_cache,
-        property: if parsed.asserts { Property::Assertions } else { Property::Race },
-        jobs: parsed.jobs,
-        timeout: parsed.timeout(),
-        mem_limit_bytes: parsed.mem_limit(),
-        ..CircConfig::default()
-    };
-    // With `--cache-dir`, warm-start from disk and share one cache
-    // across this invocation's race variables so the file written
-    // back holds the union of what they learned. Without it, each
-    // variable keeps its own per-run cache as before. The predicate
-    // store (unless --no-pred-store) seeds each variable's check from
-    // what previous runs discovered for the same automaton and config,
-    // and records what this run learns.
-    let io = circ_store::Store::real();
-    let dir = parsed.cache_dir.as_deref();
-    let circ_batch::WarmStart { abs_seed, persist, preds: mut preds_store, warnings, .. } =
-        circ_batch::warm_start(&io, dir, parsed.pred_store.unwrap_or(true), true);
-    for w in &warnings {
-        eprintln!("warning: {w}");
+    for v in &checked.vars {
+        render_var(&parsed, &compiled.cfa, v);
     }
-    let shared_cache = dir.map(|_| AbsCache::with_seed(&abs_seed));
-    let cfa_digest = structural_digest(&compiled.cfa);
-    // 1 (race) dominates everything; 3 (budget exhausted) dominates 2
-    // (plain inconclusive); 0 only survives if every variable is safe.
-    let mut worst: u8 = 0;
-    let vars: Vec<_> = if parsed.asserts {
-        compiled.race_vars[..1].to_vec() // property is program-wide
-    } else {
-        compiled.race_vars.clone()
-    };
-    for &var in &vars {
-        let program = MtProgram::new(compiled.cfa.clone(), var);
-        let vname = compiled.cfa.var_name(var).to_string();
-        if parsed.triage.unwrap_or(false) {
-            match circ_triage::triage(&program, &circ_triage::TriageConfig::default()) {
-                circ_triage::TriageDecision::Stage0Safe => {
-                    println!(
-                        "{vname}: SAFE — race-free for any number of threads \
-                         (triage stage 0: every access is atomic)"
-                    );
-                    continue;
-                }
-                circ_triage::TriageDecision::Stage1Race(w) => {
-                    println!(
-                        "{vname}: RACE — {} threads, {} steps \
-                         (triage stage 1: random schedule, replay validated)",
-                        w.n_threads,
-                        w.steps.len()
-                    );
-                    for (i, (tid, eid, _)) in w.steps.iter().enumerate() {
-                        let op = named(&compiled.cfa, format!("{}", compiled.cfa.edge(*eid).op));
-                        println!("  {i:>3}. T{tid}  {op}");
-                    }
-                    worst = 1;
-                    continue;
-                }
-                circ_triage::TriageDecision::Fallthrough => {
-                    if parsed.trace {
-                        eprintln!("[{vname}] triage: undecided, running full CIRC");
-                    }
-                }
-            }
+    if let Some(dir) = dir {
+        if let Some(store) = warm.preds.as_mut() {
+            store.absorb(checked.learned);
         }
-        let property_tag =
-            if parsed.asserts { "asserts".to_string() } else { format!("race v{}", var.index()) };
-        let config_fp = pred_store::config_fingerprint(
-            cfg.initial_k,
-            cfg.omega_mode,
-            cfg.minimize,
-            &cfg.initial_preds,
-            &property_tag,
-        );
-        let mut var_cfg = cfg.clone();
-        let prior = preds_store
-            .as_ref()
-            .and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
-        let outcome = match &shared_cache {
-            Some(cache) => circ_with_caches(&program, &var_cfg, cache, &persist),
-            None => circ(&program, &var_cfg),
-        };
-        let mut run_stats = outcome.stats().clone();
-        if let Some(prior_rounds) = prior {
-            run_stats.pipeline.preds_seeded = var_cfg.initial_preds.len() as u64;
-            run_stats.pipeline.refine_rounds_saved =
-                prior_rounds.saturating_sub(run_stats.pipeline.refine_rounds);
-        }
-        if let Some(store) = preds_store.as_mut() {
-            pred_store::record_outcome(store, cfa_digest, config_fp, &outcome, prior.unwrap_or(0));
-        }
-        if parsed.trace {
-            for e in &outcome.log().events {
-                match e {
-                    CircEvent::OuterStart { preds, k } => {
-                        eprintln!("[{vname}] round: P = {{{}}}, k = {k}", preds.join(", "))
-                    }
-                    CircEvent::ReachDone { arg_locs, .. } => {
-                        eprintln!("[{vname}]   reach ok, ARG {arg_locs} locations")
-                    }
-                    CircEvent::SimChecked { holds } => {
-                        eprintln!("[{vname}]   guarantee: {holds}")
-                    }
-                    CircEvent::Collapsed { size, .. } => {
-                        eprintln!("[{vname}]   collapsed to {size} locations")
-                    }
-                    CircEvent::AbstractRace { trace_len } => {
-                        eprintln!("[{vname}]   abstract race ({trace_len} steps)")
-                    }
-                    CircEvent::Refined { verdict, .. } => {
-                        eprintln!("[{vname}]   refine: {verdict}")
-                    }
-                    CircEvent::OmegaCheck { good } => {
-                        eprintln!("[{vname}]   ω-check: {good}")
-                    }
-                }
-            }
-        }
-        match outcome {
-            CircOutcome::Safe(report) => {
-                let what = if parsed.asserts { "assertions hold" } else { "race-free" };
-                println!(
-                    "{vname}: SAFE — {what} for any number of threads \
-                     ({} predicates, {}-location context, k = {}, {:.2?})",
-                    report.preds.len(),
-                    report.acfa.num_locs(),
-                    report.k,
-                    report.stats.elapsed
-                );
-                if parsed.print_acfa {
-                    let preds = report.preds.clone();
-                    let text = report.acfa.display_with(
-                        &|i| named(&compiled.cfa, format!("{}", preds[i.index()])),
-                        &|v| compiled.cfa.var_name(v).to_string(),
-                    );
-                    println!("{text}");
-                }
-            }
-            CircOutcome::Unsafe(report) => {
-                println!(
-                    "{vname}: RACE — {} threads, {} steps (replay validated: {})",
-                    report.cex.n_threads,
-                    report.cex.steps.len(),
-                    report.cex.replay_ok
-                );
-                for (i, (tid, eid, _)) in report.cex.steps.iter().enumerate() {
-                    let op = named(&compiled.cfa, format!("{}", compiled.cfa.edge(*eid).op));
-                    println!("  {i:>3}. T{tid}  {op}");
-                }
-                worst = 1;
-            }
-            CircOutcome::Unknown(report) => {
-                println!("{vname}: INCONCLUSIVE — {:?}", report.reason);
-                let code = if report.reason.is_budget_exhausted() { 3 } else { 2 };
-                if worst != 1 {
-                    worst = worst.max(code);
-                }
-            }
-        }
-        if parsed.stats {
-            if parsed.stats_json {
-                println!("{}", run_stats.pipeline.to_json());
-            } else {
-                println!("{vname}: statistics ({:.2?} total)", run_stats.elapsed);
-                print!("{}", run_stats.pipeline.render_table());
-            }
-        }
-    }
-    if let (Some(dir), Some(cache)) = (&parsed.cache_dir, &shared_cache) {
-        let outcome = circ_batch::flush_caches_in(
-            &io,
-            dir,
-            &cache.snapshot(),
-            &persist,
-            preds_store.as_ref(),
-        );
-        for w in &outcome.warnings {
+        let preds = warm.preds.as_ref();
+        let flushed =
+            circ_batch::flush_caches_in(&io, dir, &cache.snapshot(), &warm.persist, preds);
+        for w in &flushed.warnings {
             eprintln!("warning: {w}");
         }
     }
-    ExitCode::from(worst)
+    ExitCode::from(checked.row.verdict.exit_code())
+}
+
+/// Prints a witness schedule, one numbered step per line.
+fn print_steps<T: std::fmt::Display>(cfa: &Cfa, steps: &[(T, circ_ir::EdgeId, i64)]) {
+    for (i, (tid, eid, _)) in steps.iter().enumerate() {
+        println!("  {i:>3}. T{tid}  {}", named(cfa, format!("{}", cfa.edge(*eid).op)));
+    }
+}
+
+/// Prints what one race variable's check decided: the verdict line,
+/// the witness schedule, and on request the inferred context, the
+/// engine's event log and the counters.
+fn render_var(parsed: &Parsed, cfa: &Cfa, checked: &VarCheck) {
+    let vname = cfa.var_name(checked.var);
+    let outcome = match &checked.decided {
+        Decided::Flow => {
+            println!(
+                "{vname}: SAFE — race-free for any number of threads \
+                 (triage stage 0: every access is atomic)"
+            );
+            return;
+        }
+        Decided::Sched(w) => {
+            println!(
+                "{vname}: RACE — {} threads, {} steps \
+                 (triage stage 1: random schedule, replay validated)",
+                w.n_threads,
+                w.steps.len()
+            );
+            return print_steps(cfa, &w.steps);
+        }
+        Decided::Circ(outcome) => outcome.as_ref(),
+    };
+    if parsed.trace {
+        if parsed.triage == Some(true) {
+            eprintln!("[{vname}] triage: undecided, running full CIRC");
+        }
+        for e in &outcome.log().events {
+            match e {
+                CircEvent::OuterStart { preds, k } => {
+                    eprintln!("[{vname}] round: P = {{{}}}, k = {k}", preds.join(", "))
+                }
+                CircEvent::ReachDone { arg_locs, .. } => {
+                    eprintln!("[{vname}]   reach ok, ARG {arg_locs} locations")
+                }
+                CircEvent::SimChecked { holds } => eprintln!("[{vname}]   guarantee: {holds}"),
+                CircEvent::Collapsed { size, .. } => {
+                    eprintln!("[{vname}]   collapsed to {size} locations")
+                }
+                CircEvent::AbstractRace { trace_len } => {
+                    eprintln!("[{vname}]   abstract race ({trace_len} steps)")
+                }
+                CircEvent::Refined { verdict, .. } => eprintln!("[{vname}]   refine: {verdict}"),
+                CircEvent::OmegaCheck { good } => eprintln!("[{vname}]   ω-check: {good}"),
+            }
+        }
+    }
+    match outcome {
+        CircOutcome::Safe(report) => {
+            let what = if parsed.asserts { "assertions hold" } else { "race-free" };
+            println!(
+                "{vname}: SAFE — {what} for any number of threads \
+                 ({} predicates, {}-location context, k = {}, {:.2?})",
+                report.preds.len(),
+                report.acfa.num_locs(),
+                report.k,
+                report.stats.elapsed
+            );
+            if parsed.print_acfa {
+                let text = report
+                    .acfa
+                    .display_with(&|i| named(cfa, format!("{}", report.preds[i.index()])), &|v| {
+                        cfa.var_name(v).to_string()
+                    });
+                println!("{text}");
+            }
+        }
+        CircOutcome::Unsafe(report) => {
+            println!(
+                "{vname}: RACE — {} threads, {} steps (replay validated: {})",
+                report.cex.n_threads,
+                report.cex.steps.len(),
+                report.cex.replay_ok
+            );
+            print_steps(cfa, &report.cex.steps);
+        }
+        CircOutcome::Unknown(report) => println!("{vname}: INCONCLUSIVE — {:?}", report.reason),
+    }
+    if parsed.stats_json {
+        println!("{}", checked.pipeline.to_json());
+    } else if parsed.stats {
+        println!("{vname}: statistics ({:.2?} total)", outcome.stats().elapsed);
+        print!("{}", checked.pipeline.render_table());
+    }
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, false)) else { return usage() };
     let inputs = match circ_batch::collect_inputs(Path::new(&parsed.source_path)) {
         Ok(v) => v,
         Err(e) => {
@@ -927,7 +857,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
 }
 
 fn cmd_compile(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, false)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -950,7 +880,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
 }
 
 fn cmd_baselines(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, false)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -978,7 +908,7 @@ mod tests {
     use super::parse_flags;
 
     fn flags(args: &[&str]) -> Result<super::Parsed, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), false)
     }
 
     #[test]
@@ -1051,6 +981,37 @@ mod tests {
         assert_eq!(p.retries, 2);
         assert!(flags(&["corpus", "--retries", "many"]).is_err());
         assert!(flags(&["corpus", "--journal"]).is_err());
+    }
+
+    #[test]
+    fn mem_limit_mb_that_overflows_bytes_is_a_usage_error() {
+        let err = flags(&["m.nesl", "--mem-limit-mb", "17592186044416"]).unwrap_err();
+        assert!(err.contains("--mem-limit-mb"), "unhelpful message: {err}");
+        let largest = (u64::MAX >> 20).to_string();
+        let p = flags(&["m.nesl", "--mem-limit-mb", &largest]).unwrap();
+        assert_eq!(p.mem_limit(), Some((u64::MAX >> 20) << 20));
+        assert!(parse_flags(&["m.nesl".into(), "--mem-limit-mb".into(), "1".into()], true).is_ok());
+    }
+
+    #[test]
+    fn check_rejects_batch_supervision_flags() {
+        let check = |args: &[&str]| {
+            parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), true)
+        };
+        for args in [
+            &["m.nesl", "--journal", "j.jsonl"][..],
+            &["m.nesl", "--journal", "j.jsonl", "--resume"],
+            &["m.nesl", "--isolate"],
+            &["m.nesl", "--retries", "2"],
+            &["m.nesl", "--retries", "0"],
+        ] {
+            let err = check(args).unwrap_err();
+            assert!(err.contains(args[1]), "unhelpful message for {args:?}: {err}");
+        }
+        // The isolation child's own flags stay accepted.
+        assert!(check(&["m.nesl", "--row-json", "--timeout-millis", "5", "--triage"]).is_ok());
+        // `batch` keeps them.
+        assert!(flags(&["corpus", "--isolate", "--retries", "2"]).is_ok());
     }
 
     #[test]

@@ -123,7 +123,8 @@ impl Budget {
     }
 
     /// Build a budget. The deadline clock starts *now*: a `timeout`
-    /// of one second means one second from this call.
+    /// of one second means one second from this call. A deadline too
+    /// far out for the platform clock to represent is no deadline.
     pub fn new(
         timeout: Option<Duration>,
         mem_limit_bytes: Option<u64>,
@@ -132,7 +133,7 @@ impl Budget {
     ) -> Budget {
         Budget {
             inner: Arc::new(BudgetInner {
-                deadline: timeout.map(|t| Instant::now() + t),
+                deadline: timeout.and_then(|t| Instant::now().checked_add(t)),
                 timeout,
                 mem_limit_bytes,
                 charged: AtomicU64::new(0),
@@ -722,6 +723,14 @@ mod tests {
         assert_eq!(b.check(), Ok(()));
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(b.check(), Err(Exhausted::Deadline { limit: Duration::from_millis(10) }));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        let b = Budget::with_timeout(Duration::MAX);
+        assert_eq!(b.check(), Ok(()));
+        let b = Budget::with_timeout(Duration::from_secs(u64::MAX));
+        assert_eq!(b.check(), Ok(()));
     }
 
     #[test]

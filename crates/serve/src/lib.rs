@@ -53,7 +53,7 @@ use circ_batch::{
     check_source, collect_inputs, flush_caches_in, run_units, supervise_unit, tally, warm_start,
     worst_exit, BatchConfig, CheckCtx, FileRow, Verdict,
 };
-use circ_core::{AbsCache, PredStore, SolverPersist};
+use circ_core::{AbsCache, CircConfig, PredStore, SolverPersist};
 use circ_governor::{
     carve_mem_limit, carve_timeout, panic_message, CancelToken, Envelope, FaultPlan, RetryPolicy,
 };
@@ -433,6 +433,7 @@ fn check_unit(
     state: &ServerState,
     unit: &Unit,
     batch_cfg: &BatchConfig,
+    circ: &CircConfig,
     file_timeout: Option<Duration>,
     file_mem: Option<u64>,
     pred_seed: Option<&PredStore>,
@@ -450,6 +451,7 @@ fn check_unit(
             Ok(src) => {
                 let ctx = CheckCtx {
                     config: batch_cfg,
+                    circ,
                     file_timeout: remaining,
                     file_mem,
                     cache: &state.cache,
@@ -457,7 +459,8 @@ fn check_unit(
                     pred_seed,
                     faults,
                 };
-                check_source(&name, src, &ctx)
+                let checked = check_source(&name, src, &ctx);
+                (checked.row, checked.learned)
             }
             Err(e) => {
                 let detail = format!("cannot read: {e}");
@@ -489,12 +492,13 @@ fn run_check(state: &ServerState, input: &CheckInput) -> (Vec<FileRow>, u8) {
         },
     };
     let batch_cfg = request_batch_config(&state.config, req_timeout, req_mem);
+    let circ = batch_cfg.circ_config();
     let file_timeout = carve_timeout(req_timeout, units.len());
     let file_mem = carve_mem_limit(req_mem, units.len());
     let pred_seed: Option<PredStore> =
         state.preds.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
     let (rows, learned_stores) = run_units(state.config.jobs, &units, Unit::name, |unit| {
-        check_unit(state, unit, &batch_cfg, file_timeout, file_mem, pred_seed.as_ref())
+        check_unit(state, unit, &batch_cfg, &circ, file_timeout, file_mem, pred_seed.as_ref())
     });
     {
         let mut guard = state.preds.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -118,11 +118,13 @@ fn inline_checks_round_trip_with_batch_identical_verdicts() {
     // The same sources through the batch code path directly.
     for (src, expect) in [(SAFE_READER, "safe"), (RACY, "race")] {
         let config = circ_batch::BatchConfig::default();
+        let circ = config.circ_config();
         let cache = circ_core::AbsCache::new();
         let persist = circ_core::SolverPersist::inert();
         let faults = circ_governor::FaultPlan::inert();
         let ctx = circ_batch::CheckCtx {
             config: &config,
+            circ: &circ,
             file_timeout: None,
             file_mem: None,
             cache: &cache,
@@ -130,7 +132,7 @@ fn inline_checks_round_trip_with_batch_identical_verdicts() {
             pred_seed: None,
             faults: &faults,
         };
-        let (row, _) = circ_batch::check_source("x.nesl", src, &ctx);
+        let row = circ_batch::check_source("x.nesl", src, &ctx).row;
         assert_eq!(row.verdict.name(), expect, "batch verdict for {expect}");
     }
 
