@@ -551,6 +551,8 @@ pub struct LoadedCaches {
     /// How many damaged artifacts degraded to a cold start (each one
     /// also has a warning). Feeds the `store_recoveries` counter.
     pub recovered: u64,
+    /// How many artifacts were absent (a silent cold start).
+    pub(crate) missing: u64,
 }
 
 impl LoadedCaches {
@@ -562,11 +564,18 @@ impl LoadedCaches {
         path: &Path,
         loaded: Result<Option<T>, circ_smt::PersistError>,
     ) -> Option<T> {
-        loaded.unwrap_or_else(|e| {
-            self.warnings.push(format!("ignoring {what} `{}`: {e}", path.display()));
-            self.recovered += 1;
-            None
-        })
+        match loaded {
+            Ok(Some(artifact)) => Some(artifact),
+            Ok(None) => {
+                self.missing += 1;
+                None
+            }
+            Err(e) => {
+                self.warnings.push(format!("ignoring {what} `{}`: {e}", path.display()));
+                self.recovered += 1;
+                None
+            }
+        }
     }
 }
 
@@ -595,6 +604,7 @@ fn read_cache_dir(io: &circ_store::Store, dir: &Path, preds: bool) -> LoadedCach
         preds: None,
         warnings: Vec::new(),
         recovered: 0,
+        missing: 0,
     };
     let path = dir.join(ABS_CACHE_FILE);
     let loaded = circ_core::persist::load_abs_cache_in(io, &path);
@@ -625,6 +635,10 @@ pub struct WarmStart {
     pub warnings: Vec<String>,
     /// Stale staging files swept plus damaged artifacts ignored.
     pub recovered: u64,
+    /// Every artifact this start read was present and intact, and no
+    /// stale staging file was swept: the directory already holds
+    /// exactly the seeds.
+    clean: bool,
 }
 
 impl WarmStart {
@@ -636,6 +650,38 @@ impl WarmStart {
         } else {
             AbsCache::disabled()
         }
+    }
+
+    /// Persists a run's end state to `dir`: the master entailment
+    /// `cache` (seeded from this start), this start's solver store,
+    /// and `preds`, the run's predicate store after merging. A run
+    /// that started clean and learned nothing (no entailment entry
+    /// beyond the seed, no new solver formula, a predicate store equal
+    /// to the loaded one) would only rewrite what it loaded, so it
+    /// skips the lock, the re-read and every write, and reports the
+    /// loaded counts as saved. Skipping also leaves alone whatever a
+    /// peer sharing `dir` wrote since the load. Any other run takes
+    /// the locked read-merge-write of [`flush_caches_in`].
+    pub fn flush(
+        &self,
+        io: &circ_store::Store,
+        dir: &Path,
+        cache: &AbsCache,
+        preds: Option<&PredStore>,
+    ) -> FlushOutcome {
+        let learned_nothing = cache.local_len() == 0
+            && self.persist.len() == self.persist.seed_len()
+            && preds == self.preds.as_ref();
+        if self.clean && learned_nothing {
+            return FlushOutcome {
+                abs_saved: self.abs_seed.len(),
+                solver_saved: self.persist.seed_len(),
+                preds_saved: preds.map_or(0, PredStore::len),
+                flush_errors: 0,
+                warnings: Vec::new(),
+            };
+        }
+        flush_caches_in(io, dir, &cache.snapshot(), &self.persist, preds)
     }
 }
 
@@ -659,6 +705,7 @@ pub fn warm_start(
             preds: None,
             warnings: Vec::new(),
             recovered: 0,
+            clean: false,
         };
     };
     let (swept, mut warnings) = if sweep { io.sweep_stale_tmps(dir) } else { (0, Vec::new()) };
@@ -670,6 +717,7 @@ pub fn warm_start(
         preds: loaded.preds,
         warnings,
         recovered: swept + loaded.recovered,
+        clean: swept + loaded.recovered + loaded.missing == 0,
     }
 }
 
@@ -1451,20 +1499,19 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
     // Merge and save sequentially in input order — scheduling never
     // touches the persisted state, so warm files are reproducible.
     // (Under --isolate the children learn into their own memory and
-    // are discarded; the save then round-trips the seed unchanged.)
+    // are discarded, so the master learns nothing.)
     let mut flush_errors = append_failures.load(Ordering::Relaxed) as u64;
     let cache = cache_dir.map(|dir| {
         let master = AbsCache::with_seed(&warm.abs_seed);
         let preds_seeded = warm.preds.as_ref().map_or(0, PredStore::len);
-        let mut pred_master = warm.preds.take();
+        let mut pred_master = warm.preds.clone();
         for (file_cache, file_preds) in learned {
             master.absorb(&file_cache);
             if let Some(store) = pred_master.as_mut() {
                 store.absorb(file_preds);
             }
         }
-        let snapshot = master.snapshot();
-        let outcome = flush_caches_in(&io, dir, &snapshot, &warm.persist, pred_master.as_ref());
+        let outcome = warm.flush(&io, dir, &master, pred_master.as_ref());
         warnings.extend(outcome.warnings);
         flush_errors += outcome.flush_errors;
         CacheSummary {

@@ -10,6 +10,11 @@
 //!   reference and leaves no staging litter behind;
 //! * the `store_recoveries` / `flush_errors` counters are invariant
 //!   under `jobs`, because all storage I/O happens in the driver.
+//!
+//! A warm run that learns nothing writes nothing, which would leave
+//! every write point unarmed. So each armed run starts from a
+//! directory warmed on every input but one ([`HELD_OUT`]): it learns
+//! that input's entries and must flush.
 
 #![cfg(feature = "inject")]
 
@@ -72,6 +77,31 @@ fn clone_dir(src: &Path, name: &str) -> PathBuf {
     dst
 }
 
+/// The input each armed run is the first to check. In both corpora
+/// the third file's check learns entries no other file's does (the
+/// racy `t2.nesl`; `test_and_set.nesl`), which the undisturbed warm
+/// reference run asserts by rewriting the artifacts.
+const HELD_OUT: usize = 2;
+
+/// A fresh directory warmed by an undisturbed run over every input
+/// but [`HELD_OUT`].
+fn seed_all_but_held_out(inputs: &[PathBuf], name: &str, jobs: usize) -> PathBuf {
+    let dir = fresh_dir(name);
+    let mut warm = inputs.to_vec();
+    warm.remove(HELD_OUT);
+    let seeded = run_batch(&warm, &config(&dir, FaultPlan::inert(), jobs));
+    assert!(seeded.warnings.is_empty(), "{name}: {:?}", seeded.warnings);
+    dir
+}
+
+/// The bytes of the three persisted artifacts.
+fn artifacts(dir: &Path) -> Vec<Vec<u8>> {
+    ["abs.cache", "solver.cache", "preds.store"]
+        .iter()
+        .map(|n| fs::read(dir.join(n)).unwrap_or_default())
+        .collect()
+}
+
 fn tmp_litter(dir: &Path) -> Vec<String> {
     fs::read_dir(dir)
         .unwrap()
@@ -102,14 +132,18 @@ fn examples_dir() -> PathBuf {
 }
 
 fn assert_every_crash_point_recovers(inputs: &[PathBuf], tag: &str, jobs: usize) {
-    // Reference: an undisturbed cold run, then a warm run to pre-seed
-    // the cache directory every torture case starts from.
-    let seed_dir = fresh_dir(&format!("{tag}-seed"));
-    let reference = run_batch(inputs, &config(&seed_dir, FaultPlan::inert(), jobs));
+    // Reference: an undisturbed cold run. Every torture case starts
+    // from the held-out seed directory, on which an undisturbed run
+    // gives the same verdicts and rewrites the artifacts.
+    let reference_dir = fresh_dir(&format!("{tag}-reference"));
+    let reference = run_batch(inputs, &config(&reference_dir, FaultPlan::inert(), jobs));
     assert!(reference.warnings.is_empty(), "{tag}: {:?}", reference.warnings);
     let essence = verdict_essence(&reference);
-    let warm = run_batch(inputs, &config(&seed_dir, FaultPlan::inert(), jobs));
+    let seed_dir = seed_all_but_held_out(inputs, &format!("{tag}-seed"), jobs);
+    let warm_dir = clone_dir(&seed_dir, &format!("{tag}-warm"));
+    let warm = run_batch(inputs, &config(&warm_dir, FaultPlan::inert(), jobs));
     assert_eq!(verdict_essence(&warm), essence, "{tag}: warm reference diverged");
+    assert_ne!(artifacts(&warm_dir), artifacts(&seed_dir), "{tag}: the armed runs would not flush");
 
     for point in IoFaultPoint::ALL {
         let case = format!("{tag}/{}", point.name());
@@ -143,14 +177,17 @@ fn assert_every_crash_point_recovers(inputs: &[PathBuf], tag: &str, jobs: usize)
 #[test]
 fn storage_counters_are_jobs_invariant_under_injection() {
     let inputs = corpus("torture-jobs-corpus");
-    let seed_dir = fresh_dir("torture-jobs-seed");
-    run_batch(&inputs, &config(&seed_dir, FaultPlan::inert(), 1));
+    let seed_dir = seed_all_but_held_out(&inputs, "torture-jobs-seed", 1);
 
     for point in IoFaultPoint::ALL {
         let d1 = clone_dir(&seed_dir, &format!("torture-j1-{}", point.name()));
         let d4 = clone_dir(&seed_dir, &format!("torture-j4-{}", point.name()));
         let r1 = run_batch(&inputs, &config(&d1, FaultPlan::seeded(21).with_io_fault(point, 0), 1));
         let r4 = run_batch(&inputs, &config(&d4, FaultPlan::seeded(21).with_io_fault(point, 0), 4));
+        let observed = r1.totals.pipeline.store_recoveries
+            + r1.totals.pipeline.flush_errors
+            + u64::from(!r1.warnings.is_empty());
+        assert!(observed > 0, "{}: the armed fault was never observed", point.name());
         assert_eq!(
             (r1.totals.pipeline.store_recoveries, r1.totals.pipeline.flush_errors),
             (r4.totals.pipeline.store_recoveries, r4.totals.pipeline.flush_errors),
@@ -167,8 +204,9 @@ fn storage_counters_are_jobs_invariant_under_injection() {
 #[test]
 fn enospc_during_flush_degrades_to_logged_no_persist() {
     let inputs = corpus("torture-enospc-corpus");
-    let dir = fresh_dir("torture-enospc");
-    let reference = run_batch(&inputs, &config(&dir, FaultPlan::inert(), 1));
+    let reference_dir = fresh_dir("torture-enospc-reference");
+    let reference = run_batch(&inputs, &config(&reference_dir, FaultPlan::inert(), 1));
+    let dir = seed_all_but_held_out(&inputs, "torture-enospc", 1);
     let before: Vec<(String, String)> = ["abs.cache", "solver.cache", "preds.store"]
         .iter()
         .map(|n| (n.to_string(), fs::read_to_string(dir.join(n)).unwrap()))

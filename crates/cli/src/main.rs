@@ -25,6 +25,32 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// `print!` to stdout, except that a closed pipe (the reader quit
+/// early, as `circ batch --json | head` does) drops the output instead
+/// of panicking, so the command still finishes and exits with its own
+/// code. Any other write error panics, as `print!` does.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] with a trailing newline, the `println!` of this binary.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -48,21 +74,22 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_help() {
-    println!(
-        "circ — race checking by context inference (PLDI 2004 reproduction)\n\n\
+/// The text `circ --help` prints.
+const HELP: &str = "circ — race checking by context inference (PLDI 2004 reproduction)\n\n\
          USAGE:\n  circ check <file.nesl> [--mode circ|omega] [--asserts] [--k N] [--jobs N] [--print-acfa]\n\
          \x20                        [--trace] [--stats] [--json] [--no-cache] [--row-json]\n\
          \x20                        [--timeout-secs N | --timeout-millis N]\n\
          \x20                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]\n\
          \x20                        [--pred-store | --no-pred-store] [--triage | --no-triage]\n\
          \x20 circ batch <dir|manifest.json|file.nesl> [--mode circ|omega] [--k N] [--jobs N]\n\
-         \x20                        [--json] [--no-cache] [--timeout-secs N]\n\
-         \x20                        [--mem-limit-mb N] [--cache-dir DIR]\n\
+         \x20                        [--json] [--no-cache]\n\
+         \x20                        [--timeout-secs N | --timeout-millis N]\n\
+         \x20                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]\n\
          \x20                        [--pred-store | --no-pred-store] [--triage | --no-triage]\n\
          \x20                        [--journal FILE] [--resume] [--isolate] [--retries N]\n\
          \x20 circ serve --socket PATH | --port N [--jobs N] [--max-inflight N] [--queue-depth N]\n\
-         \x20                        [--timeout-secs N] [--mem-limit-mb N] [--cache-dir DIR]\n\
+         \x20                        [--timeout-secs N | --timeout-millis N]\n\
+         \x20                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]\n\
          \x20                        [--no-cache] [--mode circ|omega] [--k N] [--retries N]\n\
          \x20                        [--pred-store | --no-pred-store] [--triage | --no-triage]\n\
          \x20 circ client --socket PATH | --port N [--stats] [--health] [paths...]\n\
@@ -87,7 +114,8 @@ fn print_help() {
          the verdict is INCONCLUSIVE with partial statistics and exit code 3;\n\
          `--cache-dir DIR` persists the entailment and solver caches across\n\
          runs: loaded on start (a damaged file degrades to a logged cold\n\
-         start), written back on exit. `--k N` (N >= 1) sets the initial\n\
+         start), written back on exit unless the run learned nothing from\n\
+         an intact directory. `--k N` (N >= 1) sets the initial\n\
          thread-counter parameter.\n\n\
          Incremental re-checking: with `--cache-dir`, each check's discovered\n\
          predicate set and final k are persisted to a predicate store\n\
@@ -127,8 +155,8 @@ fn print_help() {
          Service mode: `serve` keeps one process resident with warm caches\n\
          behind a line-delimited JSON protocol (one request object per line\n\
          in, one response per line out) on a unix socket or localhost TCP\n\
-         port. Requests: {{\"op\":\"check\",\"source\":...|\"path\":...}},\n\
-         {{\"op\":\"stats\"}}, {{\"op\":\"health\"}}. `--max-inflight` bounds\n\
+         port. Requests: {\"op\":\"check\",\"source\":...|\"path\":...},\n\
+         {\"op\":\"stats\"}, {\"op\":\"health\"}. `--max-inflight` bounds\n\
          concurrent checks, `--queue-depth` bounds waiters, and anything\n\
          beyond both is shed with a structured `overloaded` response; the\n\
          `--timeout-secs` / `--mem-limit-mb` envelope is carved per admitted\n\
@@ -138,8 +166,10 @@ fn print_help() {
          A stale socket file left by a crash is detected by a connect probe\n\
          and reclaimed; a live one is refused with exit 74. `client` submits\n\
          server-side paths (or `--stats` / `--health` probes) and exits\n\
-         worst-wins across the responses."
-    );
+         worst-wins across the responses.";
+
+fn print_help() {
+    outln!("{HELP}");
 }
 
 fn usage() -> ExitCode {
@@ -441,7 +471,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     let dir = parsed.cache_dir.as_deref();
     // The `--row-json` child of `batch --isolate` leaves the cache
     // directory alone (the supervising parent sweeps and flushes it).
-    let mut warm = circ_batch::warm_start(&io, dir, cfg.pred_store, !parsed.row_json);
+    let warm = circ_batch::warm_start(&io, dir, cfg.pred_store, !parsed.row_json);
     for w in &warm.warnings {
         eprintln!("warning: {w}");
     }
@@ -450,7 +480,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         let path = Path::new(&parsed.source_path);
         let (checked, _) =
             circ_batch::check_file(path, &cfg, &circ, file_timeout, file_mem, &warm, &cfg.faults);
-        println!("{}", circ_batch::render_row_json(&checked.row));
+        outln!("{}", circ_batch::render_row_json(&checked.row));
         return ExitCode::from(checked.row.verdict.exit_code());
     }
     let compiled = match load(&parsed.source_path) {
@@ -477,12 +507,11 @@ fn cmd_check(args: &[String]) -> ExitCode {
         render_var(&parsed, &compiled.cfa, v);
     }
     if let Some(dir) = dir {
-        if let Some(store) = warm.preds.as_mut() {
+        let mut preds = warm.preds.clone();
+        if let Some(store) = preds.as_mut() {
             store.absorb(checked.learned);
         }
-        let preds = warm.preds.as_ref();
-        let flushed =
-            circ_batch::flush_caches_in(&io, dir, &cache.snapshot(), &warm.persist, preds);
+        let flushed = warm.flush(&io, dir, &cache, preds.as_ref());
         for w in &flushed.warnings {
             eprintln!("warning: {w}");
         }
@@ -493,7 +522,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
 /// Prints a witness schedule, one numbered step per line.
 fn print_steps<T: std::fmt::Display>(cfa: &Cfa, steps: &[(T, circ_ir::EdgeId, i64)]) {
     for (i, (tid, eid, _)) in steps.iter().enumerate() {
-        println!("  {i:>3}. T{tid}  {}", named(cfa, format!("{}", cfa.edge(*eid).op)));
+        outln!("  {i:>3}. T{tid}  {}", named(cfa, format!("{}", cfa.edge(*eid).op)));
     }
 }
 
@@ -504,14 +533,14 @@ fn render_var(parsed: &Parsed, cfa: &Cfa, checked: &VarCheck) {
     let vname = cfa.var_name(checked.var);
     let outcome = match &checked.decided {
         Decided::Flow => {
-            println!(
+            outln!(
                 "{vname}: SAFE — race-free for any number of threads \
                  (triage stage 0: every access is atomic)"
             );
             return;
         }
         Decided::Sched(w) => {
-            println!(
+            outln!(
                 "{vname}: RACE — {} threads, {} steps \
                  (triage stage 1: random schedule, replay validated)",
                 w.n_threads,
@@ -548,7 +577,7 @@ fn render_var(parsed: &Parsed, cfa: &Cfa, checked: &VarCheck) {
     match outcome {
         CircOutcome::Safe(report) => {
             let what = if parsed.asserts { "assertions hold" } else { "race-free" };
-            println!(
+            outln!(
                 "{vname}: SAFE — {what} for any number of threads \
                  ({} predicates, {}-location context, k = {}, {:.2?})",
                 report.preds.len(),
@@ -562,11 +591,11 @@ fn render_var(parsed: &Parsed, cfa: &Cfa, checked: &VarCheck) {
                     .display_with(&|i| named(cfa, format!("{}", report.preds[i.index()])), &|v| {
                         cfa.var_name(v).to_string()
                     });
-                println!("{text}");
+                outln!("{text}");
             }
         }
         CircOutcome::Unsafe(report) => {
-            println!(
+            outln!(
                 "{vname}: RACE — {} threads, {} steps (replay validated: {})",
                 report.cex.n_threads,
                 report.cex.steps.len(),
@@ -574,13 +603,13 @@ fn render_var(parsed: &Parsed, cfa: &Cfa, checked: &VarCheck) {
             );
             print_steps(cfa, &report.cex.steps);
         }
-        CircOutcome::Unknown(report) => println!("{vname}: INCONCLUSIVE — {:?}", report.reason),
+        CircOutcome::Unknown(report) => outln!("{vname}: INCONCLUSIVE — {:?}", report.reason),
     }
     if parsed.stats_json {
-        println!("{}", checked.pipeline.to_json());
+        outln!("{}", checked.pipeline.to_json());
     } else if parsed.stats {
-        println!("{vname}: statistics ({:.2?} total)", outcome.stats().elapsed);
-        print!("{}", checked.pipeline.render_table());
+        outln!("{vname}: statistics ({:.2?} total)", outcome.stats().elapsed);
+        out!("{}", checked.pipeline.render_table());
     }
 }
 
@@ -621,9 +650,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         eprintln!("warning: {w}");
     }
     if parsed.stats_json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        print!("{}", report.render_table());
+        out!("{}", report.render_table());
     }
     ExitCode::from(report.exit)
 }
@@ -736,25 +765,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             eprintln!("warning: no graceful shutdown: {e}");
         }
     }
+    let batch = circ_batch::BatchConfig { cancel, ..flags.batch_config() };
     let config = circ_serve::ServeConfig {
-        bind: flags.bind_to(),
-        jobs: flags.jobs,
         max_inflight: flags.max_inflight,
         queue_depth: flags.queue_depth,
-        envelope: circ_governor::Envelope {
-            timeout: flags.timeout(),
-            mem_limit_bytes: flags.mem_limit(),
-        },
-        omega: flags.mode_omega,
-        initial_k: flags.initial_k,
-        use_cache: !flags.no_cache,
-        pred_store: flags.pred_store.unwrap_or(true),
-        triage: flags.triage.unwrap_or(false),
-        cache_dir: flags.cache_dir.clone(),
-        retry: flags.retry(),
-        cancel,
         flush,
-        ..circ_serve::ServeConfig::default()
+        ..circ_serve::ServeConfig::from_batch(flags.bind_to(), &batch)
     };
     match circ_serve::serve(config) {
         Ok(code) => ExitCode::from(code),
@@ -830,7 +846,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
                 return ExitCode::from(74);
             }
         };
-        println!("{line}");
+        outln!("{line}");
         let code = match json::parse(&line) {
             Ok(v) => {
                 if v.get("ok") == Some(&Value::Bool(true)) {
@@ -863,10 +879,10 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         Err(code) => return code,
     };
     if parsed.dot {
-        print!("{}", dot::cfa_to_dot(&compiled.cfa));
+        out!("{}", dot::cfa_to_dot(&compiled.cfa));
     } else {
-        print!("{}", dot::cfa_to_text(&compiled.cfa));
-        println!(
+        out!("{}", dot::cfa_to_text(&compiled.cfa));
+        outln!(
             "race variables: {}",
             compiled
                 .race_vars
@@ -888,13 +904,13 @@ fn cmd_baselines(args: &[String]) -> ExitCode {
     let flow = circ_baselines::flow_check(&compiled.cfa);
     for &var in &compiled.race_vars {
         let vname = compiled.cfa.var_name(var);
-        println!(
+        outln!(
             "flow-based:  {vname}: {}",
             if flow.flags(var) { "POTENTIAL RACE" } else { "clean" }
         );
         let program = MtProgram::new(compiled.cfa.clone(), var);
         let dynamic = circ_baselines::eraser(&program, 3, 500, 10, 7);
-        println!(
+        outln!(
             "lockset:     {vname}: {} ({} accesses monitored)",
             if dynamic.flags(var) { "POTENTIAL RACE" } else { "clean" },
             dynamic.accesses
@@ -1071,6 +1087,51 @@ mod tests {
         assert!(sflags(&["--port", "9", "--cache-dir", "d", "--no-cache"]).is_err());
         assert!(sflags(&["--port", "9", "--pred-store"]).is_err());
         assert!(sflags(&["--port", "9", "--k", "0"]).is_err());
+    }
+
+    /// Every flag `CommonFlags::parse_flag` matches, read from its
+    /// source so that a new shared flag cannot be left out.
+    fn common_flags() -> std::collections::BTreeSet<&'static str> {
+        let src = include_str!("main.rs");
+        let start = src.find("    fn parse_flag(").unwrap();
+        let end = start + src[start..].find("    fn validate(").unwrap();
+        src[start..end].split('"').filter(|t| t.starts_with("--") && !t.contains(' ')).collect()
+    }
+
+    /// The flags in the `circ --help` usage line of `sub`.
+    fn usage_flags(sub: &str) -> Vec<&'static str> {
+        let from = super::HELP.find(&format!("\n  circ {sub} ")).expect(sub) + 1;
+        let line = &super::HELP[from..];
+        let line = &line[..line[1..].find("\n  circ ").unwrap() + 1];
+        line.split(|c: char| c.is_whitespace() || "[]|".contains(c))
+            .filter(|t| t.starts_with("--"))
+            .collect()
+    }
+
+    #[test]
+    fn every_shared_flag_is_in_the_usage_of_each_subcommand_that_takes_it() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let taken = |parsed: Result<(), String>| {
+            parsed.err().is_none_or(|e| !e.contains("unknown flag") && !e.contains("does not take"))
+        };
+        let shared = common_flags();
+        assert!(shared.len() >= 14, "{shared:?}");
+        for flag in shared {
+            let subcommands = [
+                ("check", taken(parse_flags(&args(&["m.nesl", flag]), true).map(drop))),
+                ("batch", taken(parse_flags(&args(&["corpus", flag]), false).map(drop))),
+                ("serve", taken(super::parse_serve_flags(&args(&[flag])).map(drop))),
+            ];
+            for (sub, takes) in subcommands {
+                assert_eq!(
+                    usage_flags(sub).contains(&flag),
+                    takes,
+                    "`circ {sub}` {} {flag}, but its usage line {}",
+                    if takes { "takes" } else { "rejects" },
+                    if takes { "omits it" } else { "lists it" },
+                );
+            }
+        }
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl AbsCache {
     }
 
     /// Number of entries learned locally (the seed excluded).
-    fn local_len(&self) -> usize {
+    pub fn local_len(&self) -> usize {
         self.inner.entails.len() + self.inner.sat.len()
     }
 

@@ -73,7 +73,7 @@ pub struct StoredPreds {
 /// The in-memory predicate store: `(cfa digest, config fingerprint)`
 /// → stored entry. Deterministically ordered, so its rendering is
 /// byte-stable.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PredStore {
     entries: BTreeMap<(u64, u64), StoredPreds>,
 }
@@ -158,7 +158,10 @@ pub fn seed_config(
 /// both carry their discovered predicate set and final `k`; unknown
 /// outcomes record nothing (there is no converged set to reuse).
 /// `prior_rounds` is the seeded entry's recorded cost (0 on a cold
-/// run), so the stored cost stays the cumulative cold-start cost.
+/// run), so the stored cost stays the cumulative cold-start cost. An
+/// unsafe run always ends in one round that confirms the race rather
+/// than refining; a seeded entry already counts it, so a warm re-check
+/// that discovers nothing re-records an identical entry.
 pub fn record_outcome(
     store: &mut PredStore,
     cfa_digest: u64,
@@ -168,7 +171,10 @@ pub fn record_outcome(
 ) {
     let (preds, k, run_rounds) = match outcome {
         CircOutcome::Safe(r) => (&r.preds, r.k, r.stats.pipeline.refine_rounds),
-        CircOutcome::Unsafe(r) => (&r.preds, r.k, r.stats.pipeline.refine_rounds),
+        CircOutcome::Unsafe(r) => {
+            let confirmed_before = u64::from(prior_rounds > 0);
+            (&r.preds, r.k, r.stats.pipeline.refine_rounds.saturating_sub(confirmed_before))
+        }
         CircOutcome::Unknown(_) => return,
     };
     store.record(
@@ -477,6 +483,38 @@ mod tests {
         // A warm re-record accumulates on top of the prior cost.
         record_outcome(&mut store, digest, 42, &outcome, entry.rounds);
         assert_eq!(store.lookup(digest, 42).unwrap().rounds, run_rounds * 2);
+    }
+
+    #[test]
+    fn a_seeded_unsafe_rerun_re_records_an_identical_entry() {
+        use crate::circ::{circ, CircConfig, CircOutcome};
+        use circ_ir::{CfaBuilder, MtProgram, Op};
+        let mut b = CfaBuilder::new("unprotected");
+        let x = b.global("x");
+        let l0 = b.entry();
+        let l1 = b.fresh_loc();
+        b.edge(l0, Op::assign(x, Expr::var(x) + Expr::int(1)), l1);
+        b.edge(l1, Op::assign(x, Expr::int(0)), l0);
+        let cfa = b.build();
+        let digest = structural_digest(&cfa);
+        let program = MtProgram::new(cfa, x);
+
+        let cold = circ(&program, &CircConfig::omega());
+        assert!(matches!(cold, CircOutcome::Unsafe(_)));
+        let mut store = PredStore::new();
+        record_outcome(&mut store, digest, 42, &cold, 0);
+        let entry = store.lookup(digest, 42).expect("unsafe outcome must be recorded").clone();
+        assert_eq!(entry.rounds, cold.stats().pipeline.refine_rounds);
+
+        // The seeded re-check spends exactly the confirming round, and
+        // re-records the entry it was seeded from.
+        let mut warm_config = CircConfig::omega();
+        let prior = seed_config(&store, digest, 42, &mut warm_config).unwrap();
+        let warm = circ(&program, &warm_config);
+        assert!(matches!(warm, CircOutcome::Unsafe(_)));
+        assert_eq!(warm.stats().pipeline.refine_rounds, 1);
+        record_outcome(&mut store, digest, 42, &warm, prior);
+        assert_eq!(store.lookup(digest, 42), Some(&entry));
     }
 
     #[test]

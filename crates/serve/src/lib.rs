@@ -50,8 +50,8 @@ use crate::admission::{Admission, Rejected};
 use crate::protocol::{parse_request, CheckInput, Request};
 use circ_batch::journal::digest_bytes;
 use circ_batch::{
-    check_source, collect_inputs, flush_caches_in, run_units, supervise_unit, tally, warm_start,
-    worst_exit, BatchConfig, CheckCtx, FileRow, Verdict,
+    check_source, collect_inputs, run_units, supervise_unit, tally, warm_start, worst_exit,
+    BatchConfig, CheckCtx, FileRow, Verdict, WarmStart,
 };
 use circ_core::{AbsCache, CircConfig, PredStore, SolverPersist};
 use circ_governor::{
@@ -171,6 +171,31 @@ impl Default for ServeConfig {
             cancel: CancelToken::new(),
             flush: FlushTrigger::new(),
             max_request_bytes: 4 << 20,
+        }
+    }
+}
+
+impl ServeConfig {
+    /// A service listening on `bind` that checks every request the way
+    /// a `circ batch` run under `batch` checks its files: same engine,
+    /// cache, budget, retry and fault settings, and `batch`'s cancel
+    /// token as the drain trigger. The other service knobs keep their
+    /// defaults. Each request's own `BatchConfig` maps back.
+    pub fn from_batch(bind: BindTo, batch: &BatchConfig) -> ServeConfig {
+        ServeConfig {
+            bind,
+            jobs: batch.jobs,
+            envelope: Envelope { timeout: batch.timeout, mem_limit_bytes: batch.mem_limit_bytes },
+            omega: batch.omega,
+            initial_k: batch.initial_k,
+            use_cache: batch.use_cache,
+            pred_store: batch.pred_store,
+            triage: batch.triage,
+            cache_dir: batch.cache_dir.clone(),
+            retry: batch.retry.clone(),
+            faults: batch.faults.clone(),
+            cancel: batch.cancel.clone(),
+            ..ServeConfig::default()
         }
     }
 }
@@ -371,8 +396,10 @@ struct ServerState {
     /// (it is sharded and thread-safe; per-request counters are
     /// deltas, so sharing does not distort statistics).
     cache: AbsCache,
-    /// Warm solver-answer store, likewise shared.
-    persist: SolverPersist,
+    /// The startup warm start. Its solver-answer store is shared like
+    /// the cache; its seeds let a flush tell whether anything was
+    /// learned.
+    warm: WarmStart,
     /// Warm predicate store: requests seed from a clone taken under
     /// this lock and their learned entries are absorbed back under
     /// it, in unit order. `None` when the store is disabled.
@@ -455,7 +482,7 @@ fn check_unit(
                     file_timeout: remaining,
                     file_mem,
                     cache: &state.cache,
-                    persist: &state.persist,
+                    persist: &state.warm.persist,
                     pred_seed,
                     faults,
                 };
@@ -517,7 +544,7 @@ fn run_check(state: &ServerState, input: &CheckInput) -> (Vec<FileRow>, u8) {
 fn stats_payload(state: &ServerState) -> String {
     health_fields(state)
         .u64("abs_entries", state.cache.len() as u64)
-        .u64("solver_entries", state.persist.len() as u64)
+        .u64("solver_entries", state.warm.persist.len() as u64)
         .raw("service", &state.stats.snapshot().to_json())
         .finish()
 }
@@ -688,11 +715,12 @@ fn handle_conn(state: Arc<ServerState>, stream: Stream) {
 }
 
 /// Flushes the warm caches and predicate store to `cache_dir` with
-/// one locked merge-flush (see [`circ_batch::flush_caches_in`]): a
-/// batch run or second server sharing the directory composes with us
-/// instead of being clobbered. Returns warnings (never fails the
-/// service — a failed flush leaves the previous on-disk snapshot
-/// intact and counts into the `flush_errors` stat).
+/// one locked merge-flush, or none when nothing was learned since a
+/// clean start (see [`WarmStart::flush`]): a batch run or second
+/// server sharing the directory composes with us instead of being
+/// clobbered. Returns warnings (never fails the service — a failed
+/// flush leaves the previous on-disk snapshot intact and counts into
+/// the `flush_errors` stat).
 fn flush_caches(state: &ServerState) -> Vec<String> {
     if !state.config.use_cache {
         return Vec::new();
@@ -707,8 +735,7 @@ fn flush_caches(state: &ServerState) -> Vec<String> {
     // Hold the preds guard across the flush so the store we persist
     // is consistent with the moment of the snapshot.
     let guard = state.preds.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let outcome =
-        flush_caches_in(&state.io, dir, &state.cache.snapshot(), &state.persist, guard.as_ref());
+    let outcome = state.warm.flush(&state.io, dir, &state.cache, guard.as_ref());
     drop(guard);
     if outcome.flush_errors > 0 {
         state.stats.apply(|s| s.totals.pipeline.flush_errors += outcome.flush_errors);
@@ -731,20 +758,21 @@ fn build_state(config: ServeConfig) -> (Arc<ServerState>, Vec<String>) {
     let cache =
         if config.use_cache { AbsCache::with_seed(&warm.abs_seed) } else { AbsCache::disabled() };
     let admission = Admission::new(config.max_inflight, config.queue_depth);
+    let warnings = std::mem::take(&mut warm.warnings);
     let state = Arc::new(ServerState {
         admission,
         stats: ServiceStats::new(),
         cache,
-        persist: warm.persist,
-        preds: Mutex::new(warm.preds),
+        preds: Mutex::new(warm.preds.clone()),
+        warm,
         io,
         started: Instant::now(),
         config,
     });
-    if warm.recovered > 0 {
-        state.stats.apply(|s| s.totals.pipeline.store_recoveries += warm.recovered);
+    if state.warm.recovered > 0 {
+        state.stats.apply(|s| s.totals.pipeline.store_recoveries += state.warm.recovered);
     }
-    (state, warm.warnings)
+    (state, warnings)
 }
 
 /// The accept loop's companion: every 10 ms it runs a pending

@@ -359,8 +359,9 @@ fn pred_store_seeding_cuts_rounds_and_stays_jobs_invariant() {
     assert!(saved > 0, "the cold run must record what it discovered");
 
     // Snapshot the cache directory so both warm runs seed from the
-    // *same* store bytes (a warm run re-saves the store, so running
-    // twice against one directory would compare different snapshots).
+    // *same* store bytes (a warm run that learns anything re-saves the
+    // store, so running twice against one directory could compare
+    // different snapshots).
     std::fs::create_dir_all(&dir_b).unwrap();
     for entry in std::fs::read_dir(&dir_a).unwrap() {
         let entry = entry.unwrap();
