@@ -33,6 +33,4 @@ pub use acfa::{Acfa, AcfaEdge, AcfaLocId};
 pub use collapse::{collapse, CollapseResult};
 pub use counter::{context_reach, context_reach_budgeted, context_reach_with, CVal, ContextState};
 pub use cube::{Cube, PredIx, Region};
-pub use sim::{
-    check_sim, check_sim_budgeted, check_sim_counting, check_sim_counting_pool, check_sim_with,
-};
+pub use sim::{check_sim, check_sim_budgeted, check_sim_with};

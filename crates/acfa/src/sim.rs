@@ -23,7 +23,7 @@ use crate::acfa::{Acfa, AcfaLocId};
 use crate::cube::Region;
 use circ_governor::{Budget, Exhausted};
 use circ_ir::Var;
-use circ_par::{FxHashMap, Pool};
+use circ_par::FxHashMap;
 use std::collections::BTreeSet;
 
 /// Decides `g ⪯ a` using syntactic region containment (every cube of
@@ -36,64 +36,36 @@ pub fn check_sim(g: &Acfa, a: &Acfa) -> bool {
 /// Decides `g ⪯ a` (see module docs) with a caller-supplied region
 /// containment test (e.g. an SMT-backed semantic check). Both
 /// automata must label their regions over the same predicate
-/// indexing. The oracle must be `Sync`: obligation pairs may be
-/// checked concurrently (see [`check_sim_counting_pool`]).
-pub fn check_sim_with(
-    g: &Acfa,
-    a: &Acfa,
-    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
-) -> bool {
-    check_sim_counting(g, a, contains).0
+/// indexing.
+pub fn check_sim_with(g: &Acfa, a: &Acfa, contains: &dyn Fn(&Region, &Region) -> bool) -> bool {
+    check_sim_budgeted(g, a, contains, &Budget::unlimited())
+        .expect("an unlimited budget cannot exhaust")
+        .0
 }
 
-/// [`check_sim_with`], additionally reporting the number of
-/// `(g-location, a-location)` pairs examined across all fixpoint
-/// passes — the work metric CIRC's statistics track.
-pub fn check_sim_counting(
-    g: &Acfa,
-    a: &Acfa,
-    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
-) -> (bool, u64) {
-    check_sim_counting_pool(g, a, contains, &Pool::sequential())
-}
-
-/// [`check_sim_counting`] with the label pass distributed over
-/// `pool`.
+/// [`check_sim_with`] governed by a resource budget, additionally
+/// reporting the number of `(g-location, a-location)` pairs examined
+/// across all fixpoint passes — the work metric CIRC's statistics
+/// track.
 ///
 /// The label pass asks `contains` once per distinct pair of
 /// `(region, atomic)` labels, not once per location pair: the oracle
 /// is a pure function of its two regions, so every location pair with
-/// the same labels shares one answer. Those distinct rows are what
-/// `pool` computes concurrently.
+/// the same labels shares one answer. The greatest fixpoint is then
+/// computed Jacobi-style: every pass reads the relation as it stood
+/// at the start of the pass and the computed kills are applied
+/// together at the end.
 ///
-/// The greatest fixpoint is then computed Jacobi-style on the calling
-/// thread: every pass reads the relation as it stood at the start of
-/// the pass and the computed kills are applied together at the end.
-/// Each pass is therefore a pure function of the previous relation,
-/// and since the greatest simulation relation is unique, the final
-/// answer and the examined-pair count are identical for every `jobs`
-/// setting.
-pub fn check_sim_counting_pool(
-    g: &Acfa,
-    a: &Acfa,
-    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
-    pool: &Pool,
-) -> (bool, u64) {
-    check_sim_budgeted(g, a, contains, pool, &Budget::unlimited())
-        .expect("an unlimited budget cannot exhaust")
-}
-
-/// [`check_sim_counting_pool`] governed by a resource budget, polled
-/// once before the label pass and once per Jacobi pass. On
-/// exhaustion the fixpoint is abandoned and the caller receives
-/// [`Exhausted`]; the partially-pruned relation is an
+/// The budget is polled once before the label pass and once per
+/// Jacobi pass; its fault plan draws one `task_panic` per distinct
+/// g-label. On exhaustion the fixpoint is abandoned and the caller
+/// receives [`Exhausted`]; the partially-pruned relation is an
 /// over-approximation of the greatest simulation, so no verdict can
 /// soundly be extracted from it and none is returned.
 pub fn check_sim_budgeted(
     g: &Acfa,
     a: &Acfa,
-    contains: &(dyn Fn(&Region, &Region) -> bool + Sync),
-    pool: &Pool,
+    contains: &dyn Fn(&Region, &Region) -> bool,
     budget: &Budget,
 ) -> Result<(bool, u64), Exhausted> {
     let mut pairs: u64 = 0;
@@ -119,14 +91,23 @@ pub fn check_sim_budgeted(
     }
 
     // Greatest fixpoint: start from the label condition, prune. The
-    // label matrix is computed once per distinct label pair, its rows
-    // concurrently, then expanded to location pairs by label id.
+    // label matrix is computed once per distinct label pair, then
+    // expanded to location pairs by label id.
     budget.check()?;
     let (g_label, g_labels) = intern_labels(g);
     let (a_label, a_labels) = intern_labels(a);
-    let matrix: Vec<Vec<bool>> = pool.map(&g_labels, |&(gr, g_atomic)| {
-        a_labels.iter().map(|&(ar, a_atomic)| g_atomic == a_atomic && contains(gr, ar)).collect()
-    });
+    let matrix: Vec<Vec<bool>> = g_labels
+        .iter()
+        .map(|&(gr, g_atomic)| {
+            if budget.faults().task_panic() {
+                panic!("injected task panic");
+            }
+            a_labels
+                .iter()
+                .map(|&(ar, a_atomic)| g_atomic == a_atomic && contains(gr, ar))
+                .collect()
+        })
+        .collect();
     let mut rel: Vec<Vec<bool>> = g_label
         .iter()
         .map(|&gl| {
@@ -293,17 +274,10 @@ mod tests {
     fn exhausted_budget_aborts_the_fixpoint() {
         let g = plain(2, vec![edge(0, &[0], 1)]);
         let expired = Budget::with_timeout(std::time::Duration::ZERO);
-        let result =
-            check_sim_budgeted(&g, &g, &|x, y| x.contained_in(y), &Pool::sequential(), &expired);
+        let result = check_sim_budgeted(&g, &g, &|x, y| x.contained_in(y), &expired);
         assert!(matches!(result, Err(Exhausted::Deadline { .. })));
         // The same check under no budget still answers normally.
-        let ok = check_sim_budgeted(
-            &g,
-            &g,
-            &|x, y| x.contained_in(y),
-            &Pool::sequential(),
-            &Budget::unlimited(),
-        );
+        let ok = check_sim_budgeted(&g, &g, &|x, y| x.contained_in(y), &Budget::unlimited());
         assert!(matches!(ok, Ok((true, _))));
     }
 

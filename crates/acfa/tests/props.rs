@@ -11,14 +11,14 @@
 //! reproduce exactly; each assertion message carries the case index.
 
 use circ_acfa::{
-    check_sim, check_sim_counting_pool, collapse, Acfa, AcfaEdge, AcfaLocId, CollapseResult, Cube,
+    check_sim, check_sim_budgeted, collapse, Acfa, AcfaEdge, AcfaLocId, CollapseResult, Cube,
     PredIx, Region,
 };
+use circ_governor::Budget;
 use circ_ir::Var;
-use circ_par::Pool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const NPREDS: usize = 2;
 const NVARS: u32 = 2;
@@ -454,11 +454,10 @@ fn check_sim_matches_reference() {
         for (g, other) in [&small, &arg] {
             let quotient = collapse(g).acfa;
             for (x, y) in [(g, &quotient), (&quotient, g), (g, other), (other, g)] {
-                for oracle in
-                    [&syntactic as &(dyn Fn(&Region, &Region) -> bool + Sync), &semantic_contains]
+                for oracle in [&syntactic as &dyn Fn(&Region, &Region) -> bool, &semantic_contains]
                 {
                     assert_eq!(
-                        check_sim_counting_pool(x, y, oracle, &Pool::sequential()),
+                        check_sim_budgeted(x, y, oracle, &Budget::unlimited()).unwrap(),
                         ref_check_sim(x, y, oracle),
                         "case {case}: {x:?} vs {y:?}"
                     );
@@ -484,23 +483,14 @@ fn check_sim_asks_the_oracle_once_per_distinct_label_pair() {
     for case in 0..CASES {
         let g = gen_arg_shaped(&mut rng);
         let a = collapse(&g).acfa;
-        let calls_under = |pool: &Pool| {
-            let calls = AtomicUsize::new(0);
-            let oracle = |x: &Region, y: &Region| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                semantic_contains(x, y)
-            };
-            let verdict = check_sim_counting_pool(&g, &a, &oracle, pool);
-            (verdict, calls.into_inner())
+        let calls = Cell::new(0usize);
+        let oracle = |x: &Region, y: &Region| {
+            calls.set(calls.get() + 1);
+            semantic_contains(x, y)
         };
-        let (seq_verdict, seq_calls) = calls_under(&Pool::sequential());
-        let (par_verdict, par_calls) = calls_under(&Pool::new(4));
+        check_sim_budgeted(&g, &a, &oracle, &Budget::unlimited()).unwrap();
         let bound = distinct_label_pairs(&g, &a);
-        assert!(
-            seq_calls <= bound,
-            "case {case}: {seq_calls} oracle calls for {bound} label pairs"
-        );
-        assert_eq!(seq_calls, par_calls, "case {case}: oracle calls depend on the pool");
-        assert_eq!(seq_verdict, par_verdict, "case {case}: verdict depends on the pool");
+        let calls = calls.get();
+        assert!(calls <= bound, "case {case}: {calls} oracle calls for {bound} label pairs");
     }
 }

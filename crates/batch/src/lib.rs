@@ -58,8 +58,8 @@
 //! a checksum before any entry is trusted, so a damaged file can
 //! never smuggle in a wrong memoized verdict.
 //!
-//! Determinism contract: every file is checked with an inner
-//! `CircConfig { jobs: 1 }` against a frozen seed, learned entries are
+//! Determinism contract: every file is checked by the sequential
+//! engine against a frozen seed, learned entries are
 //! merged *sequentially in input order* after the pool run, and cache
 //! files render canonically (sorted lines). Same inputs + same seed
 //! files ⇒ bit-identical report (minus wall times) and cache files.
@@ -120,9 +120,9 @@ pub struct BatchConfig {
     /// Memoize entailment and solver queries. Disabling this also
     /// disables persistence (`cache_dir` is ignored).
     pub use_cache: bool,
-    /// Worker threads for the *outer* file fan-out (0 = all cores).
-    /// Each file runs its pipeline sequentially (`jobs = 1` inside),
-    /// so the report is identical at any setting.
+    /// Worker threads for the file fan-out (0 = all cores). The
+    /// engine runs each check on its worker's thread, so the report
+    /// is identical at any setting.
     pub jobs: usize,
     /// Global wall-clock budget, split evenly across files (and then
     /// across a file's race variables).
@@ -184,15 +184,13 @@ impl BatchConfig {
     }
 
     /// The base engine settings every check under this configuration
-    /// starts from: mode, `k`, cache policy and cancellation, with one
-    /// engine worker so per-file counters stay jobs-invariant. The
+    /// starts from: mode, `k`, cache policy and cancellation. The
     /// per-variable loop carves the budget into it and sets the faults.
     pub fn circ_config(&self) -> CircConfig {
         CircConfig {
             omega_mode: self.omega,
             initial_k: self.initial_k,
             use_cache: self.use_cache,
-            jobs: 1,
             cancel: self.cancel.clone(),
             ..CircConfig::default()
         }
@@ -1150,8 +1148,9 @@ pub fn supervise_unit<T: Default>(
         let faults = config.faults.reseeded(key ^ u64::from(n));
         let result = catch_unwind(AssertUnwindSafe(|| {
             // The unit-level injection point (always `false` without
-            // the `inject` feature). Engine-pool panics are absorbed
-            // inside `circ()`, so only this one reaches the arm below.
+            // the `inject` feature). Panics injected inside the engine
+            // are absorbed by `circ()`, so only this one reaches the
+            // arm below.
             if faults.task_panic() {
                 panic!("injected task panic");
             }

@@ -145,10 +145,14 @@ fn assert_every_crash_point_recovers(inputs: &[PathBuf], tag: &str, jobs: usize)
     assert_eq!(verdict_essence(&warm), essence, "{tag}: warm reference diverged");
     assert_ne!(artifacts(&warm_dir), artifacts(&seed_dir), "{tag}: the armed runs would not flush");
 
-    for point in IoFaultPoint::ALL {
-        let case = format!("{tag}/{}", point.name());
-        let dir = clone_dir(&seed_dir, &format!("{tag}-{}", point.name()));
-        let plan = FaultPlan::seeded(21).with_io_fault(point, 0);
+    // The first occurrence of every point, plus the flush's lock: the
+    // run's second lock acquisition (the first is the startup sweep's).
+    let flush_lock = (IoFaultPoint::LockAcquire, 1);
+    let cases = IoFaultPoint::ALL.into_iter().map(|point| (point, 0)).chain([flush_lock]);
+    for (point, nth) in cases {
+        let case = format!("{tag}/{}@{nth}", point.name());
+        let dir = clone_dir(&seed_dir, &format!("{tag}-{}-{nth}", point.name()));
+        let plan = FaultPlan::seeded(21).with_io_fault(point, nth);
 
         let crashed = run_batch(inputs, &config(&dir, plan, jobs));
         assert_eq!(verdict_essence(&crashed), essence, "{case}: crashed run changed a verdict");
@@ -156,6 +160,10 @@ fn assert_every_crash_point_recovers(inputs: &[PathBuf], tag: &str, jobs: usize)
             + crashed.totals.pipeline.flush_errors
             + u64::from(!crashed.warnings.is_empty());
         assert!(observed > 0, "{case}: the armed fault was never observed");
+        if (point, nth) == flush_lock {
+            let flush_errors = crashed.totals.pipeline.flush_errors;
+            assert_eq!(flush_errors, 1, "{case}: the flush did not fail: {:?}", crashed.warnings);
+        }
 
         let recovery = run_batch(inputs, &config(&dir, FaultPlan::inert(), jobs));
         assert_eq!(verdict_essence(&recovery), essence, "{case}: recovery run changed a verdict");

@@ -76,7 +76,7 @@ fn main() -> ExitCode {
 
 /// The text `circ --help` prints.
 const HELP: &str = "circ — race checking by context inference (PLDI 2004 reproduction)\n\n\
-         USAGE:\n  circ check <file.nesl> [--mode circ|omega] [--asserts] [--k N] [--jobs N] [--print-acfa]\n\
+         USAGE:\n  circ check <file.nesl> [--mode circ|omega] [--asserts] [--k N] [--print-acfa]\n\
          \x20                        [--trace] [--stats] [--json] [--no-cache] [--row-json]\n\
          \x20                        [--timeout-secs N | --timeout-millis N]\n\
          \x20                        [--mem-limit-mb N | --mem-limit-bytes N] [--cache-dir DIR]\n\
@@ -105,9 +105,9 @@ const HELP: &str = "circ — race checking by context inference (PLDI 2004 repro
          spans after each verdict; `--json` prints them as one JSON line\n\
          instead (implies `--stats`); `--no-cache` disables the entailment\n\
          and solver caches (same verdict, useful for timing differentials);\n\
-         `--jobs N` runs on N worker threads (0 = all cores, default 1) —\n\
-         pipeline phases for `check`, whole files for `batch` — with\n\
-         bit-identical verdicts and statistics at any setting;\n\
+         `--jobs N` (`batch`, `serve`) checks N files at once (0 = all cores,\n\
+         default 1); each check runs on one thread, so verdicts and\n\
+         statistics are identical at any setting;\n\
          `--timeout-secs N` / `--mem-limit-mb N` bound the run's wall clock /\n\
          accounted memory, split evenly across race variables for `check`\n\
          and across files and then variables for `batch` — on exhaustion\n\
@@ -384,15 +384,37 @@ impl std::ops::Deref for Parsed {
     }
 }
 
+/// The subcommand whose flags [`parse_flags`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sub {
+    Check,
+    Batch,
+    /// `compile` and `baselines`.
+    Other,
+}
+
+/// Flags `check` rejects: `batch`'s supervision flags (`--retries`
+/// also `serve`'s) and `--jobs`, which fans out files, not one check.
+const BATCH_ONLY: [&str; 5] = ["--journal", "--resume", "--isolate", "--retries", "--jobs"];
+
+/// Flags `batch` rejects: they shape `check`'s one-file report.
+const CHECK_ONLY: [&str; 6] =
+    ["--asserts", "--print-acfa", "--trace", "--dot", "--stats", "--row-json"];
+
 /// Parses the flags of `check`, `batch`, `compile` and `baselines`.
-/// `check` rejects the supervision flags that only `batch` (and, for
-/// `--retries`, `serve`) acts on, rather than ignoring them.
-fn parse_flags(args: &[String], check: bool) -> Result<Parsed, String> {
+/// `check` and `batch` each reject the flags only the other acts on,
+/// rather than ignoring them.
+fn parse_flags(args: &[String], sub: Sub) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if check && ["--journal", "--resume", "--isolate", "--retries"].contains(&a.as_str()) {
-            return Err(format!("`check` does not take {a} (a `batch` supervision flag)"));
+        let misplaced = match sub {
+            Sub::Check => BATCH_ONLY.contains(&a.as_str()).then_some(("check", "batch")),
+            Sub::Batch => CHECK_ONLY.contains(&a.as_str()).then_some(("batch", "check")),
+            Sub::Other => None,
+        };
+        if let Some((sub, owner)) = misplaced {
+            return Err(format!("`{sub}` does not take {a} (a `{owner}` flag)"));
         }
         if parsed.common.parse_flag(a, &mut it)? {
             continue;
@@ -463,10 +485,10 @@ fn named(cfa: &Cfa, mut s: String) -> String {
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args, true)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, Sub::Check)) else { return usage() };
     let cfg = parsed.batch_config();
     let property = if parsed.asserts { Property::Assertions } else { Property::Race };
-    let circ = CircConfig { jobs: parsed.jobs, property, ..cfg.circ_config() };
+    let circ = CircConfig { property, ..cfg.circ_config() };
     let io = circ_store::Store::real();
     let dir = parsed.cache_dir.as_deref();
     // The `--row-json` child of `batch --isolate` leaves the cache
@@ -614,7 +636,7 @@ fn render_var(parsed: &Parsed, cfa: &Cfa, checked: &VarCheck) {
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args, false)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, Sub::Batch)) else { return usage() };
     let inputs = match circ_batch::collect_inputs(Path::new(&parsed.source_path)) {
         Ok(v) => v,
         Err(e) => {
@@ -873,7 +895,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
 }
 
 fn cmd_compile(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args, false)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, Sub::Other)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -896,7 +918,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
 }
 
 fn cmd_baselines(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args, false)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, Sub::Other)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -921,10 +943,10 @@ fn cmd_baselines(args: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{parse_flags, Sub};
 
     fn flags(args: &[&str]) -> Result<super::Parsed, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), false)
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), Sub::Other)
     }
 
     #[test]
@@ -1006,13 +1028,14 @@ mod tests {
         let largest = (u64::MAX >> 20).to_string();
         let p = flags(&["m.nesl", "--mem-limit-mb", &largest]).unwrap();
         assert_eq!(p.mem_limit(), Some((u64::MAX >> 20) << 20));
-        assert!(parse_flags(&["m.nesl".into(), "--mem-limit-mb".into(), "1".into()], true).is_ok());
+        assert!(parse_flags(&["m.nesl".into(), "--mem-limit-mb".into(), "1".into()], Sub::Check)
+            .is_ok());
     }
 
     #[test]
     fn check_rejects_batch_supervision_flags() {
         let check = |args: &[&str]| {
-            parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), true)
+            parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), Sub::Check)
         };
         for args in [
             &["m.nesl", "--journal", "j.jsonl"][..],
@@ -1020,6 +1043,7 @@ mod tests {
             &["m.nesl", "--isolate"],
             &["m.nesl", "--retries", "2"],
             &["m.nesl", "--retries", "0"],
+            &["m.nesl", "--jobs", "2"],
         ] {
             let err = check(args).unwrap_err();
             assert!(err.contains(args[1]), "unhelpful message for {args:?}: {err}");
@@ -1027,7 +1051,10 @@ mod tests {
         // The isolation child's own flags stay accepted.
         assert!(check(&["m.nesl", "--row-json", "--timeout-millis", "5", "--triage"]).is_ok());
         // `batch` keeps them.
-        assert!(flags(&["corpus", "--isolate", "--retries", "2"]).is_ok());
+        let batch = |args: &[&str]| {
+            parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), Sub::Batch)
+        };
+        assert!(batch(&["corpus", "--isolate", "--retries", "2", "--jobs", "2"]).is_ok());
     }
 
     #[test]
@@ -1118,8 +1145,8 @@ mod tests {
         assert!(shared.len() >= 14, "{shared:?}");
         for flag in shared {
             let subcommands = [
-                ("check", taken(parse_flags(&args(&["m.nesl", flag]), true).map(drop))),
-                ("batch", taken(parse_flags(&args(&["corpus", flag]), false).map(drop))),
+                ("check", taken(parse_flags(&args(&["m.nesl", flag]), Sub::Check).map(drop))),
+                ("batch", taken(parse_flags(&args(&["corpus", flag]), Sub::Batch).map(drop))),
                 ("serve", taken(super::parse_serve_flags(&args(&[flag])).map(drop))),
             ];
             for (sub, takes) in subcommands {

@@ -158,8 +158,9 @@ fn unrepresentable_timeouts_mean_no_deadline() {
     }
 }
 
-/// `check` refuses what it cannot act on instead of silently ignoring
-/// it, and a memory ceiling that overflows 64 bits is a usage error.
+/// `check` and `batch` refuse what they cannot act on instead of
+/// silently ignoring it, and a memory ceiling that overflows 64 bits
+/// is a usage error.
 #[test]
 fn check_rejects_batch_flags_and_overflowing_budgets() {
     let dir = tmp("parity-flags");
@@ -172,7 +173,14 @@ fn check_rejects_batch_flags_and_overflowing_budgets() {
         &["check", f, "--journal", journal, "--resume"],
         &["check", f, "--isolate"],
         &["check", f, "--retries", "1"],
+        &["check", f, "--jobs", "2"],
         &["check", f, "--mem-limit-mb", "17592186044416"],
+        &["batch", f, "--asserts"],
+        &["batch", f, "--print-acfa"],
+        &["batch", f, "--trace"],
+        &["batch", f, "--dot"],
+        &["batch", f, "--stats"],
+        &["batch", f, "--row-json"],
         &["batch", f, "--mem-limit-mb", "17592186044416"],
     ] {
         assert_eq!(run(args).0, 64, "circ {args:?}");

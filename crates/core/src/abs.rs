@@ -21,9 +21,11 @@ use crate::cache::AbsCache;
 use crate::preds::PredSet;
 use circ_acfa::{Cube, PredIx, Region};
 use circ_ir::{BoolExpr, Cfa, EdgeId, Expr, Op, Var};
-use circ_par::ShardedMap;
-use circ_smt::{translate, Atom, Formula, LinExpr, SVar, SharedSolver};
+use circ_par::FxHashMap;
+use circ_smt::{translate, Atom, Formula, LinExpr, SVar, Solver};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Pre-state instance of a program variable.
@@ -38,26 +40,25 @@ fn post(v: Var) -> SVar {
 
 /// The abstraction context: CFA + predicate set + solver + caches.
 ///
-/// Every query method takes `&self`: the solver is sharded behind
-/// mutexes ([`SharedSolver`]) and the memo tables are [`ShardedMap`]s,
-/// so one context can serve all worker threads of a parallel
-/// reachability run. All memoization computes under the owning shard
-/// lock, which keeps hit/miss counters exact under concurrency.
+/// Every query method takes `&self`; the solver and the post-image
+/// memos sit behind `RefCell`s. A context belongs to one outer round
+/// of one run on one thread. No borrow is held across a solver call:
+/// a memo is read, released, computed into, then written.
 pub struct AbsCtx {
     cfa: Arc<Cfa>,
     preds: PredSet,
-    solver: SharedSolver,
+    solver: RefCell<Solver>,
     /// Atom-level entailment memo, shareable across contexts (and
     /// across whole CIRC runs — its keys survive predicate growth).
     cache: AbsCache,
     /// Pre-translated atoms per predicate (pre-state instance); `None`
     /// if the predicate falls outside linear arithmetic.
     pred_atoms: Vec<Option<Atom>>,
-    assign_cache: ShardedMap<(Cube, EdgeId), Cube>,
-    assume_cache: ShardedMap<(Cube, EdgeId), Option<Cube>>,
-    context_cache: ShardedMap<(Cube, BTreeSet<Var>, Region), Vec<Cube>>,
+    assign_cache: Memo<(Cube, EdgeId), Cube>,
+    assume_cache: Memo<(Cube, EdgeId), Option<Cube>>,
+    context_cache: Memo<(Cube, BTreeSet<Var>, Region), Vec<Cube>>,
     /// Persistence store this context's solver reads its seed from.
-    /// On drop, the entries the solver's shards solved themselves are
+    /// On drop, the entries the solver solved itself are
     /// absorbed into it (seed hits never are: the solver does not copy
     /// them) — `Drop` rather than an explicit hook because a context
     /// retires on many paths (every verdict return, plus panic
@@ -70,7 +71,7 @@ pub struct AbsCtx {
 impl Drop for AbsCtx {
     fn drop(&mut self) {
         if self.solver_persist.is_active() {
-            self.solver_persist.absorb(self.solver.entries());
+            self.solver_persist.absorb(self.solver.get_mut().entries());
         }
     }
 }
@@ -119,16 +120,19 @@ impl AbsCtx {
             .indices()
             .map(|i| translate::atom_of_pred(preds.pred(i), &mut pre).ok())
             .collect();
-        let solver = SharedSolver::with_budget_and_seed(cache.is_enabled(), budget, solver_persist);
+        let mut solver = Solver::new();
+        solver.set_cache_enabled(cache.is_enabled());
+        solver.set_budget(budget);
+        solver.set_seed(solver_persist.clone());
         AbsCtx {
             cfa,
             preds,
-            solver,
+            solver: RefCell::new(solver),
             cache,
             pred_atoms,
-            assign_cache: ShardedMap::new(),
-            assume_cache: ShardedMap::new(),
-            context_cache: ShardedMap::new(),
+            assign_cache: RefCell::default(),
+            assume_cache: RefCell::default(),
+            context_cache: RefCell::default(),
             solver_persist: solver_persist.clone(),
         }
     }
@@ -147,12 +151,23 @@ impl AbsCtx {
     /// formula-level solver queries plus atom-level entailment/sat
     /// queries routed through the shared cache.
     pub fn num_queries(&self) -> u64 {
-        self.solver.num_queries() + self.cache.counters().queries
+        self.solver.borrow().num_queries() + self.cache.counters().queries
     }
 
     /// Counter snapshot of this context's solver handle.
     pub fn solver_counters(&self) -> circ_stats::SolverCounters {
-        self.solver.counters()
+        self.solver.borrow().counters()
+    }
+
+    /// Decides `f` with this context's solver; the borrow ends with
+    /// the call.
+    fn is_sat(&self, f: &Formula) -> bool {
+        self.solver.borrow_mut().is_sat(f)
+    }
+
+    /// Does `a` entail `b`, by this context's solver?
+    fn entails(&self, a: &Formula, b: &Formula) -> bool {
+        self.solver.borrow_mut().entails(a, b)
     }
 
     /// The shared atom-level cache handle.
@@ -196,19 +211,12 @@ impl AbsCtx {
     /// Abstract post for a main-thread edge; `None` when the edge is
     /// not enabled from the cube (assume guard unsatisfiable).
     pub fn post_edge(&self, cube: &Cube, edge_id: EdgeId) -> Option<Cube> {
+        let key = (cube.clone(), edge_id);
         match &self.cfa.edge(edge_id).op {
             Op::Assign(x, e) => {
-                let (result, _) = self
-                    .assign_cache
-                    .get_or_compute((cube.clone(), edge_id), || self.post_assign(cube, *x, e));
-                Some(result)
+                Some(memoized(&self.assign_cache, key, || self.post_assign(cube, *x, e)))
             }
-            Op::Assume(b) => {
-                let (result, _) = self
-                    .assume_cache
-                    .get_or_compute((cube.clone(), edge_id), || self.post_assume(cube, b));
-                result
-            }
+            Op::Assume(b) => memoized(&self.assume_cache, key, || self.post_assume(cube, b)),
         }
     }
 
@@ -269,7 +277,7 @@ impl AbsCtx {
         // predicates), a sound over-approximation.
         let guard = translate::formula_of_bool(b, &mut pre).unwrap_or_else(|_| Formula::tru());
         let pre_f = cube_f.and(guard);
-        if !self.solver.is_sat(&pre_f) {
+        if !self.is_sat(&pre_f) {
             return None;
         }
         let mut out = Cube::top(self.preds.len());
@@ -282,9 +290,9 @@ impl AbsCtx {
             let Some(p_atom) = self.pred_atoms[i.index()].clone() else {
                 continue;
             };
-            if self.solver.entails(&pre_f, &Formula::atom(p_atom.clone())) {
+            if self.entails(&pre_f, &Formula::atom(p_atom.clone())) {
                 out.set(i, true);
-            } else if self.solver.entails(&pre_f, &Formula::atom(p_atom.negate())) {
+            } else if self.entails(&pre_f, &Formula::atom(p_atom.negate())) {
                 out.set(i, false);
             }
         }
@@ -296,7 +304,7 @@ impl AbsCtx {
     /// cubes — one per satisfiable meet with a target cube.
     pub fn post_context(&self, cube: &Cube, havoc: &BTreeSet<Var>, target: &Region) -> Vec<Cube> {
         let key = (cube.clone(), havoc.clone(), target.clone());
-        let (out, _) = self.context_cache.get_or_compute(key, || {
+        memoized(&self.context_cache, key, || {
             let projected =
                 cube.project(&|i| !self.preds.pred_vars(i).iter().any(|v| havoc.contains(v)));
             let mut out = Vec::new();
@@ -309,8 +317,7 @@ impl AbsCtx {
                 }
             }
             out
-        });
-        out
+        })
     }
 
     /// Does the cube (as a state set) entail predicate `i`?
@@ -350,15 +357,30 @@ impl AbsCtx {
         }
         let fa = self.region_formula(a);
         let fb = self.region_formula(b);
-        self.solver.entails(&fa, &fb)
+        self.entails(&fa, &fb)
     }
+}
+
+/// A per-context post-image memo.
+type Memo<K, V> = RefCell<FxHashMap<K, V>>;
+
+/// Looks `key` up in `memo`, computing and inserting on a miss. The
+/// borrow is released while `compute` runs, so `compute` may query the
+/// solver or other memos.
+fn memoized<K: Eq + Hash, V: Clone>(memo: &Memo<K, V>, key: K, compute: impl FnOnce() -> V) -> V {
+    if let Some(hit) = memo.borrow().get(&key) {
+        return hit.clone();
+    }
+    let value = compute();
+    memo.borrow_mut().insert(key, value.clone());
+    value
 }
 
 impl std::fmt::Debug for AbsCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AbsCtx")
             .field("preds", &self.preds.len())
-            .field("queries", &self.solver.num_queries())
+            .field("queries", &self.solver.borrow().num_queries())
             .finish()
     }
 }

@@ -22,11 +22,11 @@
 //! shares the store, so one cache can serve every `AbsCtx` of a run —
 //! and every run of a benchmark loop, which is where the
 //! CheckSim/ReachAndBuild alternation re-asks the bulk of its
-//! questions. Lookups *compute under the shard lock*, so per distinct
+//! questions — and `circ serve` shares one across concurrent
+//! requests. Lookups *compute under the shard lock*, so per distinct
 //! key there is exactly one miss under any thread interleaving: the
-//! hit/miss/query totals reported by [`AbsCache::counters`] are
-//! identical between `--jobs 1` and `--jobs N` for the same query
-//! multiset.
+//! hit/miss/query totals reported by [`AbsCache::counters`] depend
+//! only on the query multiset.
 //!
 //! A warm-started cache sits on a frozen [`AbsSeed`] it shares rather
 //! than copies: a key missing from the local maps is looked up in the
@@ -509,9 +509,9 @@ mod tests {
     fn concurrent_hammering_counts_one_miss_per_key() {
         let cache = AbsCache::new();
         let tasks: Vec<u32> = (0..64).collect();
-        circ_par::Pool::new(4).map(&tasks, |_| {
-            assert!(cache.is_sat_conj(&[Atom::eq(x())]));
-        });
+        let results =
+            circ_par::Pool::new(4).try_map(&tasks, |_| cache.is_sat_conj(&[Atom::eq(x())]));
+        assert!(results.into_iter().all(|r| r == Ok(true)));
         let c = cache.counters();
         assert_eq!(c.queries, 64);
         assert_eq!(c.cache_misses, 1);

@@ -31,7 +31,6 @@ use circ_acfa::{
 };
 use circ_governor::{panic_message, Budget, CancelToken, Exhausted, FaultPlan};
 use circ_ir::{MtProgram, Pred};
-use circ_par::Pool;
 use circ_stats::{AbsCounters, PipelineStats};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,12 +65,8 @@ pub struct CircConfig {
     pub use_cache: bool,
     /// The safety property to check (default: race freedom).
     pub property: Property,
-    /// Worker threads for the parallel pipeline phases (frontier
-    /// expansion in ReachAndBuild, obligation checking in CheckSim).
-    /// `1` (the default) runs fully sequentially on the calling
-    /// thread; `0` means one worker per available core. Any value
-    /// produces bit-identical verdicts, ARGs, and statistics counters
-    /// — see `DESIGN.md` on why.
+    /// Ignored: the engine always runs on the calling thread. Kept
+    /// only so existing struct literals that set it still compile.
     pub jobs: usize,
     /// Wall-clock budget for the whole run. `None` (the default)
     /// means unbounded; on expiry the run returns
@@ -368,11 +363,10 @@ pub fn circ_with_caches(
         config.faults.clone(),
     );
     // Contain internal bugs at the pipeline boundary: a panic anywhere
-    // below — including one injected into a worker task and re-raised
-    // by `Pool::map` — becomes an `Unknown(InternalError)` verdict
-    // instead of unwinding into the embedder. The shared caches
-    // recover from lock poisoning (see circ-par and circ-smt), so
-    // sibling runs on the same `AbsCache` stay usable afterwards.
+    // below — including an injected `task_panic` — becomes an
+    // `Unknown(InternalError)` verdict instead of unwinding into the
+    // embedder. The shared `AbsCache` recovers from lock poisoning
+    // (see circ-par), so sibling runs on it stay usable afterwards.
     match catch_unwind(AssertUnwindSafe(|| {
         circ_inner(program, config, cache, solver_persist, &budget, start)
     })) {
@@ -403,7 +397,6 @@ fn circ_inner(
     let mut k = config.initial_k;
     let mut log = CircLog::default();
     let mut stats = CircStats::default();
-    let pool = Pool::new(config.jobs).with_faults(budget.faults().clone());
     let abs_base = cache.counters();
 
     let pred_strings =
@@ -447,7 +440,6 @@ fn circ_inner(
                 init,
                 config.max_states,
                 config.property,
-                &pool,
                 budget,
             );
             stats.pipeline.phases.reach += reach_t.elapsed();
@@ -551,7 +543,6 @@ fn circ_inner(
                         &exported.acfa,
                         &acfa,
                         &|x, y| abs.region_contained(x, y),
-                        &pool,
                         budget,
                     );
                     let (holds, pairs) = match sim_result {

@@ -8,7 +8,7 @@ use crate::arg::{Arg, StateEdgeKind};
 use circ_acfa::{Acfa, AcfaLocId, CVal, ContextState, Cube};
 use circ_governor::{Budget, Exhausted};
 use circ_ir::{EdgeId, Loc, MtProgram};
-use circ_par::{FxHashMap, Pool};
+use circ_par::FxHashMap;
 use std::collections::hash_map::Entry;
 
 /// Approximate bytes one committed ARG state costs: the `AbsState`
@@ -118,21 +118,13 @@ pub enum ReachError {
 /// (`ω` for CIRC, `Fin(k)` for the ω-CIRC optimization). On success
 /// returns the ARG; on a reachable race, the abstract counterexample.
 ///
-/// The worklist is processed in batches: each batch is the current
-/// BFS frontier, whose states are expanded concurrently on `pool`
-/// (abstract posts are the expensive part and are independent per
-/// state), and the results are then committed *sequentially in batch
-/// order*. Because the commit phase replays, per state, exactly the
-/// sequential algorithm's steps — error check, state-budget check,
-/// then successor insertion in edge order — the returned ARG, the
-/// state numbering, and any counterexample trace are bit-identical to
-/// the `jobs = 1` run, and batch-then-append preserves the FIFO
-/// dequeue order of the sequential worklist.
-///
-/// The resource budget is polled once per committed frontier state
-/// (the sequential phase, so the poll count is identical at every
-/// `jobs` setting) and each inserted state's approximate size is
-/// charged against the memory ceiling.
+/// The worklist is FIFO: states are numbered in discovery order and
+/// expanded in that order, one at a time. Per state the loop polls
+/// the resource budget, checks for an error, checks the state budget,
+/// then computes the abstract posts and commits each successor (ARG
+/// edge, then dedup/insert). Each inserted state's approximate size is
+/// charged against the memory ceiling, and the budget's fault plan
+/// draws one `task_panic` per expanded state.
 ///
 /// # Errors
 ///
@@ -149,7 +141,6 @@ pub fn reach_and_build(
     init: CVal,
     max_states: usize,
     property: Property,
-    pool: &Pool,
     budget: &Budget,
 ) -> Result<Arg, ReachError> {
     let cfa = program.cfa_arc();
@@ -168,109 +159,62 @@ pub fn reach_and_build(
     let mut index: FxHashMap<AbsState, usize> = FxHashMap::default();
     index.insert(init_state, 0);
     let mut parent: Vec<Option<(usize, TraceOp)>> = vec![None];
-    let mut frontier: Vec<usize> = vec![0];
 
-    // Frontiers are expanded in fixed-size chunks rather than whole:
-    // expansion is the unpolled parallel phase, so chunking bounds how
-    // long the run can outlive its deadline by one chunk's expansion
-    // time instead of one full BFS level's. Chunk boundaries don't
-    // affect determinism — expansion only reads pre-existing states
-    // and the memoizing `AbsCtx`, and commits replay in frontier
-    // order either way.
-    const EXPANSION_CHUNK: usize = 256;
-
-    while !frontier.is_empty() {
-        let mut next: Vec<usize> = Vec::new();
-        for chunk in frontier.chunks(EXPANSION_CHUNK) {
-            // Phase 1 — parallel: expand the chunk's states against
-            // the shared abstraction context. Expansion is pure
-            // relative to the traversal bookkeeping (it only reads
-            // `states` and the memoizing `AbsCtx`), so any schedule
-            // computes the same expansions; `Pool::map` returns them
-            // in frontier order.
-            let expansions: Vec<Expansion> = pool
-                .map(chunk, |&six| expand_state(abs, program, acfa, k, property, x, &states[six]));
-
-            // Phase 2 — sequential commit in batch order, replaying
-            // the sequential loop step for step. Successors are moved
-            // out of their expansion, and each is hashed once: the
-            // index entry both answers "known?" and takes the new
-            // state.
-            for (exp, &six) in expansions.into_iter().zip(chunk.iter()) {
-                budget.check().map_err(ReachError::Budget)?;
-
-                // Error check on the (logically) dequeued state.
-                if let Some(error) = exp.error {
-                    let steps = rebuild_trace(&states, &parent, six);
-                    return Err(ReachError::Race(Box::new(AbstractCex {
-                        steps,
-                        final_state: states[six].clone(),
-                        error,
-                    })));
-                }
-
-                if states.len() >= max_states {
-                    return Err(ReachError::StateLimit(max_states));
-                }
-
-                let src_pc = states[six].pc;
-                for (kind, succ, op) in exp.succs {
-                    // The ARG records every computed post edge,
-                    // including re-entries into already-known states.
-                    arg.connect(
-                        &cfa,
-                        (src_pc, states[six].cube.clone()),
-                        kind,
-                        (succ.pc, succ.cube.clone()),
-                    );
-                    let Entry::Vacant(slot) = index.entry(succ) else {
-                        continue;
-                    };
-                    let ix = states.len();
-                    budget.charge(state_bytes(slot.key()));
-                    states.push(slot.key().clone());
-                    slot.insert(ix);
-                    parent.push(Some((six, op)));
-                    next.push(ix);
-                }
-            }
+    // `states` doubles as the FIFO queue: everything past `six` is
+    // discovered but not yet expanded.
+    for six in 0.. {
+        let Some(s) = states.get(six) else { break };
+        budget.check().map_err(ReachError::Budget)?;
+        if budget.faults().task_panic() {
+            panic!("injected task panic");
         }
-        frontier = next;
+
+        let error = match property {
+            Property::Race => race_at(s, program, acfa, x).map(AbstractError::Race),
+            Property::Assertions => cfa.is_error(s.pc).then_some(AbstractError::Assertion),
+        };
+        if let Some(error) = error {
+            return Err(ReachError::Race(Box::new(AbstractCex {
+                steps: rebuild_trace(&states, &parent, six),
+                final_state: s.clone(),
+                error,
+            })));
+        }
+        if states.len() >= max_states {
+            return Err(ReachError::StateLimit(max_states));
+        }
+
+        // Each successor is hashed once: the index entry both answers
+        // "known?" and takes the new state.
+        let src = (s.pc, s.cube.clone());
+        for (kind, succ, op) in successors(abs, program, acfa, k, s) {
+            // The ARG records every computed post edge, including
+            // re-entries into already-known states.
+            arg.connect(&cfa, src.clone(), kind, (succ.pc, succ.cube.clone()));
+            let Entry::Vacant(slot) = index.entry(succ) else {
+                continue;
+            };
+            budget.charge(state_bytes(slot.key()));
+            states.push(slot.key().clone());
+            slot.insert(states.len() - 1);
+            parent.push(Some((six, op)));
+        }
     }
 
     Ok(arg)
 }
 
-/// Everything `reach_and_build` needs to commit one frontier state:
-/// its error verdict and its ordered successor list.
-struct Expansion {
-    error: Option<AbstractError>,
-    succs: Vec<(StateEdgeKind, AbsState, TraceOp)>,
-}
-
-/// Expands one abstract state: error check, enabledness under the
+/// The successors of one abstract state: enabledness under the
 /// atomic-scheduling rule, then abstract posts for the enabled main
-/// and context moves, in the same order the sequential loop used. No
-/// posts are computed for an erroring state (the sequential loop
-/// returned before expanding it).
-fn expand_state(
+/// moves (in CFA edge order) and context moves (in ACFA edge order).
+fn successors(
     abs: &AbsCtx,
     program: &MtProgram,
     acfa: &Acfa,
     k: u32,
-    property: Property,
-    x: circ_ir::Var,
     s: &AbsState,
-) -> Expansion {
+) -> Vec<(StateEdgeKind, AbsState, TraceOp)> {
     let cfa = program.cfa();
-
-    let error = match property {
-        Property::Race => race_at(s, program, acfa, x).map(AbstractError::Race),
-        Property::Assertions => cfa.is_error(s.pc).then_some(AbstractError::Assertion),
-    };
-    if error.is_some() {
-        return Expansion { error, succs: Vec::new() };
-    }
 
     // Enabled operations under the atomic-scheduling rule: collect
     // the set AL of occupied atomic locations (main's included).
@@ -318,7 +262,7 @@ fn expand_state(
             }
         }
     }
-    Expansion { error, succs }
+    succs
 }
 
 /// The race condition of §4.1 on one abstract state.
@@ -395,7 +339,6 @@ mod tests {
             CVal::Omega,
             10_000,
             Property::Race,
-            &Pool::sequential(),
             &Budget::unlimited(),
         );
         let arg = result.expect("no race without a context");
@@ -426,7 +369,6 @@ mod tests {
             CVal::Omega,
             10_000,
             Property::Race,
-            &Pool::sequential(),
             &Budget::unlimited(),
         );
         match result {
@@ -456,7 +398,6 @@ mod tests {
             CVal::Fin(1),
             10_000,
             Property::Race,
-            &Pool::sequential(),
             &Budget::unlimited(),
         );
         match result {
@@ -501,7 +442,6 @@ mod tests {
             CVal::Fin(1),
             50_000,
             Property::Race,
-            &Pool::sequential(),
             &Budget::unlimited(),
         );
         assert!(result.is_ok(), "atomic write-back context cannot race with one thread");
@@ -520,38 +460,9 @@ mod tests {
             CVal::Omega,
             2,
             Property::Race,
-            &Pool::sequential(),
             &Budget::unlimited(),
         );
         assert!(matches!(result, Err(ReachError::StateLimit(2))));
-    }
-
-    #[test]
-    fn parallel_expansion_matches_sequential() {
-        // The batch commit replays the sequential order, so the ARG
-        // and any counterexample must be identical at every jobs
-        // setting.
-        let program = fig1_program();
-        let acfa = writer_context(&program);
-        let run = |pool: &Pool, init: CVal| {
-            let abs = AbsCtx::new(program.cfa_arc(), PredSet::new());
-            reach_and_build(
-                &abs,
-                &program,
-                &acfa,
-                1,
-                init,
-                10_000,
-                Property::Race,
-                pool,
-                &Budget::unlimited(),
-            )
-        };
-        for init in [CVal::Omega, CVal::Fin(1)] {
-            let seq = run(&Pool::sequential(), init);
-            let par = run(&Pool::new(4), init);
-            assert_eq!(format!("{seq:?}"), format!("{par:?}"), "init {init:?}");
-        }
     }
 
     #[test]
@@ -582,7 +493,6 @@ mod tests {
             CVal::Omega,
             10_000,
             Property::Race,
-            &Pool::sequential(),
             &Budget::unlimited(),
         )
         .expect("single thread is race-free");

@@ -86,13 +86,11 @@ fn injection_is_deterministic_per_seed() {
 
 #[test]
 fn injected_worker_panic_becomes_internal_error() {
-    // Every task panics: the first parallel phase blows up, the pool
-    // contains it per task, `Pool::map` re-raises, and the `circ`
-    // boundary converts the unwind into a reported verdict instead of
-    // crossing into the caller.
+    // Every task panics: the first expanded reach state blows up, and
+    // the `circ` boundary converts the unwind into a reported verdict
+    // instead of crossing into the caller.
     let faults = FaultPlan::seeded(7).with_task_panic(1000);
-    let cfg = CircConfig { jobs: 4, ..cfg_with(faults.clone()) };
-    let outcome = circ(&fig1_program(), &cfg);
+    let outcome = circ(&fig1_program(), &cfg_with(faults.clone()));
     let CircOutcome::Unknown(report) = outcome else {
         panic!("expected Unknown(InternalError), got {outcome:?}");
     };
@@ -120,8 +118,7 @@ fn one_poisoned_row_leaves_sibling_rows_intact() {
     for (i, (_, p)) in rows.iter().enumerate() {
         let faults =
             if i == 1 { FaultPlan::seeded(9).with_task_panic(1000) } else { FaultPlan::inert() };
-        let cfg = CircConfig { jobs: 4, ..cfg_with(faults) };
-        poisoned_verdicts.push(circ(p, &cfg));
+        poisoned_verdicts.push(circ(p, &cfg_with(faults)));
     }
 
     assert!(

@@ -1,28 +1,30 @@
-//! Minimal parallel-execution substrate for the CIRC pipeline.
+//! Minimal parallel-execution substrate for the CIRC front ends.
 //!
 //! The build environment has no crates.io access (all third-party
 //! dependencies are vendored shims), so this crate hand-rolls the
-//! primitives the pipeline needs on top of `std` alone:
+//! primitives the batch and serve layers need on top of `std` alone.
+//! The engine itself (ReachAndBuild, CheckSim, the solver) runs on
+//! the calling thread; only whole files and requests run concurrently:
 //!
 //! * [`Pool`] — a scoped worker pool over [`std::thread::scope`] with
-//!   an order-preserving `map`. Work is handed out through a single
-//!   atomic index (work stealing degenerates to work *sharing*, which
-//!   is enough for the coarse-grained tasks the pipeline produces),
-//!   and results are returned in input order so callers can replay
-//!   them exactly as a sequential loop would have produced them.
+//!   an order-preserving, panic-containing `try_map`. Work is handed
+//!   out through a single atomic index (work stealing degenerates to
+//!   work *sharing*, which is enough for one task per file), and
+//!   results are returned in input order so callers can merge them
+//!   exactly as a sequential loop would have.
 //! * [`ShardedMap`] — a `Mutex`-sharded hash map whose
 //!   `get_or_compute` runs the closure *under the shard lock*. That
 //!   choice trades some lock hold time for a strong accounting
 //!   guarantee: the first query for a distinct key is exactly one
 //!   miss and every later query is a hit, under any thread
-//!   interleaving. Cache hit/miss counters therefore match the
-//!   sequential run exactly, which the determinism tests rely on.
+//!   interleaving. `circ serve` shares one entailment cache across
+//!   concurrent requests through it.
 //! * [`FxHasher`] / [`FxHashMap`] — the one hasher every engine map
 //!   uses: a fixed multiply-rotate hash over machine words, far
 //!   cheaper than SipHash on the engine's structured keys (cubes,
 //!   atoms, formulas) and the same in every process.
 //!
-//! All of them are deliberately deterministic: `Pool::map` output
+//! All of them are deliberately deterministic: `Pool::try_map` output
 //! order never depends on scheduling, and both the shard a key lands
 //! in and its place inside the shard are fixed functions of the key.
 //! Results still never depend on map iteration order: snapshots are
@@ -34,10 +36,7 @@
 //!
 //! Panic containment: [`Pool::try_map`] catches unwinds *per task*
 //! and returns them as [`TaskError`] values, so one bad task cannot
-//! take down its siblings or leave the pool unusable. [`Pool::map`]
-//! still panics on the first task failure (after all results are
-//! collected), preserving the fail-fast contract for callers that
-//! have no per-task error channel.
+//! take down its siblings or leave the pool unusable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use circ_governor::{panic_message, FaultPlan};
+use circ_governor::panic_message;
 
 /// A task that panicked inside [`Pool::try_map`], reduced to its
 /// panic message. The unwind never crosses the pool boundary.
@@ -71,16 +70,14 @@ impl std::error::Error for TaskError {}
 /// A fixed-width scoped worker pool.
 ///
 /// `jobs == 1` (the default everywhere) runs tasks inline on the
-/// calling thread — no threads are spawned and the pipeline behaves
-/// exactly like the sequential implementation it replaced.
+/// calling thread; no threads are spawned.
 ///
-/// The pool is stateless apart from its configuration, so it stays
+/// The pool is stateless apart from its worker count, so it stays
 /// fully usable after a task failure: a `try_map` whose results
 /// contain [`TaskError`]s does not wedge later calls.
 #[derive(Debug, Clone)]
 pub struct Pool {
     jobs: usize,
-    faults: FaultPlan,
 }
 
 impl Pool {
@@ -92,46 +89,12 @@ impl Pool {
         } else {
             jobs
         };
-        Pool { jobs, faults: FaultPlan::inert() }
-    }
-
-    /// A pool that always runs inline on the calling thread.
-    pub fn sequential() -> Pool {
-        Pool { jobs: 1, faults: FaultPlan::inert() }
-    }
-
-    /// Attach a fault-injection schedule. Armed `task_panic` faults
-    /// make tasks panic before running their closure; inert plans
-    /// (and builds without the `inject` feature) change nothing.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Pool {
-        self.faults = faults;
-        self
+        Pool { jobs }
     }
 
     /// The resolved worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Apply `f` to every item, returning results in input order.
-    ///
-    /// Convenience wrapper over [`Pool::try_map`] for callers without
-    /// a per-task error channel: every task still runs to completion
-    /// (or containment), then the first task failure, if any, is
-    /// re-raised as a panic on the calling thread.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.try_map(items, f)
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(e) => panic!("{e}"),
-            })
-            .collect()
     }
 
     /// Apply `f` to every item, returning per-task results in input
@@ -150,13 +113,8 @@ impl Pool {
         F: Fn(&T) -> R + Sync,
     {
         let run_one = |item: &T| -> Result<R, TaskError> {
-            catch_unwind(AssertUnwindSafe(|| {
-                if self.faults.task_panic() {
-                    panic!("injected task panic");
-                }
-                f(item)
-            }))
-            .map_err(|payload| TaskError { message: panic_message(payload.as_ref()) })
+            catch_unwind(AssertUnwindSafe(|| f(item)))
+                .map_err(|payload| TaskError { message: panic_message(payload.as_ref()) })
         };
         if self.jobs <= 1 || items.len() < 2 {
             return items.iter().map(run_one).collect();
@@ -190,12 +148,6 @@ impl Pool {
             slots[i] = Some(r);
         }
         slots.into_iter().map(|o| o.expect("every index was dispatched exactly once")).collect()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Pool {
-        Pool::sequential()
     }
 }
 
@@ -387,11 +339,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// Unwraps every task result (test helper for tasks that never
+    /// panic).
+    fn ok<R>(results: Vec<Result<R, TaskError>>) -> Vec<R> {
+        results.into_iter().map(|r| r.expect("task panicked")).collect()
+    }
+
     #[test]
     fn map_preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let seq = Pool::sequential().map(&items, |&x| x * 3 + 1);
-        let par = Pool::new(4).map(&items, |&x| x * 3 + 1);
+        let seq = ok(Pool::new(1).try_map(&items, |&x| x * 3 + 1));
+        let par = ok(Pool::new(4).try_map(&items, |&x| x * 3 + 1));
         assert_eq!(seq, par);
         assert_eq!(par[17], 52);
     }
@@ -405,8 +363,8 @@ mod tests {
     #[test]
     fn map_handles_empty_and_single_item_inputs() {
         let pool = Pool::new(8);
-        assert_eq!(pool.map(&[] as &[u32], |&x| x), Vec::<u32>::new());
-        assert_eq!(pool.map(&[7u32], |&x| x + 1), vec![8]);
+        assert_eq!(ok(pool.try_map(&[] as &[u32], |&x| x)), Vec::<u32>::new());
+        assert_eq!(ok(pool.try_map(&[7u32], |&x| x + 1)), vec![8]);
     }
 
     #[test]
@@ -417,13 +375,13 @@ mod tests {
         // Hammer 20 distinct keys from 8 workers: the compute count
         // must equal the number of distinct keys, not the number of
         // lookups, or parallel cache-miss counters would drift.
-        Pool::new(8).map(&keys, |&k| {
+        ok(Pool::new(8).try_map(&keys, |&k| {
             map.get_or_compute(k, || {
                 computes.fetch_add(1, Ordering::Relaxed);
                 k * 2
             })
             .0
-        });
+        }));
         assert_eq!(computes.load(Ordering::Relaxed), 20);
         assert_eq!(map.len(), 20);
         let (v, hit) = map.get_or_compute(7, || unreachable!("must be cached"));
@@ -467,20 +425,21 @@ mod tests {
         assert!(first[5].is_err());
         assert_eq!(first.iter().filter(|r| r.is_ok()).count(), 7);
         // The same pool instance must run a clean map afterwards.
-        let second = pool.map(&items, |&x| x + 1);
+        let second = ok(pool.try_map(&items, |&x| x + 1));
         assert_eq!(second, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
-    #[should_panic(expected = "worker task panicked: boom")]
-    fn map_reraises_the_first_task_failure() {
+    fn task_error_displays_the_panic_message() {
         let items: Vec<u32> = (0..4).collect();
-        Pool::new(2).map(&items, |&x| {
+        let results = Pool::new(2).try_map(&items, |&x| {
             if x == 2 {
                 panic!("boom");
             }
             x
         });
+        let err = results[2].as_ref().expect_err("task 2 panicked");
+        assert_eq!(err.to_string(), "worker task panicked: boom");
     }
 
     #[test]

@@ -58,4 +58,4 @@ pub use atom::{Atom, Rel};
 pub use formula::Formula;
 pub use lin::{LinExpr, SVar};
 pub use persist::{PersistError, SolverPersist};
-pub use solver::{SatResult, SharedSolver, Solver};
+pub use solver::{SatResult, Solver};

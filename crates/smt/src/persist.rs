@@ -34,7 +34,7 @@ use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
-use crate::solver::{shard_ix, SatResult, SOLVER_SHARDS};
+use crate::solver::SatResult;
 use circ_ir::digest::fnv1a64;
 use circ_par::FxHashMap;
 use std::fmt;
@@ -356,16 +356,13 @@ pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 
 const SOLVER_KIND: &str = "circ-solver-cache";
 
-/// One shard's slice of a [`SolverPersist`] seed.
-pub(crate) type SeedBucket = FxHashMap<Formula, SatResult>;
-
-/// Shared, frozen-seed persistence store for [`crate::SharedSolver`]
+/// Shared, frozen-seed persistence store for [`crate::Solver`]
 /// caches.
 ///
 /// The seed (loaded from disk, or empty) is immutable for the store's
-/// lifetime and pre-bucketed by shard index; every solver constructed
-/// via [`crate::SharedSolver::with_budget_and_seed`] reads through to
-/// it on a memo miss, without copying it. Entries learned by finished
+/// lifetime; every solver handed the store via
+/// [`crate::Solver::set_seed`] reads through to it on a memo miss,
+/// without copying it. Entries learned by finished
 /// runs are absorbed into a separate write-only accumulator, which
 /// keeps each formula once and never repeats a seed entry, so the
 /// store holds at most one entry per distinct formula. That split
@@ -383,8 +380,8 @@ pub struct SolverPersist {
 
 #[derive(Debug)]
 struct PersistInner {
-    /// Seed entries bucketed by [`shard_ix`], frozen at construction.
-    seed: Vec<SeedBucket>,
+    /// Seed entries, frozen at construction.
+    seed: FxHashMap<Formula, SatResult>,
     /// Entries learned since construction (one per formula, none of
     /// them in the seed).
     learned: Mutex<FxHashMap<Formula, SatResult>>,
@@ -407,16 +404,15 @@ impl SolverPersist {
     /// active-but-cold store). `Unknown` results are dropped, and a
     /// repeated formula keeps its first result.
     pub fn with_seed(seed: Vec<(Formula, SatResult)>) -> SolverPersist {
-        let mut buckets: Vec<SeedBucket> = vec![SeedBucket::default(); SOLVER_SHARDS];
+        let mut frozen = FxHashMap::default();
         for (f, r) in seed {
-            if matches!(r, SatResult::Unknown) {
-                continue;
+            if !matches!(r, SatResult::Unknown) {
+                frozen.entry(f).or_insert(r);
             }
-            buckets[shard_ix(&f)].entry(f).or_insert(r);
         }
         SolverPersist {
             inner: Some(Arc::new(PersistInner {
-                seed: buckets,
+                seed: frozen,
                 learned: Mutex::new(FxHashMap::default()),
             })),
         }
@@ -427,9 +423,9 @@ impl SolverPersist {
         self.inner.is_some()
     }
 
-    /// Number of distinct seed formulas across all buckets.
+    /// Number of distinct seed formulas.
     pub fn seed_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.seed.iter().map(SeedBucket::len).sum())
+        self.inner.as_ref().map_or(0, |i| i.seed.len())
     }
 
     /// Number of distinct formulas held, seed and learned: the length
@@ -443,10 +439,9 @@ impl SolverPersist {
         self.len() == 0
     }
 
-    /// The seed entries that land on solver shard `ix`, or `None` when
-    /// there are none (so an empty seed costs a solver no lookup).
-    pub(crate) fn seed_bucket(&self, ix: usize) -> Option<&SeedBucket> {
-        self.inner.as_ref().map(|i| &i.seed[ix]).filter(|b| !b.is_empty())
+    /// The seed's result for an NNF formula, if it holds one.
+    pub(crate) fn get(&self, nnf: &Formula) -> Option<&SatResult> {
+        self.inner.as_ref()?.seed.get(nnf)
     }
 
     /// Folds a finished solver's cache entries into the accumulator
@@ -458,7 +453,7 @@ impl SolverPersist {
         let Some(inner) = &self.inner else { return };
         let mut learned = inner.learned();
         for (f, r) in entries {
-            if matches!(r, SatResult::Unknown) || inner.seed[shard_ix(&f)].contains_key(&f) {
+            if matches!(r, SatResult::Unknown) || inner.seed.contains_key(&f) {
                 continue;
             }
             learned.entry(f).or_insert(r);
@@ -470,13 +465,7 @@ impl SolverPersist {
     pub fn merged_entries(&self) -> Vec<(Formula, SatResult)> {
         let Some(inner) = &self.inner else { return Vec::new() };
         let learned = inner.learned();
-        inner
-            .seed
-            .iter()
-            .flatten()
-            .chain(learned.iter())
-            .map(|(f, r)| (f.clone(), r.clone()))
-            .collect()
+        inner.seed.iter().chain(learned.iter()).map(|(f, r)| (f.clone(), r.clone())).collect()
     }
 }
 
@@ -653,7 +642,7 @@ mod tests {
         let f2 = Formula::atom(Atom::eq(x() - y())).and(Formula::atom(Atom::eq(y())));
         solver.check(&f1);
         solver.check(&f2);
-        let entries = solver.cache_entries();
+        let entries = solver.entries();
         assert!(!entries.is_empty());
 
         let text = render_solver_cache(&entries);
@@ -741,17 +730,14 @@ mod tests {
             .or(Formula::atom(Atom::eq(x() - c(1))))
             .and(Formula::atom(Atom::le(c(2) - x())));
 
-        let cold = crate::SharedSolver::new(true);
+        let mut cold = Solver::new();
         let cold_result = cold.check(&f);
         assert_eq!(cold.counters().cache_misses, 1);
 
         let store = SolverPersist::with_seed(cold.entries());
         assert_eq!(store.seed_len(), 1);
-        let warm = crate::SharedSolver::with_budget_and_seed(
-            true,
-            circ_governor::Budget::unlimited(),
-            &store,
-        );
+        let mut warm = Solver::new();
+        warm.set_seed(store);
         assert_eq!(warm.check(&f), cold_result);
         let counters = warm.counters();
         assert_eq!(counters.cache_hits, 1, "seeded query must hit");
@@ -760,7 +746,7 @@ mod tests {
 
     /// A few distinct solved entries, each formula exactly once.
     fn solved_entries() -> Vec<(Formula, SatResult)> {
-        let solver = crate::SharedSolver::new(true);
+        let mut solver = Solver::new();
         for n in 0..6 {
             solver.check(&Formula::atom(Atom::le(x() - c(n))).and(Formula::atom(Atom::eq(y()))));
         }
@@ -784,17 +770,13 @@ mod tests {
     #[test]
     fn seeded_solver_reads_through_without_copying() {
         let entries = solved_entries();
-        let store = SolverPersist::with_seed(entries.clone());
-        let warm = crate::SharedSolver::with_budget_and_seed(
-            true,
-            circ_governor::Budget::unlimited(),
-            &store,
-        );
+        let mut warm = Solver::new();
+        warm.set_seed(SolverPersist::with_seed(entries.clone()));
         for (f, r) in &entries {
             assert_eq!(&warm.check(f), r);
         }
         assert_eq!(warm.counters().cache_hits, entries.len() as u64);
-        assert!(warm.entries().is_empty(), "seed hits must not land in the shard memos");
+        assert!(warm.entries().is_empty(), "seed hits must not land in the solver's memo");
     }
 
     #[test]
@@ -833,7 +815,7 @@ mod tests {
         let _ = fs::remove_file(&path);
         assert!(load_solver_cache(&path).unwrap().is_none(), "missing file is a clean miss");
 
-        let solver = crate::SharedSolver::new(true);
+        let mut solver = Solver::new();
         solver.check(&Formula::atom(Atom::le(x() - c(5))));
         let store = SolverPersist::with_seed(Vec::new());
         store.absorb(solver.entries());

@@ -6,12 +6,11 @@
 use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::{self, ConjResult, Model};
-use crate::persist::SeedBucket;
 use crate::sat::{BVar, CnfSolver, Lit};
+use crate::SolverPersist;
 use circ_governor::Budget;
-use circ_par::{fx_hash, shard_index, FxHashMap};
+use circ_par::FxHashMap;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +38,8 @@ impl SatResult {
 
 /// A reusable SMT solver handle. Queries are independent; the handle
 /// tracks statistics across them (used by benches and tests) and
-/// memoizes results per NNF skeleton.
+/// memoizes results per NNF skeleton, optionally reading through to a
+/// persistence store's frozen seed ([`Solver::set_seed`]).
 #[derive(Debug)]
 pub struct Solver {
     queries: u64,
@@ -50,6 +50,8 @@ pub struct Solver {
     /// is deterministic, so replaying a cached `Sat` model is
     /// indistinguishable from re-solving.
     cache: FxHashMap<Formula, SatResult>,
+    /// Frozen read-through layer below `cache` (inert by default).
+    seed: SolverPersist,
     cache_enabled: bool,
     cache_hits: u64,
     cache_misses: u64,
@@ -66,6 +68,7 @@ impl Default for Solver {
             queries: 0,
             theory_rounds: 0,
             cache: FxHashMap::default(),
+            seed: SolverPersist::inert(),
             cache_enabled: true,
             cache_hits: 0,
             cache_misses: 0,
@@ -96,6 +99,16 @@ impl Solver {
     /// ceiling.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
+    }
+
+    /// Warm-start from a persistence store's frozen seed: after the
+    /// solver's own memo misses, the query is looked up in the seed,
+    /// so the first query of a seeded formula is a cache hit. A seed
+    /// hit is neither copied into the memo nor charged to the budget
+    /// (it was paid for by the run that first solved it). An inert
+    /// store (the default) or a disabled cache seeds nothing.
+    pub fn set_seed(&mut self, seed: SolverPersist) {
+        self.seed = seed;
     }
 
     /// Number of top-level queries issued so far.
@@ -130,17 +143,7 @@ impl Solver {
 
     /// Decides satisfiability of `f` over the integers.
     pub fn check(&mut self, f: &Formula) -> SatResult {
-        self.check_nnf(f.to_nnf(), None)
-    }
-
-    /// [`Solver::check`] for an already-NNF-normalized formula.
-    /// [`SharedSolver`] normalizes once to pick its shard and then
-    /// dispatches here, so the conversion is not repeated under the
-    /// shard lock. `seed` is a frozen, read-through layer below the
-    /// memo: a key found there is a hit (it was paid for by the run
-    /// that first solved it) and is neither copied into the memo nor
-    /// charged to the budget.
-    fn check_nnf(&mut self, nnf: Formula, seed: Option<&SeedBucket>) -> SatResult {
+        let nnf = f.to_nnf();
         self.queries += 1;
         match &nnf {
             Formula::Const(true) => return SatResult::Sat(Model::new()),
@@ -153,7 +156,7 @@ impl Solver {
             return SatResult::Unknown;
         }
         if self.cache_enabled {
-            if let Some(hit) = self.cache.get(&nnf).or_else(|| seed?.get(&nnf)) {
+            if let Some(hit) = self.cache.get(&nnf).or_else(|| self.seed.get(&nnf)) {
                 self.cache_hits += 1;
                 return hit.clone();
             }
@@ -222,7 +225,7 @@ impl Solver {
     /// Clones out the `(NNF, result)` pairs this solver memoized
     /// itself (for persistence export); seed hits are not among them.
     /// Order is unspecified.
-    pub(crate) fn cache_entries(&self) -> Vec<(Formula, SatResult)> {
+    pub fn entries(&self) -> Vec<(Formula, SatResult)> {
         self.cache.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
@@ -261,133 +264,6 @@ fn formula_bytes(f: &Formula) -> u64 {
         Formula::And(fs) | Formula::Or(fs) => {
             NODE_BYTES + fs.iter().map(formula_bytes).sum::<u64>()
         }
-    }
-}
-
-/// Shard count for [`SharedSolver`]. A formula's NNF hash picks the
-/// shard, so a given query always lands on the same [`Solver`] (and
-/// its cache entry), regardless of which thread issues it.
-pub(crate) const SOLVER_SHARDS: usize = 64;
-
-/// The shard a (canonical NNF) formula lands on. Shared with the
-/// persistence layer so seed entries can be pre-bucketed once instead
-/// of re-hashed per [`SharedSolver`] construction.
-pub(crate) fn shard_ix(nnf: &Formula) -> usize {
-    shard_index(fx_hash(nnf), SOLVER_SHARDS)
-}
-
-/// A thread-shareable solver: a fixed array of [`Solver`]s behind
-/// `Mutex`es, sharded by the NNF hash of the query.
-///
-/// Because shard selection is a pure function of the (canonical) NNF,
-/// and the solve runs while the shard lock is held, the first query
-/// for a distinct NNF is exactly one cache miss and every repeat is a
-/// hit — under any thread interleaving. Summing the per-shard counters
-/// therefore reproduces the exact hit/miss/query totals a single
-/// sequential [`Solver`] would have reported for the same query
-/// multiset, which is what keeps `--stats` output identical between
-/// `--jobs 1` and `--jobs N`.
-#[derive(Debug)]
-pub struct SharedSolver {
-    shards: Box<[Mutex<Solver>]>,
-    /// Frozen seed consulted after a shard's own memo misses.
-    seed: crate::SolverPersist,
-}
-
-impl SharedSolver {
-    /// A fresh sharded solver; `cache_enabled` is applied to every
-    /// shard (mirrors [`Solver::set_cache_enabled`]).
-    pub fn new(cache_enabled: bool) -> SharedSolver {
-        SharedSolver::with_budget(cache_enabled, Budget::unlimited())
-    }
-
-    /// [`SharedSolver::new`] with a resource budget cloned into every
-    /// shard. Clones share one accounting state, so per-shard charges
-    /// and polls all land on the same ceiling.
-    pub fn with_budget(cache_enabled: bool, budget: Budget) -> SharedSolver {
-        SharedSolver::with_budget_and_seed(cache_enabled, budget, &crate::SolverPersist::inert())
-    }
-
-    /// [`SharedSolver::with_budget`] warm-started from a persistence
-    /// store's frozen seed (see [`crate::SolverPersist`]): after a
-    /// shard's own memo misses, the query is looked up in the seed
-    /// bucket of that shard, so the first query of a seeded formula
-    /// is a cache hit. Nothing is copied; the store is shared. An
-    /// inert store (or a disabled cache) seeds nothing.
-    pub fn with_budget_and_seed(
-        cache_enabled: bool,
-        budget: Budget,
-        seed: &crate::SolverPersist,
-    ) -> SharedSolver {
-        SharedSolver {
-            shards: (0..SOLVER_SHARDS)
-                .map(|_| {
-                    let mut s = Solver::new();
-                    s.set_cache_enabled(cache_enabled);
-                    s.set_budget(budget.clone());
-                    Mutex::new(s)
-                })
-                .collect(),
-            seed: seed.clone(),
-        }
-    }
-
-    fn shard_of(&self, nnf: &Formula) -> usize {
-        shard_ix(nnf)
-    }
-
-    /// Decides satisfiability of `f` over the integers.
-    pub fn check(&self, f: &Formula) -> SatResult {
-        let nnf = f.to_nnf();
-        let ix = self.shard_of(&nnf);
-        // Recover from poisoning: a contained task panic elsewhere
-        // must not wedge the shard for sibling tasks. Solver state is
-        // only mutated through `&mut self` methods that leave the
-        // cache consistent between statements.
-        let seed = self.seed.seed_bucket(ix);
-        self.shards[ix].lock().unwrap_or_else(|e| e.into_inner()).check_nnf(nnf, seed)
-    }
-
-    /// Convenience: is `f` satisfiable (or not proven unsatisfiable)?
-    pub fn is_sat(&self, f: &Formula) -> bool {
-        self.check(f).is_sat()
-    }
-
-    /// Is `f` valid (true in every integer state)?
-    pub fn is_valid(&self, f: &Formula) -> bool {
-        !self.is_sat(&f.clone().not())
-    }
-
-    /// Does `a` entail `b`?
-    pub fn entails(&self, a: &Formula, b: &Formula) -> bool {
-        !self.is_sat(&a.clone().and(b.clone().not()))
-    }
-
-    /// Counter totals summed over all shards. Equal to what one
-    /// sequential [`Solver`] would report for the same query multiset
-    /// (see the type-level docs).
-    pub fn counters(&self) -> circ_stats::SolverCounters {
-        let mut total = circ_stats::SolverCounters::default();
-        for shard in self.shards.iter() {
-            total.add(&shard.lock().unwrap_or_else(|e| e.into_inner()).counters());
-        }
-        total
-    }
-
-    /// Total top-level queries across all shards.
-    pub fn num_queries(&self) -> u64 {
-        self.counters().queries
-    }
-
-    /// Clones out every shard's memoized `(NNF, result)` pairs — what
-    /// this solver solved itself, never its seed (for persistence
-    /// export). Order is unspecified.
-    pub fn entries(&self) -> Vec<(Formula, SatResult)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            out.extend(shard.lock().unwrap_or_else(|e| e.into_inner()).cache_entries());
-        }
-        out
     }
 }
 
@@ -592,37 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_solver_matches_sequential_solver() {
-        let queries = [
-            eq(x()).or(eq(x() - c(1))).and(le(c(2) - x())),
-            eq(x() - y()).and(eq(y())),
-            eq(x()).and(Formula::atom(Atom::ne(x()))),
-            le(x() - c(3)),
-        ];
-        let mut seq = Solver::new();
-        let shared = SharedSolver::new(true);
-        for _ in 0..2 {
-            for q in &queries {
-                assert_eq!(seq.check(q), shared.check(q));
-            }
-        }
-        // Same query multiset ⇒ same counter totals, even though the
-        // shared solver splits the work across shards.
-        assert_eq!(seq.counters(), shared.counters());
-        assert_eq!(shared.num_queries(), 8);
-    }
-
-    #[test]
-    fn shared_solver_entailment_and_validity() {
-        let shared = SharedSolver::new(true);
-        let pre = eq(x() - y()).and(eq(y()));
-        assert!(shared.entails(&pre, &eq(x())));
-        assert!(!shared.entails(&pre, &eq(x() - c(1))));
-        assert!(shared.is_valid(&le(x()).or(le(-x()))));
-        assert!(!shared.is_valid(&eq(x())));
-    }
-
-    #[test]
     fn unknown_counts_as_possibly_sat() {
         assert!(SatResult::Unknown.is_sat());
         assert!(!SatResult::Unsat.is_sat());
@@ -654,14 +499,15 @@ mod tests {
     fn cancelled_budget_degrades_to_unknown() {
         let token = circ_governor::CancelToken::new();
         let b = Budget::new(None, None, token.clone(), circ_governor::FaultPlan::inert());
-        let shared = SharedSolver::with_budget(true, b);
+        let mut s = Solver::new();
+        s.set_budget(b);
         let f = eq(x()).or(eq(x() - c(1))).and(le(c(2) - x()));
-        assert_eq!(shared.check(&f), SatResult::Unsat);
+        assert_eq!(s.check(&f), SatResult::Unsat);
         token.cancel();
         // Repeat of the same query is served from cache (no theory
         // round, no poll), so probe with a fresh formula.
         let g = eq(y()).or(eq(y() - c(1))).and(le(c(2) - y()));
-        assert_eq!(shared.check(&g), SatResult::Unknown);
+        assert_eq!(s.check(&g), SatResult::Unknown);
     }
 
     #[test]

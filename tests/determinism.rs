@@ -1,15 +1,15 @@
-//! Parallel determinism: for every corpus program and every Table 1
-//! model, a `--jobs 4` run must be *bit-identical* to the `--jobs 1`
-//! run — the same verdict essence (predicates, counterexample, final
-//! ACFA, k), the same ARG sizes, and the same merged statistics
-//! counters (solver queries, cache hits/misses, sim pairs, …). Only
-//! the phase wall-times may differ.
+//! Determinism: the engine is a pure function of its input, and the
+//! batch layer's file fan-out does not change it.
 //!
-//! This is the executable form of the design argument in `DESIGN.md`:
-//! batched frontier expansion commits in sequential order, sharded
-//! caches compute under the shard lock (one miss per distinct key
-//! under any interleaving), and CheckSim's Jacobi passes are pure
-//! functions of the previous relation.
+//! * Replaying a run of any corpus program or Table 1 model gives the
+//!   same verdict essence (predicates, counterexample, final ACFA, k)
+//!   and the same statistics counters (solver queries, cache
+//!   hits/misses, sim pairs, …). Only the phase wall-times may differ.
+//! * A batch report over `examples/` or the Table 1 models is
+//!   byte-identical at `--jobs 1` and `--jobs 4` once wall times are
+//!   stripped: every file runs the sequential engine against a frozen
+//!   seed, and `run_batch` merges in input order (`DESIGN.md`,
+//!   "Parallel execution").
 
 use circ_core::{circ, CircConfig, CircOutcome, PipelineStats};
 use circ_ir::{BoolExpr, CfaBuilder, Expr, MtProgram, Op};
@@ -34,21 +34,37 @@ fn counters(outcome: &CircOutcome) -> PipelineStats {
     p
 }
 
-fn assert_jobs_invariant(name: &str, program: &MtProgram, base: &CircConfig) {
-    let seq = circ(program, &CircConfig { jobs: 1, ..base.clone() });
-    let par = circ(program, &CircConfig { jobs: 4, ..base.clone() });
+/// Runs `program` twice under `config`: the two runs must agree on
+/// the verdict essence and on every counter.
+fn assert_replays_identically(name: &str, program: &MtProgram, config: &CircConfig) {
+    let first = circ(program, config);
+    let second = circ(program, config);
     assert_eq!(
-        essence(&seq),
-        essence(&par),
-        "{name}: jobs=4 changed the verdict (omega={})",
-        base.omega_mode
+        essence(&first),
+        essence(&second),
+        "{name}: a replay changed the verdict (omega={})",
+        config.omega_mode
     );
     assert_eq!(
-        counters(&seq),
-        counters(&par),
-        "{name}: jobs=4 changed the statistics counters (omega={})",
-        base.omega_mode
+        counters(&first),
+        counters(&second),
+        "{name}: a replay changed the statistics counters (omega={})",
+        config.omega_mode
     );
+}
+
+/// Runs `dir` as a batch at `--jobs 1` and `--jobs 4` under `base`:
+/// the reports must agree byte for byte once wall times are stripped.
+fn assert_batch_jobs_invariant(dir: &std::path::Path, base: &circ_batch::BatchConfig) {
+    let inputs = circ_batch::collect_inputs(dir).unwrap();
+    let seq = circ_batch::run_batch(&inputs, &circ_batch::BatchConfig { jobs: 1, ..base.clone() });
+    let par = circ_batch::run_batch(&inputs, &circ_batch::BatchConfig { jobs: 4, ..base.clone() });
+    assert_eq!(seq.exit, par.exit, "{}", dir.display());
+    let (seq_json, par_json) = (strip_times(&seq.to_json()), strip_times(&par.to_json()));
+    assert_eq!(seq_json, par_json, "{}: jobs=4 changed the batch report bytes", dir.display());
+    // The scanner really did find wall times (guards against key renames
+    // silently turning this test into a tautology-by-luck).
+    assert_ne!(seq_json, seq.to_json(), "no time keys were stripped — scanner is stale");
 }
 
 /// Unprotected concurrent increments: racy.
@@ -120,27 +136,24 @@ fn examples_corpus_is_jobs_invariant_in_both_modes() {
         ("unprotected_counter", unprotected_counter()),
     ];
     for omega in [false, true] {
-        let base = if omega { CircConfig::omega() } else { CircConfig::default() };
+        let config = if omega { CircConfig::omega() } else { CircConfig::default() };
         for (name, program) in &corpus {
-            assert_jobs_invariant(name, program, &base);
+            assert_replays_identically(name, program, &config);
         }
     }
+    // ω mode is the batch default, covered by
+    // `batch_report_is_jobs_invariant_modulo_wall_times`.
+    let circ_mode = circ_batch::BatchConfig { omega: false, ..circ_batch::BatchConfig::default() };
+    assert_batch_jobs_invariant(&examples_dir(), &circ_mode);
 }
 
 #[test]
 fn table1_models_are_jobs_invariant() {
     for m in circ_nesc::models() {
-        assert_jobs_invariant(m.name, &m.program(), &CircConfig::omega());
+        assert_replays_identically(m.name, &m.program(), &CircConfig::omega());
     }
-}
-
-#[test]
-fn jobs_zero_means_auto_and_stays_invariant() {
-    let program = fig1_program();
-    let seq = circ(&program, &CircConfig::omega());
-    let auto = circ(&program, &CircConfig { jobs: 0, ..CircConfig::omega() });
-    assert_eq!(essence(&seq), essence(&auto));
-    assert_eq!(counters(&seq), counters(&auto));
+    let models = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../nesc/models");
+    assert_batch_jobs_invariant(&models, &circ_batch::BatchConfig::default());
 }
 
 // ---- batch-level determinism ----
@@ -174,15 +187,7 @@ fn examples_dir() -> std::path::PathBuf {
 fn batch_report_is_jobs_invariant_modulo_wall_times() {
     let inputs = circ_batch::collect_inputs(&examples_dir()).unwrap();
     assert!(inputs.len() >= 4, "examples corpus went missing");
-    let base = circ_batch::BatchConfig::default();
-    let seq = circ_batch::run_batch(&inputs, &circ_batch::BatchConfig { jobs: 1, ..base.clone() });
-    let par = circ_batch::run_batch(&inputs, &circ_batch::BatchConfig { jobs: 4, ..base });
-    assert_eq!(seq.exit, par.exit);
-    let (seq_json, par_json) = (strip_times(&seq.to_json()), strip_times(&par.to_json()));
-    assert_eq!(seq_json, par_json, "jobs=4 changed the batch report bytes");
-    // The scanner really did find wall times (guards against key renames
-    // silently turning this test into a tautology-by-luck).
-    assert_ne!(seq_json, seq.to_json(), "no time keys were stripped — scanner is stale");
+    assert_batch_jobs_invariant(&examples_dir(), &circ_batch::BatchConfig::default());
 }
 
 // ---- crash-safety determinism ----
