@@ -40,14 +40,14 @@ pub struct AcfaEdge {
     pub dst: AcfaLocId,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct AcfaLoc {
     region: Region,
     atomic: bool,
 }
 
 /// An abstract control flow automaton.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Acfa {
     locs: Vec<AcfaLoc>,
     edges: Vec<AcfaEdge>,

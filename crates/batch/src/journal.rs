@@ -32,12 +32,13 @@ use std::time::Duration;
 /// incompatible change so old journals degrade to re-checks instead of
 /// misparsing.
 pub const JOURNAL_TAG: &str = "circ-batch";
-/// Current journal line format version. v4 added the storage-layer
+/// Current journal line format version. v5 added the stored-context
+/// counters (`ctx_checks`/`ctx_fallbacks`); v4 added the storage-layer
 /// counters (`store_recoveries`/`flush_errors`) to the embedded
 /// pipeline block; v3 added the `stage` attribution field and the
 /// triage pipeline counters; v2 added the `config` fingerprint field.
 /// Older lines degrade to re-checks.
-pub const JOURNAL_VERSION: u64 = 4;
+pub const JOURNAL_VERSION: u64 = 5;
 
 /// Content digest of a file's bytes (FNV-1a 64, shared with the cache
 /// snapshot checksums).
@@ -381,10 +382,10 @@ mod tests {
     }
 
     #[test]
-    fn line_matches_the_pinned_v4_bytes() {
+    fn line_matches_the_pinned_v5_bytes() {
         let line = render_line(&golden_row(), 0xdead_beef_0042_0007, CFG);
         let want = [
-            r#"{"journal":"circ-batch","v":4,"digest":"deadbeef00420007","#,
+            r#"{"journal":"circ-batch","v":5,"digest":"deadbeef00420007","#,
             r#""config":"0123456789abcdef","file":"dir/a \"quoted\".nesl","verdict":"race","#,
             r#""detail":"race on x: 2 threads, 7 steps\t\u0001 é","stage":"sched+circ","#,
             r#""retries":2,"time_s":0.037125,"pipeline":"#,
@@ -398,7 +399,10 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected_not_misread() {
-        let line = render_line(&sample_row(), 7, CFG).replace("\"v\":4", "\"v\":5");
+        let line = render_line(&sample_row(), 7, CFG).replace(
+            &format!("\"v\":{JOURNAL_VERSION}"),
+            &format!("\"v\":{}", JOURNAL_VERSION + 1),
+        );
         let err = parse_line(line.trim_end()).unwrap_err();
         assert!(err.contains("version"), "{err}");
     }

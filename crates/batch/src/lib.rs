@@ -1561,7 +1561,8 @@ mod tests {
         r#"{"outer_rounds":1,"reach_runs":2,"arg_nodes":3,"sim_checks":4,"#,
         r#""sim_edge_pairs":5,"collapse_runs":6,"collapse_iterations":7,"#,
         r#""refine_rounds":8,"k_increments":9,"preds_seeded":10,"#,
-        r#""refine_rounds_saved":11,"abs_queries":16,"abs_cache_hits":17,"#,
+        r#""refine_rounds_saved":11,"ctx_checks":27,"ctx_fallbacks":28,"#,
+        r#""abs_queries":16,"abs_cache_hits":17,"#,
         r#""abs_cache_misses":18,"abs_hit_rate":0.485714,"solver_queries":12,"#,
         r#""solver_cache_hits":13,"solver_cache_misses":14,"#,
         r#""solver_hit_rate":0.481481,"theory_rounds":15,"mem_charged_bytes":19,"#,
@@ -1603,6 +1604,8 @@ mod tests {
             k_increments: 9,
             preds_seeded: 10,
             refine_rounds_saved: 11,
+            ctx_checks: 27,
+            ctx_fallbacks: 28,
             mem_charged_bytes: 19,
             budget_polls: 20,
             faults_injected: 21,
@@ -1666,7 +1669,8 @@ mod tests {
         let zero_pipeline = concat!(
             r#"{"outer_rounds":0,"reach_runs":0,"arg_nodes":0,"sim_checks":0,"#,
             r#""sim_edge_pairs":0,"collapse_runs":0,"collapse_iterations":0,"refine_rounds":0,"#,
-            r#""k_increments":0,"preds_seeded":0,"refine_rounds_saved":0,"abs_queries":0,"#,
+            r#""k_increments":0,"preds_seeded":0,"refine_rounds_saved":0,"ctx_checks":0,"#,
+            r#""ctx_fallbacks":0,"abs_queries":0,"#,
             r#""abs_cache_hits":0,"abs_cache_misses":0,"abs_hit_rate":0.000000,"#,
             r#""solver_queries":0,"solver_cache_hits":0,"solver_cache_misses":0,"#,
             r#""solver_hit_rate":0.000000,"theory_rounds":0,"mem_charged_bytes":0,"#,

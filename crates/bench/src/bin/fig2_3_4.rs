@@ -7,21 +7,23 @@
 //! cargo run --release -p circ-bench --bin fig2_3_4
 //! ```
 
-use circ_core::{circ, CircConfig, CircEvent, CircOutcome};
+use circ_core::{circ, display_acfa, CircConfig, CircEvent, CircOutcome};
 use circ_ir::{figure1_cfa, MtProgram};
 
 fn main() {
     let cfa = figure1_cfa();
     let x = cfa.var_by_name("x").unwrap();
-    let program = MtProgram::new(cfa, x);
+    let program = MtProgram::new(cfa.clone(), x);
     let outcome = circ(&program, &CircConfig::default());
 
     let mut outer = 0usize;
+    let mut round_preds: &[String] = &[];
     let mut reach_in_outer = 0usize;
     for e in &outcome.log().events {
         match e {
             CircEvent::OuterStart { preds, k } => {
                 outer += 1;
+                round_preds = preds;
                 reach_in_outer = 0;
                 println!("================================================================");
                 println!("Iteration {outer}:  P = {{{}}},  k = {k}", preds.join(", "));
@@ -32,7 +34,7 @@ fn main() {
                 println!(
                     "\n--- ARG G (outer {outer}, inner round {reach_in_outer}; {arg_locs} locations) ---"
                 );
-                println!("{arg}");
+                println!("{}", display_acfa(arg, round_preds, &cfa));
             }
             CircEvent::SimChecked { holds } => {
                 println!(
@@ -46,7 +48,7 @@ fn main() {
             }
             CircEvent::Collapsed { acfa, size } => {
                 println!("\n--- Collapse: minimized ACFA A ({size} locations) ---");
-                println!("{acfa}");
+                println!("{}", display_acfa(acfa, round_preds, &cfa));
             }
             CircEvent::AbstractRace { trace_len } => {
                 println!("\n!! abstract race reached ({trace_len}-step abstract trace)");

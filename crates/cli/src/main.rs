@@ -118,15 +118,17 @@ const HELP: &str = "circ — race checking by context inference (PLDI 2004 repro
          an intact directory. `--k N` (N >= 1) sets the initial\n\
          thread-counter parameter.\n\n\
          Incremental re-checking: with `--cache-dir`, each check's discovered\n\
-         predicate set and final k are persisted to a predicate store\n\
-         (preds.store) keyed by a structural digest of the lowered automaton\n\
-         plus a config fingerprint, and future checks of the same program are\n\
-         seeded from it — skipping rediscovery while still running the full\n\
-         algorithm (stale seeds degrade to ordinary refinement; verdicts are\n\
-         never replayed). On by default with a cache dir; `--no-pred-store`\n\
-         disables it, `--pred-store` asserts it (usage error without\n\
-         `--cache-dir`). `--stats` reports `preds seeded` and\n\
-         `refine rounds saved`.\n\n\
+         predicate set, final k and (when SAFE) final context ACFA are\n\
+         persisted to a predicate store (preds.store) keyed by a structural\n\
+         digest of the lowered automaton plus a config fingerprint. A future\n\
+         check of the same program first re-checks the stored context (one\n\
+         reachability run and one simulation check); if that fails, it infers\n\
+         a context from the seeded predicates. Verdicts are never replayed:\n\
+         a stale entry degrades to ordinary inference and refinement. On by\n\
+         default with a cache dir; `--no-pred-store` disables it,\n\
+         `--pred-store` asserts it (usage error without `--cache-dir`).\n\
+         `--stats` reports `preds seeded`, `refine rounds saved`,\n\
+         `stored contexts checked` and `stored contexts failed`.\n\n\
          Tiered triage: `--triage` runs two cheap stages before the engine.\n\
          Stage 0 (flow) certifies a race variable SAFE when the sound static\n\
          flow check draws zero findings for it; stage 1 (sched) certifies\n\
@@ -389,8 +391,10 @@ impl std::ops::Deref for Parsed {
 enum Sub {
     Check,
     Batch,
-    /// `compile` and `baselines`.
-    Other,
+    /// Takes `--dot` only.
+    Compile,
+    /// Takes no flags.
+    Baselines,
 }
 
 /// Flags `check` rejects: `batch`'s supervision flags (`--retries`
@@ -402,19 +406,22 @@ const CHECK_ONLY: [&str; 6] =
     ["--asserts", "--print-acfa", "--trace", "--dot", "--stats", "--row-json"];
 
 /// Parses the flags of `check`, `batch`, `compile` and `baselines`.
-/// `check` and `batch` each reject the flags only the other acts on,
-/// rather than ignoring them.
+/// Each rejects the flags it would not act on, rather than ignoring
+/// them: `check` and `batch` the ones only the other takes, `compile`
+/// everything but `--dot`, `baselines` every flag.
 fn parse_flags(args: &[String], sub: Sub) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let flag = a.starts_with('-');
         let misplaced = match sub {
-            Sub::Check => BATCH_ONLY.contains(&a.as_str()).then_some(("check", "batch")),
-            Sub::Batch => CHECK_ONLY.contains(&a.as_str()).then_some(("batch", "check")),
-            Sub::Other => None,
+            Sub::Check => BATCH_ONLY.contains(&a.as_str()).then_some(("check", "a `batch` flag")),
+            Sub::Batch => CHECK_ONLY.contains(&a.as_str()).then_some(("batch", "a `check` flag")),
+            Sub::Compile => (flag && a != "--dot").then_some(("compile", "it takes only --dot")),
+            Sub::Baselines => flag.then_some(("baselines", "it takes no flags")),
         };
-        if let Some((sub, owner)) = misplaced {
-            return Err(format!("`{sub}` does not take {a} (a `{owner}` flag)"));
+        if let Some((sub, why)) = misplaced {
+            return Err(format!("`{sub}` does not take {a} ({why})"));
         }
         if parsed.common.parse_flag(a, &mut it)? {
             continue;
@@ -895,7 +902,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
 }
 
 fn cmd_compile(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args, Sub::Other)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, Sub::Compile)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -918,7 +925,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
 }
 
 fn cmd_baselines(args: &[String]) -> ExitCode {
-    let Some(parsed) = reported(parse_flags(args, Sub::Other)) else { return usage() };
+    let Some(parsed) = reported(parse_flags(args, Sub::Baselines)) else { return usage() };
     let compiled = match load(&parsed.source_path) {
         Ok(c) => c,
         Err(code) => return code,
@@ -946,7 +953,11 @@ mod tests {
     use super::{parse_flags, Sub};
 
     fn flags(args: &[&str]) -> Result<super::Parsed, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), Sub::Other)
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), Sub::Check)
+    }
+
+    fn batch_flags(args: &[&str]) -> Result<super::Parsed, String> {
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), Sub::Batch)
     }
 
     #[test]
@@ -1003,7 +1014,7 @@ mod tests {
 
     #[test]
     fn supervision_flags_parse() {
-        let p = flags(&[
+        let p = batch_flags(&[
             "corpus",
             "--journal",
             "j.jsonl",
@@ -1011,14 +1022,14 @@ mod tests {
             "--isolate",
             "--retries",
             "2",
-            "--row-json",
         ])
         .unwrap();
         assert_eq!(p.journal.as_deref(), Some(std::path::Path::new("j.jsonl")));
-        assert!(p.resume && p.isolate && p.row_json);
+        assert!(p.resume && p.isolate);
         assert_eq!(p.retries, 2);
-        assert!(flags(&["corpus", "--retries", "many"]).is_err());
-        assert!(flags(&["corpus", "--journal"]).is_err());
+        assert!(flags(&["m.nesl", "--row-json"]).unwrap().row_json);
+        assert!(batch_flags(&["corpus", "--retries", "many"]).is_err());
+        assert!(batch_flags(&["corpus", "--journal"]).is_err());
     }
 
     #[test]
@@ -1059,9 +1070,26 @@ mod tests {
 
     #[test]
     fn resume_requires_a_journal() {
-        let err = flags(&["corpus", "--resume"]).unwrap_err();
+        let err = batch_flags(&["corpus", "--resume"]).unwrap_err();
         assert!(err.contains("--journal"), "unhelpful message: {err}");
-        assert!(flags(&["corpus", "--resume", "--journal", "j.jsonl"]).is_ok());
+        assert!(batch_flags(&["corpus", "--resume", "--journal", "j.jsonl"]).is_ok());
+    }
+
+    #[test]
+    fn compile_and_baselines_reject_check_and_batch_flags() {
+        let parse = |args: &[&str], sub| {
+            parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), sub)
+        };
+        for flag in ["--journal", "--jobs", "--asserts", "--stats", "--k", "--cache-dir", "--bogus"]
+        {
+            for sub in [Sub::Compile, Sub::Baselines] {
+                let err = parse(&["m.nesl", flag, "1"], sub).unwrap_err();
+                assert!(err.contains(flag), "unhelpful message for {sub:?} {flag}: {err}");
+            }
+        }
+        assert!(parse(&["m.nesl", "--dot"], Sub::Compile).unwrap().dot);
+        assert!(parse(&["m.nesl", "--dot"], Sub::Baselines).is_err());
+        assert!(parse(&["m.nesl"], Sub::Baselines).is_ok());
     }
 
     #[test]

@@ -20,8 +20,25 @@
 //! *goodness* check of §5: every environment transition enabled in
 //! some reachable counter configuration must map each ARG region back
 //! into itself. If goodness fails, `k` grows and the search restarts.
+//!
+//! # Checking a stored context
+//!
+//! A Safe verdict is a certificate `(P, k, A)`: ReachAndBuild against
+//! `A` finds no race, `G ⪯ A`, and in ω mode `Collapse(G)` is good.
+//! Soundness rests on that final check alone, not on how `A` was
+//! found, so a context handed in through
+//! [`CircConfig::initial_context`] (the predicate store's record of an
+//! earlier Safe run) replaces the empty context in the first inner
+//! round: *check* mode. If every step passes, the run is Safe after
+//! one ReachAndBuild and one CheckSim. If any fails — an abstract
+//! race, `G ⋠ A`, a state-limit abort, or a failed goodness check —
+//! the stored context is dropped and the run infers one from the empty
+//! context as it would have without it (a failed goodness check still
+//! grows `k`). An abstract race is never refined against the stored
+//! context, which has no concretizer.
 
 use crate::abs::AbsCtx;
+use crate::arg::ExportedArg;
 use crate::cache::AbsCache;
 use crate::preds::PredSet;
 use crate::reach::{reach_and_build, Property, ReachError};
@@ -30,10 +47,11 @@ use circ_acfa::{
     check_sim_budgeted, collapse, context_reach_budgeted, Acfa, CVal, ContextState, Region,
 };
 use circ_governor::{panic_message, Budget, CancelToken, Exhausted, FaultPlan};
-use circ_ir::{MtProgram, Pred};
+use circ_ir::{Cfa, MtProgram, Pred};
 use circ_stats::{AbsCounters, PipelineStats};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`circ`].
@@ -43,6 +61,14 @@ pub struct CircConfig {
     pub initial_preds: Vec<Pred>,
     /// Initial counter parameter (the paper's experiments use 1).
     pub initial_k: u32,
+    /// A context ACFA to check before inferring one (see the module
+    /// docs): the certificate of an earlier Safe run over
+    /// `initial_preds`, set by [`crate::pred_store::seed_config`].
+    /// Ignored unless every cube is as wide as the seeded predicate
+    /// set and labels only global predicates, and every havoc
+    /// variable is a global of the program. A context that fails the
+    /// check costs time, never a verdict.
+    pub initial_context: Option<Acfa>,
     /// Run the ω-CIRC optimization (exactly-k reachability plus the
     /// goodness check) instead of plain CIRC (ω-initialized context).
     pub omega_mode: bool,
@@ -93,6 +119,7 @@ impl Default for CircConfig {
         CircConfig {
             initial_preds: Vec::new(),
             initial_k: 1,
+            initial_context: None,
             omega_mode: false,
             max_outer: 40,
             max_inner: 40,
@@ -117,7 +144,8 @@ impl CircConfig {
 }
 
 /// One logged event of a CIRC run (the raw material for regenerating
-/// the paper's Figures 2–5).
+/// the paper's Figures 2–5). ACFAs are kept unrendered; [`display_acfa`]
+/// renders one with its round's predicate names.
 #[derive(Debug, Clone)]
 pub enum CircEvent {
     /// An outer round began with these parameters.
@@ -129,8 +157,8 @@ pub enum CircEvent {
     },
     /// A reachability run finished without finding a race.
     ReachDone {
-        /// The ARG exported as an ACFA (rendered).
-        arg: String,
+        /// The ARG exported as an ACFA.
+        arg: Arc<Acfa>,
         /// Number of ARG locations.
         arg_locs: usize,
     },
@@ -141,8 +169,8 @@ pub enum CircEvent {
     },
     /// The ARG was minimized into a new context ACFA.
     Collapsed {
-        /// The quotient (rendered).
-        acfa: String,
+        /// The quotient.
+        acfa: Arc<Acfa>,
         /// Its size.
         size: usize,
     },
@@ -163,6 +191,13 @@ pub enum CircEvent {
         /// Whether every enabled environment transition was good.
         good: bool,
     },
+}
+
+/// Renders an ACFA of a [`CircEvent::ReachDone`] or
+/// [`CircEvent::Collapsed`] event, naming predicates as the preceding
+/// [`CircEvent::OuterStart`] lists them and variables as `cfa` does.
+pub fn display_acfa(acfa: &Acfa, preds: &[String], cfa: &Cfa) -> String {
+    acfa.display_with(&|i| preds[i.index()].clone(), &|v| cfa.var_name(v).to_string())
 }
 
 /// The full log of a run.
@@ -399,11 +434,20 @@ fn circ_inner(
     let mut stats = CircStats::default();
     let abs_base = cache.counters();
 
+    // A stored context that does not fit is dropped unchecked, and
+    // counts as a failed check.
+    let mut stored = None;
+    if let Some(a) = &config.initial_context {
+        stats.pipeline.ctx_checks += 1;
+        if context_fits(a, &preds, &cfa) {
+            stored = Some(Arc::new(a.clone()));
+        } else {
+            stats.pipeline.ctx_fallbacks += 1;
+        }
+    }
+
     let pred_strings =
         |p: &PredSet| -> Vec<String> { p.indices().map(|i| p.display_pred(&cfa, i)).collect() };
-    let acfa_render = |a: &Acfa, p: &PredSet| -> String {
-        a.display_with(&|i| p.display_pred(&cfa, i), &|v| cfa.var_name(v).to_string())
-    };
 
     for _outer in 0..config.max_outer {
         // One poll between outer rounds so even a model whose phases
@@ -422,12 +466,16 @@ fn circ_inner(
             budget.clone(),
             solver_persist,
         );
-        let mut acfa = Acfa::empty(preds.len());
+        // Check mode: the first inner round assumes the stored context
+        // instead of the empty one, on top of the `max_inner` rounds
+        // inference may still need after it.
+        let mut checking = stored.is_some();
+        let mut acfa = stored.take().unwrap_or_else(|| Arc::new(Acfa::empty(preds.len())));
         let mut concretizer: Option<Concretizer> = None;
 
         // The inner assume–guarantee loop.
         let mut restart_outer = false;
-        for _inner in 0..config.max_inner {
+        for _inner in 0..config.max_inner + usize::from(checking) {
             stats.reach_runs += 1;
             stats.pipeline.reach_runs += 1;
             let init = if config.omega_mode { CVal::Fin(k) } else { CVal::Omega };
@@ -446,6 +494,11 @@ fn circ_inner(
             match reach_result {
                 Err(ReachError::StateLimit(n)) => {
                     stats.pipeline.arg_nodes += n as u64;
+                    if checking {
+                        checking = false;
+                        acfa = fall_back(&mut stats, preds.len());
+                        continue;
+                    }
                     seal_stats(&mut stats, Some(&abs), cache, &abs_base, budget, start);
                     return CircOutcome::Unknown(UnknownReport {
                         reason: UnknownReason::StateLimit(n),
@@ -460,6 +513,11 @@ fn circ_inner(
                 Err(ReachError::Race(cex)) => {
                     stats.pipeline.arg_nodes += cex.steps.len() as u64 + 1;
                     log.events.push(CircEvent::AbstractRace { trace_len: cex.steps.len() });
+                    if checking {
+                        checking = false;
+                        acfa = fall_back(&mut stats, preds.len());
+                        continue;
+                    }
                     let refine_t = Instant::now();
                     let (outcome, detail) = refine(
                         program,
@@ -533,18 +591,13 @@ fn circ_inner(
                 }
                 Ok(arg) => {
                     stats.pipeline.arg_nodes += arg.num_locs() as u64;
-                    let exported = arg.export(&cfa, abs.preds());
-                    log.events.push(CircEvent::ReachDone {
-                        arg: acfa_render(&exported.acfa, &preds),
-                        arg_locs: exported.acfa.num_locs(),
-                    });
+                    let ExportedArg { acfa: g, state_loc } = arg.export(&cfa, abs.preds());
+                    let g = Arc::new(g);
+                    log.events
+                        .push(CircEvent::ReachDone { arg: g.clone(), arg_locs: g.num_locs() });
                     let sim_t = Instant::now();
-                    let sim_result = check_sim_budgeted(
-                        &exported.acfa,
-                        &acfa,
-                        &|x, y| abs.region_contained(x, y),
-                        budget,
-                    );
+                    let sim_result =
+                        check_sim_budgeted(&g, &acfa, &|x, y| abs.region_contained(x, y), budget);
                     let (holds, pairs) = match sim_result {
                         Ok(r) => r,
                         Err(e) => {
@@ -564,11 +617,10 @@ fn circ_inner(
                     if holds {
                         // Guarantee discharged. In ω-mode, the
                         // unbounded case needs the goodness check.
-                        let collapsed = timed_collapse(&exported.acfa, config.minimize, &mut stats);
                         if config.omega_mode {
+                            let collapsed = timed_collapse(&g, config.minimize, &mut stats);
                             let omega_t = Instant::now();
-                            let good_result =
-                                omega_good(&abs, &exported.acfa, &collapsed, k, budget);
+                            let good_result = omega_good(&abs, &g, &collapsed, k, budget);
                             stats.pipeline.phases.omega += omega_t.elapsed();
                             let good = match good_result {
                                 Ok(g) => g,
@@ -590,6 +642,7 @@ fn circ_inner(
                             };
                             log.events.push(CircEvent::OmegaCheck { good });
                             if !good {
+                                stats.pipeline.ctx_fallbacks += u64::from(checking);
                                 k += 1;
                                 stats.pipeline.k_increments += 1;
                                 restart_outer = true;
@@ -598,20 +651,23 @@ fn circ_inner(
                         }
                         seal_stats(&mut stats, Some(&abs), cache, &abs_base, budget, start);
                         return CircOutcome::Safe(SafeReport {
-                            acfa,
+                            acfa: Arc::unwrap_or_clone(acfa),
                             preds: preds.preds().to_vec(),
                             k,
                             log,
                             stats,
                         });
                     }
-                    let collapsed = timed_collapse(&exported.acfa, config.minimize, &mut stats);
-                    log.events.push(CircEvent::Collapsed {
-                        acfa: acfa_render(&collapsed.acfa, &preds),
-                        size: collapsed.acfa.num_locs(),
-                    });
-                    concretizer = Some(Concretizer::new(&arg, &exported, &collapsed));
-                    acfa = collapsed.acfa.clone();
+                    if checking {
+                        checking = false;
+                        acfa = fall_back(&mut stats, preds.len());
+                        continue;
+                    }
+                    let collapsed = timed_collapse(&g, config.minimize, &mut stats);
+                    concretizer = Some(Concretizer::new(&arg, &state_loc, &collapsed));
+                    acfa = Arc::new(collapsed.acfa);
+                    log.events
+                        .push(CircEvent::Collapsed { acfa: acfa.clone(), size: acfa.num_locs() });
                 }
             }
         }
@@ -630,6 +686,31 @@ fn circ_inner(
     }
     seal_stats(&mut stats, None, cache, &abs_base, budget, start);
     CircOutcome::Unknown(UnknownReport { reason: UnknownReason::IterationLimit, log, stats })
+}
+
+/// Records a failed stored-context check and returns the empty context
+/// inference starts from instead.
+fn fall_back(stats: &mut CircStats, n_preds: usize) -> Arc<Acfa> {
+    stats.pipeline.ctx_fallbacks += 1;
+    Arc::new(Acfa::empty(n_preds))
+}
+
+/// Whether a stored context speaks this run's language: every cube as
+/// wide as `preds`, every literal on a global-only predicate (the only
+/// ones an exported ARG keeps), and every havoc variable a global of
+/// `cfa`. Anything else could not have come from a run over these
+/// predicates, and some of it would trip width assertions downstream.
+fn context_fits(a: &Acfa, preds: &PredSet, cfa: &Cfa) -> bool {
+    let labels_fit = a
+        .locs()
+        .flat_map(|q| a.region(q).cubes())
+        .all(|c| c.width() == preds.len() && c.literals().all(|(i, _)| preds.is_global_only(i)));
+    let havocs_fit = a
+        .edges()
+        .iter()
+        .flat_map(|e| &e.havoc)
+        .all(|v| v.index() < cfa.vars().len() && cfa.is_global(*v));
+    labels_fit && havocs_fit
 }
 
 /// Banks one outer round's solver counters into the running totals

@@ -46,8 +46,8 @@ mod reach;
 mod refine;
 
 pub use crate::circ::{
-    circ, circ_with_cache, circ_with_caches, CircConfig, CircEvent, CircLog, CircOutcome,
-    CircStats, SafeReport, UnknownReason, UnknownReport, UnsafeReport,
+    circ, circ_with_cache, circ_with_caches, display_acfa, CircConfig, CircEvent, CircLog,
+    CircOutcome, CircStats, SafeReport, UnknownReason, UnknownReport, UnsafeReport,
 };
 pub use abs::AbsCtx;
 pub use arg::{Arg, ExportedArg, StateEdge, StateEdgeKind, ThreadState};

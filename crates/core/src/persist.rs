@@ -20,7 +20,9 @@
 
 use crate::cache::AbsSeed;
 use circ_ir::digest::fnv1a64;
-use circ_smt::persist::{parse_atom, parse_cache_file, push_atom, render_cache_file, Tokens};
+use circ_smt::persist::{
+    parse_atom, parse_cache_file, push_atom, render_cache_file, Tokens, FORMAT_VERSION,
+};
 use circ_smt::{Atom, PersistError};
 use std::io;
 use std::path::Path;
@@ -82,12 +84,12 @@ pub fn render_abs_cache(seed: &AbsSeed) -> String {
         push_bool(&mut line, *result);
         lines.push(line);
     }
-    render_cache_file(ABS_KIND, lines)
+    render_cache_file(ABS_KIND, FORMAT_VERSION, lines)
 }
 
 /// Parses a cache file rendered by [`render_abs_cache`].
 pub fn parse_abs_cache(text: &str) -> Result<AbsSeed, PersistError> {
-    let lines = parse_cache_file(ABS_KIND, text)?;
+    let lines = parse_cache_file(ABS_KIND, FORMAT_VERSION, text)?;
     let mut entails = Vec::new();
     let mut sat = Vec::new();
     for line in lines {

@@ -4,13 +4,21 @@
 //! loop re-discovers the same predicate set run after run. Following
 //! the "abstractions from proofs" observation, the discovered set *is*
 //! the reusable artifact — so this module persists, per check, the
-//! final predicate set and counter parameter `k` into a versioned,
-//! checksummed file under the cache directory, and seeds
-//! [`CircConfig::initial_preds`]/[`CircConfig::initial_k`] from it on
-//! re-check. Verdicts are never stored and never replayed: a seeded
-//! run executes the full algorithm and falls back to ordinary
-//! refinement whenever the seeds no longer suffice, so staleness costs
-//! time, never soundness.
+//! final predicate set, the counter parameter `k` and, for a Safe
+//! outcome, the final context ACFA into a versioned, checksummed file
+//! under the cache directory, and seeds
+//! [`CircConfig::initial_preds`]/[`CircConfig::initial_k`]/
+//! [`CircConfig::initial_context`] from it on re-check.
+//!
+//! Verdicts are never stored and never replayed. The stored context is
+//! a certificate that every run re-checks from scratch: one
+//! ReachAndBuild against it, one CheckSim and, in ω mode, the goodness
+//! check (see `circ`'s "Checking a stored context"). Soundness rests
+//! on that check, not on where the context came from. If any step
+//! fails, the run infers a context from the empty one, and it falls
+//! back to ordinary refinement whenever the seeded predicates no
+//! longer suffice. A stale or corrupted entry costs time, never a
+//! verdict.
 //!
 //! # Keying
 //!
@@ -30,36 +38,52 @@
 //! # Wire format
 //!
 //! The file reuses the checksummed envelope of [`circ_smt::persist`]
-//! (kind `circ-pred-store`, `format=1`; any incompatible change bumps
+//! (kind `circ-pred-store`, `format=2`; any incompatible change bumps
 //! the kind's format and old files degrade to a logged cold start).
-//! One line per entry:
+//! Format 1 entries carried no context. One line per entry:
 //!
 //! ```text
-//! P <cfa-digest> <config-fp> <k> <rounds> <n> <pred>*n
+//! P <cfa-digest> <config-fp> <k> <rounds> <n> <pred>*n <context>
 //! ```
 //!
 //! with predicates in a prefix token encoding over variable indices
 //! (`I n` literal, `V i` variable, `N` nondet, `+ - *` binary nodes;
-//! a predicate is `<cmp> <lhs> <rhs>`).
+//! a predicate is `<cmp> <lhs> <rhs>`). The context is `0` when the
+//! entry has none (an Unsafe outcome), else
+//!
+//! ```text
+//! <locs> <loc>*locs <edges> <edge>*edges
+//! <loc>  = <atomic: 0|1> <cubes> <cube>*cubes
+//! <cube> = c<slot>*n          slot: + true, - false, . unconstrained
+//! <edge> = <src> <dst> <h> <var>*h   havoc variable indices, ascending
+//! ```
+//!
+//! with location 0 the start location. A cube with other than `n`
+//! slots or an edge endpoint that is not a location rejects the file.
 
 use crate::circ::{CircConfig, CircOutcome};
+use circ_acfa::{Acfa, AcfaEdge, AcfaLocId, Cube, PredIx, Region};
 use circ_ir::digest::fnv1a64;
 use circ_ir::{BinOp, CmpOp, Expr, Pred, Var};
 use circ_smt::persist::{parse_cache_file, render_cache_file, Tokens};
 use circ_smt::PersistError;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 const STORE_KIND: &str = "circ-pred-store";
+const STORE_FORMAT: u32 = 2;
 
 /// Hostile-input guards: real entries are tiny.
 const MAX_PREDS: usize = 100_000;
 const MAX_EXPR_DEPTH: u32 = 64;
+const MAX_CONTEXT_ITEMS: usize = 1_000_000;
 
 /// One stored check result: the discovered predicate set, the final
-/// counter parameter, and the refinement rounds it cost to discover
-/// from a cold start (the baseline for `refine_rounds_saved`).
+/// counter parameter, the context ACFA of a Safe verdict, and the
+/// refinement rounds it cost to discover from a cold start (the
+/// baseline for `refine_rounds_saved`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredPreds {
     /// The discovered predicates, in discovery order.
@@ -68,6 +92,9 @@ pub struct StoredPreds {
     pub k: u32,
     /// Cumulative cold-start discovery cost in refinement rounds.
     pub rounds: u64,
+    /// The final context ACFA of a Safe outcome, its cubes indexed
+    /// by `preds`; `None` for an Unsafe one.
+    pub context: Option<Acfa>,
 }
 
 /// The in-memory predicate store: `(cfa digest, config fingerprint)`
@@ -138,10 +165,10 @@ pub fn config_fingerprint(
 }
 
 /// Applies the store entry for `key` (if any) to `config`, seeding
-/// `initial_preds` and `initial_k`. Returns the entry's recorded
-/// discovery cost when seeded; `None` on a store miss. Seeds are
-/// *appended* to any preds the config already carries (the fingerprint
-/// covered those, so the key still matches).
+/// `initial_preds`, `initial_k` and `initial_context`. Returns the
+/// entry's recorded discovery cost when seeded; `None` on a store
+/// miss. Seeds are *appended* to any preds the config already carries
+/// (the fingerprint covered those, so the key still matches).
 pub fn seed_config(
     store: &PredStore,
     cfa_digest: u64,
@@ -151,12 +178,16 @@ pub fn seed_config(
     let entry = store.lookup(cfa_digest, config_fp)?;
     config.initial_preds.extend(entry.preds.iter().cloned());
     config.initial_k = config.initial_k.max(entry.k);
+    config.initial_context = entry.context.clone();
     Some(entry.rounds)
 }
 
 /// Records a completed check into the store. Safe and unsafe outcomes
-/// both carry their discovered predicate set and final `k`; unknown
-/// outcomes record nothing (there is no converged set to reuse).
+/// both carry their discovered predicate set and final `k`, and a safe
+/// one its final context; unknown outcomes record nothing (there is no
+/// converged set to reuse). A warm run whose stored context passed its
+/// check returns that same context, so it re-records an identical
+/// entry.
 /// `prior_rounds` is the seeded entry's recorded cost (0 on a cold
 /// run), so the stored cost stays the cumulative cold-start cost. An
 /// unsafe run always ends in one round that confirms the race rather
@@ -169,18 +200,23 @@ pub fn record_outcome(
     outcome: &CircOutcome,
     prior_rounds: u64,
 ) {
-    let (preds, k, run_rounds) = match outcome {
-        CircOutcome::Safe(r) => (&r.preds, r.k, r.stats.pipeline.refine_rounds),
+    let (preds, k, run_rounds, context) = match outcome {
+        CircOutcome::Safe(r) => (&r.preds, r.k, r.stats.pipeline.refine_rounds, Some(&r.acfa)),
         CircOutcome::Unsafe(r) => {
             let confirmed_before = u64::from(prior_rounds > 0);
-            (&r.preds, r.k, r.stats.pipeline.refine_rounds.saturating_sub(confirmed_before))
+            (&r.preds, r.k, r.stats.pipeline.refine_rounds.saturating_sub(confirmed_before), None)
         }
         CircOutcome::Unknown(_) => return,
     };
     store.record(
         cfa_digest,
         config_fp,
-        StoredPreds { preds: preds.clone(), k, rounds: prior_rounds + run_rounds },
+        StoredPreds {
+            preds: preds.clone(),
+            k,
+            rounds: prior_rounds + run_rounds,
+            context: context.cloned(),
+        },
     );
 }
 
@@ -261,6 +297,101 @@ fn parse_pred(toks: &mut Tokens<'_>) -> Result<Pred, PersistError> {
     Ok(Pred::new(lhs, op, rhs))
 }
 
+fn push_context(out: &mut String, context: Option<&Acfa>) {
+    let Some(a) = context else {
+        out.push_str(" 0");
+        return;
+    };
+    let _ = write!(out, " {}", a.num_locs());
+    for q in a.locs() {
+        let cubes = a.region(q).cubes();
+        let _ = write!(out, " {} {}", u8::from(a.is_atomic(q)), cubes.len());
+        for c in cubes {
+            out.push_str(" c");
+            out.extend((0..c.width() as u32).map(|i| match c.get(PredIx(i)) {
+                Some(true) => '+',
+                Some(false) => '-',
+                None => '.',
+            }));
+        }
+    }
+    let _ = write!(out, " {}", a.edges().len());
+    for e in a.edges() {
+        let _ = write!(out, " {} {} {}", e.src.0, e.dst.0, e.havoc.len());
+        for v in &e.havoc {
+            let _ = write!(out, " {}", v.index());
+        }
+    }
+}
+
+/// Reads a count field bounded by [`MAX_CONTEXT_ITEMS`].
+fn parse_count(toks: &mut Tokens<'_>) -> Result<usize, PersistError> {
+    let n: usize = toks.next_int()?;
+    if n > MAX_CONTEXT_ITEMS {
+        return Err(PersistError::Format("context count out of range".into()));
+    }
+    Ok(n)
+}
+
+fn parse_cube(tok: &str, n_preds: usize) -> Result<Cube, PersistError> {
+    let slots = tok
+        .strip_prefix('c')
+        .filter(|s| s.len() == n_preds)
+        .ok_or_else(|| PersistError::Format(format!("bad cube {tok:?}")))?;
+    let mut cube = Cube::top(n_preds);
+    for (i, slot) in slots.bytes().enumerate() {
+        match slot {
+            b'+' => cube.set(PredIx(i as u32), true),
+            b'-' => cube.set(PredIx(i as u32), false),
+            b'.' => {}
+            _ => return Err(PersistError::Format(format!("bad cube {tok:?}"))),
+        }
+    }
+    Ok(cube)
+}
+
+/// Parses a context whose cubes have `n_preds` slots. Checks every
+/// edge endpoint before [`Acfa::from_parts`], which asserts them.
+fn parse_context(toks: &mut Tokens<'_>, n_preds: usize) -> Result<Option<Acfa>, PersistError> {
+    let n_locs = parse_count(toks)?;
+    if n_locs == 0 {
+        return Ok(None);
+    }
+    let mut regions = Vec::with_capacity(n_locs.min(1024));
+    let mut atomic = Vec::with_capacity(n_locs.min(1024));
+    for _ in 0..n_locs {
+        atomic.push(match toks.next()? {
+            "0" => false,
+            "1" => true,
+            other => return Err(PersistError::Format(format!("bad atomic flag {other:?}"))),
+        });
+        let mut region = Region::empty();
+        for _ in 0..parse_count(toks)? {
+            region.add(parse_cube(toks.next()?, n_preds)?);
+        }
+        regions.push(region);
+    }
+    let n_edges = parse_count(toks)?;
+    let mut edges = Vec::with_capacity(n_edges.min(1024));
+    for _ in 0..n_edges {
+        let src: u32 = toks.next_int()?;
+        let dst: u32 = toks.next_int()?;
+        if src as usize >= n_locs || dst as usize >= n_locs {
+            return Err(PersistError::Format("edge endpoint out of range".into()));
+        }
+        let mut havoc = BTreeSet::new();
+        for _ in 0..parse_count(toks)? {
+            let v = Var::from_raw(toks.next_int()?);
+            if havoc.last().is_some_and(|&last| last >= v) {
+                return Err(PersistError::Format("havoc variables not ascending".into()));
+            }
+            havoc.insert(v);
+        }
+        edges.push(AcfaEdge { src: AcfaLocId(src), havoc, dst: AcfaLocId(dst) });
+    }
+    Ok(Some(Acfa::from_parts(regions, atomic, edges)))
+}
+
 /// Serializes a store to the versioned wire format.
 pub fn render_pred_store(store: &PredStore) -> String {
     let mut lines = Vec::with_capacity(store.entries.len());
@@ -275,14 +406,15 @@ pub fn render_pred_store(store: &PredStore) -> String {
             line.push(' ');
             push_pred(&mut line, p);
         }
+        push_context(&mut line, entry.context.as_ref());
         lines.push(line);
     }
-    render_cache_file(STORE_KIND, lines)
+    render_cache_file(STORE_KIND, STORE_FORMAT, lines)
 }
 
 /// Parses a store file rendered by [`render_pred_store`].
 pub fn parse_pred_store(text: &str) -> Result<PredStore, PersistError> {
-    let lines = parse_cache_file(STORE_KIND, text)?;
+    let lines = parse_cache_file(STORE_KIND, STORE_FORMAT, text)?;
     let mut store = PredStore::new();
     for line in lines {
         let mut toks = Tokens::new(line);
@@ -302,7 +434,8 @@ pub fn parse_pred_store(text: &str) -> Result<PredStore, PersistError> {
                 for _ in 0..n {
                     preds.push(parse_pred(&mut toks)?);
                 }
-                store.record(digest, config_fp, StoredPreds { preds, k, rounds });
+                let context = parse_context(&mut toks, n)?;
+                store.record(digest, config_fp, StoredPreds { preds, k, rounds, context });
             }
             other => return Err(PersistError::Format(format!("bad entry tag {other:?}"))),
         }
@@ -357,6 +490,24 @@ mod tests {
         Expr::var(Var::from_raw(i))
     }
 
+    /// A three-location context over three predicates: an atomic
+    /// location, a two-cube label, a τ edge and a multi-variable havoc.
+    fn context3() -> Acfa {
+        let top = Cube::top(3);
+        let mut two = Region::of_cube(top.with(PredIx(0), true));
+        two.add(top.with(PredIx(0), false).with(PredIx(2), true));
+        let edge = |src, havoc: &[u32], dst| AcfaEdge {
+            src: AcfaLocId(src),
+            havoc: havoc.iter().map(|&i| Var::from_raw(i)).collect(),
+            dst: AcfaLocId(dst),
+        };
+        Acfa::from_parts(
+            vec![Region::full(3), two, Region::empty()],
+            vec![false, true, false],
+            vec![edge(0, &[], 1), edge(1, &[0, 2], 2), edge(2, &[1], 0), edge(0, &[0], 0)],
+        )
+    }
+
     fn populated_store() -> PredStore {
         let mut store = PredStore::new();
         store.record(
@@ -370,14 +521,79 @@ mod tests {
                 ],
                 k: 3,
                 rounds: 31,
+                context: Some(context3()),
             },
         );
         store.record(
             0xdead_beef_0000_0002,
             0xffff_0000_ffff_0000,
-            StoredPreds { preds: Vec::new(), k: 1, rounds: 0 },
+            StoredPreds { preds: Vec::new(), k: 1, rounds: 0, context: None },
+        );
+        store.record(
+            0xdead_beef_0000_0003,
+            0xffff_0000_ffff_0001,
+            StoredPreds { preds: Vec::new(), k: 2, rounds: 4, context: Some(Acfa::empty(0)) },
         );
         store
+    }
+
+    /// A one-entry store file holding `line` in a valid envelope.
+    fn file_with(line: &str) -> String {
+        render_cache_file(STORE_KIND, STORE_FORMAT, vec![line.to_string()])
+    }
+
+    #[test]
+    fn malformed_contexts_are_rejected_before_they_are_built() {
+        let entry = "P 0000000000000001 0000000000000002 1 0 1 = V 0 I 0";
+        // Valid: one location, one cube, a self loop havocking v0.
+        assert!(parse_pred_store(&file_with(&format!("{entry} 1 0 1 c+ 1 0 0 1 0"))).is_ok());
+        for (ctx, why) in [
+            ("1 0 1 c+ 1 0 1 0", "edge endpoint out of range"),
+            ("2 0 0 1 0 1 2 0 0", "edge endpoint out of range"),
+            ("1 0 1 c+. 0", "cube wider than the predicate set"),
+            ("1 0 1 c 0", "cube narrower than the predicate set"),
+            ("1 0 1 +. 0", "cube without its tag"),
+            ("1 0 1 cx 0", "bad cube slot"),
+            ("1 2 1 c+ 0", "bad atomic flag"),
+            ("1 0 1 c+ 1 0 0 2 1 0", "havoc variables out of order"),
+            ("1 0 1 c+ 1 0 0 2 0 0", "duplicate havoc variable"),
+            ("1 0 1 c+ 1 0 0", "truncated edge"),
+            ("99999999 0", "location count out of range"),
+            ("1 0 1 c+ 0 7", "trailing token"),
+        ] {
+            let text = file_with(&format!("{entry} {ctx}"));
+            assert!(parse_pred_store(&text).is_err(), "{why}: {ctx}");
+        }
+    }
+
+    #[test]
+    fn a_checked_context_re_records_an_identical_entry() {
+        use crate::circ::{circ, CircConfig};
+        use circ_ir::MtProgram;
+        let cfa = figure1_cfa();
+        let x = cfa.var_by_name("x").unwrap();
+        let digest = structural_digest(&cfa);
+        let program = MtProgram::new(cfa, x);
+
+        for base in [CircConfig::default(), CircConfig::omega()] {
+            let cold = circ(&program, &base);
+            assert!(cold.is_safe());
+            let mut store = PredStore::new();
+            record_outcome(&mut store, digest, 42, &cold, 0);
+            let entry = store.lookup(digest, 42).unwrap().clone();
+            assert!(entry.context.is_some(), "a safe outcome records its context");
+
+            let mut warm_config = base.clone();
+            let prior = seed_config(&store, digest, 42, &mut warm_config).unwrap();
+            assert_eq!(warm_config.initial_context, entry.context);
+            let warm = circ(&program, &warm_config);
+            let p = &warm.stats().pipeline;
+            assert!(warm.is_safe());
+            assert_eq!((p.ctx_checks, p.ctx_fallbacks), (1, 0), "the stored context holds");
+            assert_eq!((p.reach_runs, p.sim_checks, p.refine_rounds), (1, 1, 0), "check mode");
+            record_outcome(&mut store, digest, 42, &warm, prior);
+            assert_eq!(store.lookup(digest, 42), Some(&entry));
+        }
     }
 
     #[test]
@@ -406,7 +622,8 @@ mod tests {
             }
             assert!(parse_pred_store(&text[..i]).is_err(), "prefix of {i} bytes accepted");
         }
-        assert!(parse_pred_store(&text.replace("format=1", "format=2")).is_err());
+        // Format 1 files (entries without a context) are rejected whole.
+        assert!(parse_pred_store(&text.replace("format=2", "format=1")).is_err());
     }
 
     #[test]
@@ -448,6 +665,7 @@ mod tests {
             preds: vec![Pred::eq(v(1), Expr::int(0)), Pred::eq(v(2), Expr::int(0))],
             k: 2,
             rounds: 9,
+            context: Some(Acfa::empty(2)),
         };
         store.record(digest, 42, entry.clone());
 
@@ -459,6 +677,7 @@ mod tests {
         assert_eq!(rounds, Some(9));
         assert_eq!(config.initial_preds, entry.preds);
         assert_eq!(config.initial_k, 2);
+        assert_eq!(config.initial_context, entry.context);
     }
 
     #[test]
@@ -505,6 +724,7 @@ mod tests {
         record_outcome(&mut store, digest, 42, &cold, 0);
         let entry = store.lookup(digest, 42).expect("unsafe outcome must be recorded").clone();
         assert_eq!(entry.rounds, cold.stats().pipeline.refine_rounds);
+        assert_eq!(entry.context, None, "a race has no context to certify");
 
         // The seeded re-check spends exactly the confirming round, and
         // re-records the entry it was seeded from.

@@ -27,7 +27,7 @@
 //!    strongest interpolant à la *Abstractions from Proofs*), and the
 //!    resulting atoms are mapped back to program predicates.
 
-use crate::arg::{Arg, ExportedArg, StateEdge, StateEdgeKind, ThreadState};
+use crate::arg::{Arg, StateEdge, StateEdgeKind, ThreadState};
 use crate::preds::PredSet;
 use crate::reach::{AbstractCex, AbstractError, AbstractRace, Property, TraceOp};
 use circ_acfa::{Acfa, AcfaLocId, CollapseResult};
@@ -139,20 +139,21 @@ pub struct Concretizer {
 
 impl Concretizer {
     /// Builds a concretizer from the previous iteration's ARG (its
-    /// raw state edges), its export, and the collapse that produced
-    /// the current context ACFA.
-    pub fn new(arg: &Arg, exported: &ExportedArg, collapsed: &CollapseResult) -> Concretizer {
+    /// raw state edges), its export map ([`ExportedArg::state_loc`](crate::ExportedArg)),
+    /// and the collapse that produced the current context ACFA.
+    pub fn new(
+        arg: &Arg,
+        state_loc: &FxHashMap<ThreadState, AcfaLocId>,
+        collapsed: &CollapseResult,
+    ) -> Concretizer {
         let mut moves: FxHashMap<ThreadState, Vec<(EdgeId, ThreadState)>> = FxHashMap::default();
         for StateEdge { src, kind, dst } in arg.state_edges() {
             if let StateEdgeKind::MainOp(eid) = kind {
                 moves.entry(src.clone()).or_default().push((*eid, dst.clone()));
             }
         }
-        let class = exported
-            .state_loc
-            .iter()
-            .map(|(s, loc)| (s.clone(), collapsed.map[loc.index()]))
-            .collect();
+        let class =
+            state_loc.iter().map(|(s, loc)| (s.clone(), collapsed.map[loc.index()])).collect();
         let entry = arg.entry_state().expect("ARG entry set by ReachAndBuild").clone();
         Concretizer { moves, class, entry }
     }

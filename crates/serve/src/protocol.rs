@@ -235,6 +235,7 @@ mod tests {
             r#""time_s":0.125000,"pipeline":{"outer_rounds":2,"reach_runs":0,"arg_nodes":0,"#,
             r#""sim_checks":0,"sim_edge_pairs":0,"collapse_runs":0,"collapse_iterations":0,"#,
             r#""refine_rounds":0,"k_increments":0,"preds_seeded":0,"refine_rounds_saved":0,"#,
+            r#""ctx_checks":0,"ctx_fallbacks":0,"#,
             r#""abs_queries":0,"abs_cache_hits":0,"abs_cache_misses":0,"#,
             r#""abs_hit_rate":0.000000,"solver_queries":0,"solver_cache_hits":0,"#,
             r#""solver_cache_misses":0,"solver_hit_rate":0.000000,"theory_rounds":0,"#,

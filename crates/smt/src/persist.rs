@@ -4,13 +4,14 @@
 //! The format is a deliberately boring whitespace-tokenized text file:
 //!
 //! ```text
-//! <kind> format=1 atoms=1 entries=<N> sum=<16-hex fnv1a64 of body>
+//! <kind> format=<F> atoms=1 entries=<N> sum=<16-hex fnv1a64 of body>
 //! <line 1>
 //! ...
 //! <line N>
 //! ```
 //!
-//! Lines are sorted lexicographically before writing, so a given cache
+//! `F` is the kind's own line-syntax version ([`FORMAT_VERSION`] for
+//! the solver and entailment caches). Lines are sorted lexicographically before writing, so a given cache
 //! content has exactly one on-disk rendering regardless of hash-map
 //! iteration order — that is what lets tests compare warm and cold
 //! runs byte-for-byte.
@@ -42,7 +43,8 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// On-disk format version. Bump when the line syntax changes.
+/// On-disk format version of the solver and entailment caches. Bump
+/// when their line syntax changes.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Atom-encoding version. Bump when atom *normalization* changes
@@ -277,8 +279,9 @@ fn parse_sat_result(toks: &mut Tokens<'_>) -> Result<SatResult, PersistError> {
 }
 
 /// Renders a complete cache file: versioned, checksummed header plus
-/// lexicographically sorted body lines (one entry per line).
-pub fn render_cache_file(kind: &str, mut lines: Vec<String>) -> String {
+/// lexicographically sorted body lines (one entry per line). `format`
+/// is the kind's line-syntax version.
+pub fn render_cache_file(kind: &str, format: u32, mut lines: Vec<String>) -> String {
     lines.sort_unstable();
     let mut body = String::new();
     for line in &lines {
@@ -287,16 +290,20 @@ pub fn render_cache_file(kind: &str, mut lines: Vec<String>) -> String {
     }
     let sum = fnv1a64(body.as_bytes());
     format!(
-        "{kind} format={FORMAT_VERSION} atoms={ATOM_VERSION} entries={} sum={sum:016x}\n{body}",
+        "{kind} format={format} atoms={ATOM_VERSION} entries={} sum={sum:016x}\n{body}",
         lines.len()
     )
 }
 
 /// Validates the header and checksum of a rendered cache file and
-/// returns its body lines. Every anomaly — wrong kind, unsupported
-/// version, bad checksum, entry-count mismatch — is a
+/// returns its body lines. Every anomaly — wrong kind, a format other
+/// than `want_format`, bad checksum, entry-count mismatch — is a
 /// [`PersistError::Format`].
-pub fn parse_cache_file<'a>(kind: &str, text: &'a str) -> Result<Vec<&'a str>, PersistError> {
+pub fn parse_cache_file<'a>(
+    kind: &str,
+    want_format: u32,
+    text: &'a str,
+) -> Result<Vec<&'a str>, PersistError> {
     let (header, body) = text.split_once('\n').ok_or_else(|| format_err("missing header line"))?;
     let mut toks = Tokens::new(header);
     let got_kind = toks.next()?;
@@ -326,7 +333,7 @@ pub fn parse_cache_file<'a>(kind: &str, text: &'a str) -> Result<Vec<&'a str>, P
     }
     let format: u32 =
         want(format, "format")?.parse().map_err(|_| format_err("bad format version"))?;
-    if format != FORMAT_VERSION {
+    if format != want_format {
         return Err(format_err(format!("unsupported format version {format}")));
     }
     let atoms: u32 = want(atoms, "atoms")?.parse().map_err(|_| format_err("bad atom version"))?;
@@ -483,12 +490,12 @@ pub fn render_solver_cache(entries: &[(Formula, SatResult)]) -> String {
         }
         lines.push(line);
     }
-    render_cache_file(SOLVER_KIND, lines)
+    render_cache_file(SOLVER_KIND, FORMAT_VERSION, lines)
 }
 
 /// Parses a solver cache file rendered by [`render_solver_cache`].
 pub fn parse_solver_cache(text: &str) -> Result<Vec<(Formula, SatResult)>, PersistError> {
-    let lines = parse_cache_file(SOLVER_KIND, text)?;
+    let lines = parse_cache_file(SOLVER_KIND, FORMAT_VERSION, text)?;
     let mut out = Vec::with_capacity(lines.len());
     for line in lines {
         let mut toks = Tokens::new(line);
@@ -712,7 +719,7 @@ mod tests {
         assert!(parse_solver_cache(&text.replace("format=1", "format=2")).is_err());
         assert!(parse_solver_cache(&text.replace("atoms=1", "atoms=2")).is_err());
         // Wrong kind.
-        assert!(parse_cache_file("circ-abs-cache", &text).is_err());
+        assert!(parse_cache_file("circ-abs-cache", FORMAT_VERSION, &text).is_err());
     }
 
     #[test]

@@ -129,6 +129,15 @@ pub struct PipelineStats {
     /// discovery cost of the seeded predicate set minus the rounds
     /// this run still had to spend (floored at zero).
     pub refine_rounds_saved: u64,
+    /// Stored contexts the run checked before inferring anything: the
+    /// context ACFA a predicate-store entry carries from an earlier
+    /// Safe verdict (0 on a cold run or with the store disabled).
+    pub ctx_checks: u64,
+    /// Stored contexts that did not re-prove the run Safe (an abstract
+    /// race, `G ⋠ A`, a failed ω-goodness check, a state-limit abort,
+    /// or a context that does not fit the program), so the run fell
+    /// back to seeded inference.
+    pub ctx_fallbacks: u64,
     /// Approximate bytes charged against the memory budget (ARG
     /// nodes plus solver formula-cache growth); tracked even when no
     /// ceiling is configured.
@@ -211,7 +220,7 @@ macro_rules! rate {
 /// order: `add`, `render_table`, `to_json` and `from_json` are all
 /// derived from this one table. The keys are stable; `--json`
 /// consumers, journals and the serve protocol rely on them.
-const PIPELINE: [Entry; 33] = [
+const PIPELINE: [Entry; 35] = [
     field!(Count, "outer_rounds", "outer rounds", outer_rounds),
     field!(Count, "reach_runs", "reach runs", reach_runs),
     field!(Count, "arg_nodes", "ARG nodes", arg_nodes),
@@ -223,6 +232,8 @@ const PIPELINE: [Entry; 33] = [
     field!(Count, "k_increments", "k increments", k_increments),
     field!(Count, "preds_seeded", "preds seeded", preds_seeded),
     field!(Count, "refine_rounds_saved", "refine rounds saved", refine_rounds_saved),
+    field!(Count, "ctx_checks", "stored contexts checked", ctx_checks),
+    field!(Count, "ctx_fallbacks", "stored contexts failed", ctx_fallbacks),
     field!(Count, "abs_queries", "abs entailment queries", abs.queries),
     field!(Count, "abs_cache_hits", "", abs.cache_hits),
     field!(Count, "abs_cache_misses", "", abs.cache_misses),
@@ -536,6 +547,8 @@ mod tests {
         assert!(j.contains("\"faults_injected\":0"));
         assert!(j.contains("\"preds_seeded\":0"));
         assert!(j.contains("\"refine_rounds_saved\":0"));
+        assert!(j.contains("\"ctx_checks\":0"));
+        assert!(j.contains("\"ctx_fallbacks\":0"));
         assert!(j.contains("\"triage_stage0_decided\":0"));
         assert!(j.contains("\"triage_stage1_decided\":0"));
         assert!(j.contains("\"triage_fallthrough\":0"));
@@ -700,6 +713,8 @@ mod tests {
             k_increments: 9,
             preds_seeded: 10,
             refine_rounds_saved: 11,
+            ctx_checks: 27,
+            ctx_fallbacks: 28,
             mem_charged_bytes: 19,
             budget_polls: 20,
             faults_injected: 21,
@@ -748,6 +763,8 @@ mod tests {
                 k_increments: 18,
                 preds_seeded: 20,
                 refine_rounds_saved: 22,
+                ctx_checks: 54,
+                ctx_fallbacks: 56,
                 mem_charged_bytes: 38,
                 budget_polls: 40,
                 faults_injected: 42,
@@ -776,7 +793,7 @@ mod tests {
             .map(|n| n.trim().parse().unwrap())
             .collect();
         shown.sort_unstable();
-        assert_eq!(shown, (1..=26).collect::<Vec<u64>>(), "{table}");
+        assert_eq!(shown, (1..=28).collect::<Vec<u64>>(), "{table}");
         for ms in ["1.00ms", "2.00ms", "3.00ms", "4.00ms", "5.00ms"] {
             assert!(table.contains(ms), "span {ms} missing from the table:\n{table}");
         }
@@ -797,6 +814,8 @@ mod tests {
   k increments                              9
   preds seeded                             10
   refine rounds saved                      11
+  stored contexts checked                  27
+  stored contexts failed                   28
   abs entailment queries                   16
   abs cache hits/misses         17/18 (48.6%)
   solver queries                           12
@@ -823,7 +842,8 @@ mod tests {
                 r#"{"outer_rounds":1,"reach_runs":2,"arg_nodes":3,"sim_checks":4,"#,
                 r#""sim_edge_pairs":5,"collapse_runs":6,"collapse_iterations":7,"#,
                 r#""refine_rounds":8,"k_increments":9,"preds_seeded":10,"#,
-                r#""refine_rounds_saved":11,"abs_queries":16,"abs_cache_hits":17,"#,
+                r#""refine_rounds_saved":11,"ctx_checks":27,"ctx_fallbacks":28,"#,
+                r#""abs_queries":16,"abs_cache_hits":17,"#,
                 r#""abs_cache_misses":18,"abs_hit_rate":0.485714,"solver_queries":12,"#,
                 r#""solver_cache_hits":13,"solver_cache_misses":14,"#,
                 r#""solver_hit_rate":0.481481,"theory_rounds":15,"mem_charged_bytes":19,"#,

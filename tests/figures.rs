@@ -2,7 +2,7 @@
 //! assertions: the CIRC run on the paper's example produces every
 //! artifact the `circ-bench` binaries print.
 
-use circ_core::{circ, CircConfig, CircEvent, CircOutcome};
+use circ_core::{circ, display_acfa, CircConfig, CircEvent, CircOutcome};
 use circ_ir::{dot, figure1_cfa, MtProgram};
 
 fn fig1_run() -> CircOutcome {
@@ -50,15 +50,19 @@ fn figures_2_3_4_iteration_log() {
     let collapses = log.events.iter().filter(|e| matches!(e, CircEvent::Collapsed { .. })).count();
     assert!(collapses >= 2, "each inner round minimizes an ARG");
     // ARGs render with the discovered predicates in later rounds.
-    let last_reach = log
-        .events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            CircEvent::ReachDone { arg, .. } => Some(arg.clone()),
-            _ => None,
-        })
-        .expect("at least one reach");
+    let cfa = figure1_cfa();
+    let mut round_preds: &[String] = &[];
+    let mut last_reach = None;
+    for e in &log.events {
+        match e {
+            CircEvent::OuterStart { preds, .. } => round_preds = preds,
+            CircEvent::ReachDone { arg, .. } => {
+                last_reach = Some(display_acfa(arg, round_preds, &cfa));
+            }
+            _ => {}
+        }
+    }
+    let last_reach = last_reach.expect("at least one reach");
     assert!(last_reach.contains("state"), "late ARGs carry flag labels:\n{last_reach}");
 }
 
