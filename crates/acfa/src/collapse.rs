@@ -39,7 +39,6 @@ const TAU: u32 = 0;
 /// Computes the weak bisimilarity quotient of `g`.
 pub fn collapse(g: &Acfa) -> CollapseResult {
     let n = g.num_locs();
-    let tau = g.tau_closures();
 
     // Each location's observable out-edges as (havoc id, destination),
     // with every distinct havoc set interned once; ids start after TAU.
@@ -56,6 +55,7 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
                 .collect()
         })
         .collect();
+    let cond = Condensation::new(g, &moves);
 
     // Initial partition: by (region, atomic), blocks numbered by first
     // occurrence in location order.
@@ -74,15 +74,32 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
     // partition is stable exactly when the block count stops growing.
     let mut iterations = 0usize;
     let mut key_to_block: FxHashMap<(u32, Vec<(u32, u32)>), u32> = FxHashMap::default();
+    // Every member of a component with the same block has the same
+    // key, so each (component, block) pair is looked up once.
+    let mut memo: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+    let mut reach = Rows::default();
+    let mut weak = Rows::default();
     let mut sig: Vec<(u32, u32)> = Vec::new();
     loop {
         iterations += 1;
+        cond.weak_moves(&block, &mut reach, &mut weak);
         key_to_block.clear();
+        memo.clear();
         let mut new_block = vec![0u32; n];
-        for q in g.locs() {
-            signature(&tau, &moves, &block, q, &mut sig);
-            let key = (block[q.index()], std::mem::take(&mut sig));
-            new_block[q.index()] = match key_to_block.get(&key) {
+        for q in 0..n {
+            let (c, mine) = (cond.comp[q], block[q]);
+            let shared = cond.members.row(c).len() > 1;
+            if shared {
+                if let Some(&b) = memo.get(&(c, mine)) {
+                    new_block[q] = b;
+                    continue;
+                }
+            }
+            sig.clear();
+            sig.extend(reach.row(c).iter().filter(|&&b| b != mine).map(|&b| (TAU, b)));
+            sig.extend_from_slice(weak.row(c));
+            let key = (mine, std::mem::take(&mut sig));
+            let b = match key_to_block.get(&key) {
                 Some(&b) => {
                     sig = key.1; // hand the buffer back for reuse
                     b
@@ -93,6 +110,10 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
                     next
                 }
             };
+            if shared {
+                memo.insert((c, mine), b);
+            }
+            new_block[q] = b;
         }
         block = new_block;
         let stable = key_to_block.len() == num_blocks;
@@ -144,28 +165,173 @@ pub fn collapse(g: &Acfa) -> CollapseResult {
     CollapseResult { acfa: Acfa::from_parts(regions, atomic, edges), map, iterations }
 }
 
-/// Writes `q`'s weak-transition signature into `sig`, sorted and
-/// deduplicated: `(TAU, b)` for a silent weak move into another block
-/// `b`, `(y, b)` for a weak move with havoc id `y` into block `b`.
-fn signature(
-    tau: &[Vec<AcfaLocId>],
-    moves: &[Vec<(u32, AcfaLocId)>],
-    block: &[u32],
-    q: AcfaLocId,
-    sig: &mut Vec<(u32, u32)>,
-) {
-    sig.clear();
-    let my_block = block[q.index()];
-    for &s1 in &tau[q.index()] {
-        if block[s1.index()] != my_block {
-            sig.push((TAU, block[s1.index()]));
+/// Variable-length rows stored back to back: row `i` is
+/// `items[start[i]..start[i + 1]]`.
+#[derive(Debug)]
+struct Rows<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Rows<T> {
+        Rows { start: vec![0], items: Vec::new() }
+    }
+}
+
+impl<T: Copy + Ord> Rows<T> {
+    fn row(&self, i: u32) -> &[T] {
+        &self.items[self.start[i as usize]..self.start[i as usize + 1]]
+    }
+
+    fn len(&self) -> u32 {
+        self.start.len() as u32 - 1
+    }
+
+    fn clear(&mut self) {
+        self.start.truncate(1);
+        self.items.clear();
+    }
+
+    /// Appends `buf`, sorted and deduplicated, as the next row, and
+    /// empties it.
+    fn push_set(&mut self, buf: &mut Vec<T>) {
+        buf.sort_unstable();
+        buf.dedup();
+        self.items.append(buf);
+        self.start.push(self.items.len());
+    }
+}
+
+/// The condensation of an ACFA's τ-edges: every location in a τ-SCC
+/// has the same τ-closure, so weak moves are computed once per
+/// component. Components are numbered in Tarjan emission order, sinks
+/// first, so each component's τ-successors have smaller numbers.
+#[derive(Debug)]
+struct Condensation {
+    /// The component of each location.
+    comp: Vec<u32>,
+    /// The locations of each component.
+    members: Rows<u32>,
+    /// Each component's τ-successor components, itself excluded.
+    succ: Rows<u32>,
+    /// Each component's observable moves (havoc id, dst component).
+    moves: Rows<(u32, u32)>,
+}
+
+impl Condensation {
+    fn new(g: &Acfa, moves: &[Vec<(u32, AcfaLocId)>]) -> Condensation {
+        let mut tau = Rows::default();
+        let mut buf = Vec::new();
+        for q in g.locs() {
+            buf.extend(g.out_edges(q).filter(|e| e.havoc.is_empty()).map(|e| e.dst.0));
+            tau.push_set(&mut buf);
         }
-        for &(y, dst) in &moves[s1.index()] {
-            sig.extend(tau[dst.index()].iter().map(|s2| (y, block[s2.index()])));
+        let (comp, members) = tarjan(&tau);
+
+        let mut succ = Rows::default();
+        let mut comp_moves = Rows::default();
+        let mut move_buf = Vec::new();
+        for c in 0..members.len() {
+            for &q in members.row(c) {
+                buf.extend(tau.row(q).iter().map(|&d| comp[d as usize]).filter(|&d| d != c));
+                move_buf.extend(moves[q as usize].iter().map(|&(y, d)| (y, comp[d.index()])));
+            }
+            succ.push_set(&mut buf);
+            comp_moves.push_set(&mut move_buf);
+        }
+        Condensation { comp, members, succ, moves: comp_moves }
+    }
+
+    /// Fills `reach[c]` with the blocks of `c`'s τ-closure and
+    /// `weak[c]` with its weak observable moves `(havoc id, block)`,
+    /// both sorted and deduplicated.
+    fn weak_moves(&self, block: &[u32], reach: &mut Rows<u32>, weak: &mut Rows<(u32, u32)>) {
+        reach.clear();
+        weak.clear();
+        let mut buf = Vec::new();
+        for c in 0..self.members.len() {
+            buf.extend(self.members.row(c).iter().map(|&q| block[q as usize]));
+            for &s in self.succ.row(c) {
+                buf.extend_from_slice(reach.row(s));
+            }
+            reach.push_set(&mut buf);
+        }
+        let mut pairs = Vec::new();
+        for c in 0..self.members.len() {
+            for &(y, d) in self.moves.row(c) {
+                pairs.extend(reach.row(d).iter().map(|&b| (y, b)));
+            }
+            for &s in self.succ.row(c) {
+                pairs.extend_from_slice(weak.row(s));
+            }
+            weak.push_set(&mut pairs);
         }
     }
-    sig.sort_unstable();
-    sig.dedup();
+}
+
+/// Strongly connected components of the graph whose successor lists
+/// are `succ`'s rows, by an iterative Tarjan (ARGs reach thousands of
+/// locations, too deep to recurse). Returns each node's component and
+/// each component's nodes; components are numbered in emission order,
+/// so every edge between two components goes from a higher number to
+/// a lower one.
+fn tarjan(succ: &Rows<u32>) -> (Vec<u32>, Rows<u32>) {
+    const NONE: u32 = u32::MAX;
+    let n = succ.len() as usize;
+    let mut index = vec![NONE; n];
+    let mut low = vec![0u32; n];
+    let mut comp = vec![NONE; n];
+    let mut stack: Vec<u32> = Vec::new();
+    // (node, position of its next successor to visit)
+    let mut frames: Vec<(u32, usize)> = Vec::new();
+    let mut next_index = 0u32;
+    let mut members = Rows::default();
+    for root in 0..n as u32 {
+        if index[root as usize] != NONE {
+            continue;
+        }
+        index[root as usize] = next_index;
+        low[root as usize] = next_index;
+        next_index += 1;
+        stack.push(root);
+        frames.push((root, 0));
+        while let Some(frame) = frames.last_mut() {
+            let v = frame.0 as usize;
+            if let Some(&w) = succ.row(frame.0).get(frame.1) {
+                frame.1 += 1;
+                let w = w as usize;
+                if index[w] == NONE {
+                    index[w] = next_index;
+                    low[w] = next_index;
+                    next_index += 1;
+                    stack.push(w as u32);
+                    frames.push((w as u32, 0));
+                } else if comp[w] == NONE {
+                    // Visited but unassigned: still on the stack.
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent as usize] = low[parent as usize].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let c = members.len();
+                loop {
+                    let w = stack.pop().expect("a root's component is on the stack");
+                    comp[w as usize] = c;
+                    members.items.push(w);
+                    if w as usize == v {
+                        break;
+                    }
+                }
+                members.start.push(members.items.len());
+            }
+        }
+    }
+    (comp, members)
 }
 
 #[cfg(test)]

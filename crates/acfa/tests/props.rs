@@ -349,12 +349,25 @@ fn ref_check_sim(g: &Acfa, a: &Acfa, contains: &dyn Fn(&Region, &Region) -> bool
     (rel[g.entry().index()][a.entry().index()], pairs)
 }
 
-type RefSig = BTreeSet<(Option<BTreeSet<Var>>, u32)>;
+type RefSig<'g> = BTreeSet<(Option<&'g BTreeSet<Var>>, u32)>;
 
 /// Reference Collapse: partition keyed on the region's display text,
-/// refined on `BTreeSet` signatures with cloned havoc sets.
+/// refined on `BTreeSet` signatures built from per-location
+/// τ-closures: each iteration takes the blocks of every location's
+/// closure, and a location's weak moves are its closure's havocking
+/// edges, each to the blocks of its destination's closure.
 fn ref_collapse(g: &Acfa) -> CollapseResult {
     let tau: Vec<BTreeSet<AcfaLocId>> = g.locs().map(|q| ref_tau_reach(g, q)).collect();
+    let observable: Vec<BTreeSet<(&BTreeSet<Var>, AcfaLocId)>> = g
+        .locs()
+        .map(|q| {
+            tau[q.index()]
+                .iter()
+                .flat_map(|&s1| g.out_edges(s1).filter(|e| !e.havoc.is_empty()))
+                .map(|e| (&e.havoc, e.dst))
+                .collect()
+        })
+        .collect();
     let mut keys: BTreeMap<(String, bool), u32> = BTreeMap::new();
     let mut block: Vec<u32> = g
         .locs()
@@ -366,21 +379,20 @@ fn ref_collapse(g: &Acfa) -> CollapseResult {
     let mut iterations = 0;
     loop {
         iterations += 1;
+        let tau_blocks: Vec<BTreeSet<u32>> =
+            tau.iter().map(|c| c.iter().map(|s| block[s.index()]).collect()).collect();
         let mut keys: BTreeMap<(u32, RefSig), u32> = BTreeMap::new();
         let new_block: Vec<u32> = g
             .locs()
             .map(|q| {
                 let mine = block[q.index()];
-                let mut sig = RefSig::new();
-                for &s1 in &tau[q.index()] {
-                    if block[s1.index()] != mine {
-                        sig.insert((None, block[s1.index()]));
-                    }
-                    for e in g.out_edges(s1).filter(|e| !e.havoc.is_empty()) {
-                        for &s2 in &tau[e.dst.index()] {
-                            sig.insert((Some(e.havoc.clone()), block[s2.index()]));
-                        }
-                    }
+                let mut sig: RefSig = tau_blocks[q.index()]
+                    .iter()
+                    .filter(|&&b| b != mine)
+                    .map(|&b| (None, b))
+                    .collect();
+                for &(y, dst) in &observable[q.index()] {
+                    sig.extend(tau_blocks[dst.index()].iter().map(|&b| (Some(y), b)));
                 }
                 let next = keys.len() as u32;
                 *keys.entry((mine, sig)).or_insert(next)
@@ -492,5 +504,128 @@ fn check_sim_asks_the_oracle_once_per_distinct_label_pair() {
         let bound = distinct_label_pairs(&g, &a);
         let calls = calls.get();
         assert!(calls <= bound, "case {case}: {calls} oracle calls for {bound} label pairs");
+    }
+}
+
+/// A ring-ARG lookalike: 100–500 locations on a spine cut into
+/// segments of 5–50, most of them closed into a τ-SCC by a silent
+/// back edge, with forward τ shortcuts between segments, havocking
+/// edges (three distinct havoc sets) back to earlier locations, at
+/// most four `(region, atomic)` labels, and labels that vary inside a
+/// segment so components straddle blocks.
+fn gen_scc_heavy(rng: &mut StdRng) -> Acfa {
+    let n = rng.gen_range(100u32..501);
+    let pool = [gen_region(rng), gen_region(rng)];
+    let havocs = [havoc_of_mask(1), havoc_of_mask(2), havoc_of_mask(3)];
+    let mut regions = Vec::with_capacity(n as usize);
+    let mut atomic = Vec::with_capacity(n as usize);
+    let mut edges = Vec::new();
+    let mut segments: Vec<(u32, u32)> = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let end = (start + rng.gen_range(5u32..51)).min(n);
+        let label = rng.gen_range(0usize..2);
+        let seg_atomic = rng.gen_range(0u32..4) == 0;
+        for q in start..end {
+            let stray = rng.gen_range(0u32..5) == 0;
+            regions.push(pool[if stray { 1 - label } else { label }].clone());
+            atomic.push(q != 0 && seg_atomic);
+            if q + 1 < end {
+                edges.push(AcfaEdge {
+                    src: AcfaLocId(q),
+                    havoc: BTreeSet::new(),
+                    dst: AcfaLocId(q + 1),
+                });
+            }
+        }
+        if rng.gen_range(0u32..4) != 0 {
+            edges.push(AcfaEdge {
+                src: AcfaLocId(end - 1),
+                havoc: BTreeSet::new(),
+                dst: AcfaLocId(start),
+            });
+        }
+        if end < n {
+            let silent = rng.gen_range(0u32..4) == 0;
+            edges.push(AcfaEdge {
+                src: AcfaLocId(end - 1),
+                havoc: if silent {
+                    BTreeSet::new()
+                } else {
+                    havocs[rng.gen_range(0usize..3)].clone()
+                },
+                dst: AcfaLocId(end),
+            });
+        }
+        segments.push((start, end));
+        start = end;
+    }
+    // The ring closes: the last location havocs back to the entry.
+    edges.push(AcfaEdge { src: AcfaLocId(n - 1), havoc: havocs[0].clone(), dst: AcfaLocId(0) });
+    for _ in 0..rng.gen_range(1u32..(n / 8)) {
+        let src = rng.gen_range(0..n);
+        if rng.gen_range(0u32..3) == 0 {
+            // A forward τ shortcut into a later segment keeps every
+            // τ-SCC inside one segment.
+            let seg = segments.iter().position(|&(s, e)| (s..e).contains(&src)).unwrap();
+            if let Some(&(s, e)) = segments.get(rng.gen_range(seg + 1..segments.len() + 1)) {
+                let dst = rng.gen_range(s..e);
+                edges.push(AcfaEdge {
+                    src: AcfaLocId(src),
+                    havoc: BTreeSet::new(),
+                    dst: AcfaLocId(dst),
+                });
+            }
+        } else {
+            let dst = rng.gen_range(0..src + 1);
+            edges.push(AcfaEdge {
+                src: AcfaLocId(src),
+                havoc: havocs[rng.gen_range(0usize..3)].clone(),
+                dst: AcfaLocId(dst),
+            });
+        }
+    }
+    Acfa::from_parts(regions, atomic, edges)
+}
+
+/// The largest τ-SCC of `g`: the largest set of locations whose
+/// reference τ-closures contain each other.
+fn largest_tau_scc(g: &Acfa) -> usize {
+    let tau: Vec<BTreeSet<AcfaLocId>> = g.locs().map(|q| ref_tau_reach(g, q)).collect();
+    g.locs()
+        .map(|q| tau[q.index()].iter().filter(|s| tau[s.index()].contains(&q)).count())
+        .max()
+        .unwrap_or(0)
+}
+
+#[test]
+fn collapse_matches_reference_on_scc_heavy_args() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_000c);
+    let mut widest = 0;
+    for case in 0..12 {
+        let g = gen_scc_heavy(&mut rng);
+        widest = widest.max(largest_tau_scc(&g));
+        assert_same_collapse(&format!("scc case {case}"), &collapse(&g), &ref_collapse(&g));
+    }
+    assert!(widest >= 20, "the generator must produce wide τ-SCCs (widest {widest})");
+}
+
+#[test]
+fn every_location_carries_its_class_label() {
+    let mut rng = StdRng::seed_from_u64(0xacfa_000d);
+    for case in 0..CASES {
+        let shaped = if case % 4 == 0 { gen_scc_heavy(&mut rng) } else { gen_arg_shaped(&mut rng) };
+        for g in [gen_acfa(&mut rng), shaped] {
+            let r = collapse(&g);
+            for q in g.locs() {
+                let class = r.map[q.index()];
+                assert_eq!(g.region(q), r.acfa.region(class), "case {case}: region of {q}");
+                assert_eq!(
+                    g.is_atomic(q),
+                    r.acfa.is_atomic(class),
+                    "case {case}: atomicity of {q}"
+                );
+            }
+        }
     }
 }

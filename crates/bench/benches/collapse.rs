@@ -59,6 +59,62 @@ fn arg_shaped(n: u32) -> Acfa {
     Acfa::from_parts(regions, atomic, edges)
 }
 
+/// A ring-ARG lookalike of `n` locations dominated by τ-SCCs: the
+/// spine is cut into segments of 5–50 locations, each closed by a
+/// silent back edge; segments join by edges that havoc one of three
+/// sets (every fourth join is silent), every seventh location havocs
+/// back to the start of the previous segment, and a silent shortcut
+/// skips from each segment into the next but one. Labels come from
+/// two regions and atomicity, switching per segment with a stray
+/// label every sixth location.
+fn tau_scc(n: u32) -> Acfa {
+    let top = Cube::top(2);
+    let labels = [
+        Region::of_cube(top.with(PredIx(0), true)),
+        Region::of_cube(top.with(PredIx(0), false).with(PredIx(1), true)),
+    ];
+    let havocs: [BTreeSet<Var>; 3] = [
+        [Var::from_raw(0)].into(),
+        [Var::from_raw(1)].into(),
+        [Var::from_raw(0), Var::from_raw(1)].into(),
+    ];
+    let mut segments = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let end = (start + 5 + (segments.len() as u32 * 17) % 46).min(n);
+        segments.push((start, end));
+        start = end;
+    }
+    let mut regions = Vec::new();
+    let mut atomic = Vec::new();
+    let mut edges = Vec::new();
+    let edge = |src: u32, havoc: &BTreeSet<Var>, dst: u32| AcfaEdge {
+        src: AcfaLocId(src),
+        havoc: havoc.clone(),
+        dst: AcfaLocId(dst),
+    };
+    let silent = BTreeSet::new();
+    for (i, &(start, end)) in segments.iter().enumerate() {
+        for q in start..end {
+            regions.push(labels[(i + usize::from(q % 6 == 5)) % 2].clone());
+            atomic.push(i % 4 == 3);
+            if q + 1 < end {
+                edges.push(edge(q, &silent, q + 1));
+            }
+            if q % 7 == 6 && i > 0 {
+                edges.push(edge(q, &havocs[q as usize % 3], segments[i - 1].0));
+            }
+        }
+        edges.push(edge(end - 1, &silent, start));
+        let join = if i % 4 == 3 { &silent } else { &havocs[i % 3] };
+        edges.push(edge(end - 1, join, end % n));
+        if let Some(&(skip, _)) = segments.get(i + 2) {
+            edges.push(edge(start, &silent, skip));
+        }
+    }
+    Acfa::from_parts(regions, atomic, edges)
+}
+
 fn bench_collapse(c: &mut Criterion) {
     let mut g = c.benchmark_group("collapse");
     for n in [16u32, 64, 256] {
@@ -70,6 +126,13 @@ fn bench_collapse(c: &mut Criterion) {
     for n in [64u32, 256, 1024] {
         let acfa = arg_shaped(n);
         g.bench_with_input(BenchmarkId::new("arg_shaped", n), &acfa, |b, acfa| {
+            b.iter(|| collapse(acfa));
+        });
+    }
+    for (n, classes) in [(256u32, 18usize), (1024, 74)] {
+        let acfa = tau_scc(n);
+        assert_eq!(collapse(&acfa).acfa.num_locs(), classes, "tau_scc {n} quotient size");
+        g.bench_with_input(BenchmarkId::new("tau_scc", n), &acfa, |b, acfa| {
             b.iter(|| collapse(acfa));
         });
     }
@@ -89,6 +152,13 @@ fn bench_checksim(c: &mut Criterion) {
         let big = arg_shaped(n);
         let small = collapse(&big).acfa;
         g.bench_with_input(BenchmarkId::new("arg_shaped_vs_quotient", n), &n, |b, _| {
+            b.iter(|| assert!(check_sim(&big, &small)));
+        });
+    }
+    for n in [256u32, 1024] {
+        let big = tau_scc(n);
+        let small = collapse(&big).acfa;
+        g.bench_with_input(BenchmarkId::new("tau_scc_vs_quotient", n), &n, |b, _| {
             b.iter(|| assert!(check_sim(&big, &small)));
         });
     }

@@ -622,6 +622,8 @@ fn circ_inner(
                             let omega_t = Instant::now();
                             let good_result = omega_good(&abs, &g, &collapsed, k, budget);
                             stats.pipeline.phases.omega += omega_t.elapsed();
+                            #[cfg(test)]
+                            tests::record_goodness(&abs, &g, &collapsed, k);
                             let good = match good_result {
                                 Ok(g) => g,
                                 Err(e) => {
@@ -664,6 +666,10 @@ fn circ_inner(
                         continue;
                     }
                     let collapsed = timed_collapse(&g, config.minimize, &mut stats);
+                    #[cfg(test)]
+                    if config.omega_mode {
+                        tests::record_goodness(&abs, &g, &collapsed, k);
+                    }
                     concretizer = Some(Concretizer::new(&arg, &state_loc, &collapsed));
                     acfa = Arc::new(collapsed.acfa);
                     log.events
@@ -781,10 +787,16 @@ fn maybe_collapse(acfa: &Acfa, minimize: bool) -> circ_acfa::CollapseResult {
 /// enabled at some ARG location's class must map that location's
 /// region back into itself: `(∃Y. r(n)) ∧ r(q″) ⊆ r(n)`.
 ///
+/// Collapse's initial partition keys on `(region, atomic)`, so every
+/// location of a class has the class's region and atomicity (and with
+/// minimization off each class is one location). Each class is
+/// therefore checked once, at its first member in ARG order: the
+/// later members would repeat the same questions, so the verdict and
+/// the first failing `(class, edge)` are those of a per-location loop.
+///
 /// The budget is polled once per enumerated counter configuration
-/// (the exponential part) and once per ARG location (each location
-/// checks every context edge, with SMT queries behind the containment
-/// test).
+/// (the exponential part) and once per class (each class checks every
+/// context edge, with SMT queries behind the containment test).
 fn omega_good(
     abs: &AbsCtx,
     g: &Acfa,
@@ -805,9 +817,13 @@ fn omega_good(
         &mut |cfg| config_consistent(abs, a, cfg),
         budget,
     )?;
+    let mut checked = vec![false; a.num_locs()];
     for n in g.locs() {
-        budget.check()?;
         let q = collapsed.map[n.index()];
+        if std::mem::replace(&mut checked[q.index()], true) {
+            continue;
+        }
+        budget.check()?;
         if a.is_atomic(q) {
             // The main-thread surrogate occupies an atomic location:
             // scheduling gives it exclusive control, so no environment
@@ -846,28 +862,6 @@ fn omega_good(
                 }
             }
             if !abs.region_contained(&filtered, g.region(n)) {
-                if std::env::var_os("CIRC_DEBUG_OMEGA").is_some() {
-                    eprintln!(
-                        "omega_good fails: n={n} (class {q}, label {}) edge {}(label {})-{:?}->{}(label {}) \
-                         r(n)={} result={}",
-                        a.region(q),
-                        e.src,
-                        a.region(e.src),
-                        e.havoc,
-                        e.dst,
-                        a.region(e.dst),
-                        g.region(n),
-                        filtered
-                    );
-                    let witness = reach.iter().find(|cfg| {
-                        if q == e.src {
-                            cfg.count(e.src).at_least(2)
-                        } else {
-                            cfg.count(e.src).positive() && cfg.count(q).positive()
-                        }
-                    });
-                    eprintln!("  enabling cfg: {witness:?}");
-                }
                 return Ok(false);
             }
         }
@@ -892,5 +886,140 @@ fn config_consistent(abs: &AbsCtx, a: &Acfa, cfg: &ContextState) -> bool {
     match acc {
         None => true,
         Some(r) => r.cubes().iter().any(|c| abs.cube_sat(c)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// `(per-class verdict, per-location verdict)` of every
+        /// goodness check run on this thread while recording is on.
+        static GOODNESS: RefCell<Option<Vec<(bool, bool)>>> = const { RefCell::new(None) };
+    }
+
+    /// Runs the goodness check on `(g, collapsed)` both per class
+    /// and per location, when this thread is recording.
+    pub(super) fn record_goodness(
+        abs: &AbsCtx,
+        g: &Acfa,
+        collapsed: &circ_acfa::CollapseResult,
+        k: u32,
+    ) {
+        GOODNESS.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                let unlimited = Budget::unlimited();
+                let check = |good: Result<bool, Exhausted>| good.expect("an unlimited budget");
+                log.push((
+                    check(omega_good(abs, g, collapsed, k, &unlimited)),
+                    check(omega_good_per_location(abs, g, collapsed, k, &unlimited)),
+                ));
+            }
+        });
+    }
+
+    /// The goodness check as one pass over every ARG location.
+    fn omega_good_per_location(
+        abs: &AbsCtx,
+        g: &Acfa,
+        collapsed: &circ_acfa::CollapseResult,
+        k: u32,
+        budget: &Budget,
+    ) -> Result<bool, Exhausted> {
+        let a = &collapsed.acfa;
+        let reach = context_reach_budgeted(
+            a,
+            k,
+            CVal::Omega,
+            &mut |cfg| config_consistent(abs, a, cfg),
+            budget,
+        )?;
+        for n in g.locs() {
+            budget.check()?;
+            let q = collapsed.map[n.index()];
+            if a.is_atomic(q) {
+                continue;
+            }
+            for e in a.edges() {
+                let enabled = reach.iter().any(|cfg| {
+                    let placed = if q == e.src {
+                        cfg.count(e.src).at_least(2)
+                    } else {
+                        cfg.count(e.src).positive() && cfg.count(q).positive()
+                    };
+                    placed && cfg.atomic_occupied(a).all(|atomic_loc| atomic_loc == e.src)
+                });
+                if !enabled {
+                    continue;
+                }
+                let preds = abs.preds();
+                let keep =
+                    |i: circ_acfa::PredIx| !preds.pred_vars(i).iter().any(|v| e.havoc.contains(v));
+                let result = g.region(n).project(&keep).meet(a.region(e.dst));
+                let mut filtered = Region::empty();
+                for c in result.cubes() {
+                    if abs.cube_sat(c) {
+                        filtered.add(c.clone());
+                    }
+                }
+                if !abs.region_contained(&filtered, g.region(n)) {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Every program of a Table 1 model, one per `#race` variable.
+    fn table1_programs() -> Vec<(String, MtProgram)> {
+        let mut out = Vec::new();
+        for m in circ_nesc::models() {
+            let compiled = m.compile().expect("benchmark models compile");
+            for &var in &compiled.race_vars {
+                out.push((format!("{}/{var}", m.name), MtProgram::new(compiled.cfa.clone(), var)));
+            }
+        }
+        out
+    }
+
+    /// The `phases`-phase token ring, or with `racy` its variant whose
+    /// phase 0 takes the token outside `atomic`.
+    fn ring(phases: u32, racy: bool) -> MtProgram {
+        let mut src = circ_nesc::token_ring_source(phases);
+        if racy {
+            let take = "if (mode == 0) { mode = 1; got = 1; }";
+            let guarded = format!("atomic {{ {take} }}");
+            assert!(src.contains(&guarded), "phase 0 grabs the token atomically");
+            src = src.replacen(&guarded, take, 1);
+        }
+        let compiled = circ_frontend::compile(&src).expect("generated rings compile");
+        MtProgram::new(compiled.cfa, compiled.race_vars[0])
+    }
+
+    #[test]
+    fn per_class_goodness_matches_the_per_location_loop() {
+        let mut programs = table1_programs();
+        for phases in 3..=5 {
+            programs.push((format!("ring{phases}"), ring(phases, false)));
+            programs.push((format!("ring{phases}_racy0"), ring(phases, true)));
+        }
+        let (mut checks, mut failures) = (0, 0);
+        for (name, program) in &programs {
+            GOODNESS.with(|log| *log.borrow_mut() = Some(Vec::new()));
+            let outcome = circ(program, &CircConfig::omega());
+            let log = GOODNESS.with(|log| log.borrow_mut().take()).unwrap_or_default();
+            assert!(
+                !matches!(&outcome, CircOutcome::Unknown(u) if matches!(u.reason, UnknownReason::InternalError(_))),
+                "{name}: the run panicked"
+            );
+            for (i, (per_class, per_location)) in log.iter().enumerate() {
+                assert_eq!(per_class, per_location, "{name}: goodness check {i}");
+            }
+            checks += log.len();
+            failures += log.iter().filter(|(good, _)| !good).count();
+        }
+        assert!(failures > 0 && failures < checks, "{checks} checks, {failures} failed");
     }
 }
