@@ -119,9 +119,14 @@ impl Acfa {
         &self.edges
     }
 
-    /// Out-edges of `q` (as indices into [`Acfa::edges`]).
+    /// Out-edges of `q`, in [`Acfa::edges`] order.
     pub fn out_edges(&self, q: AcfaLocId) -> impl Iterator<Item = &AcfaEdge> {
         self.out[q.index()].iter().map(|&i| &self.edges[i])
+    }
+
+    /// Indices into [`Acfa::edges`] of the out-edges of `q`, ascending.
+    pub fn out_edge_ixs(&self, q: AcfaLocId) -> &[usize] {
+        &self.out[q.index()]
     }
 
     /// Whether a context thread at `q` can write `x`: some out-edge

@@ -15,7 +15,9 @@
 //!
 //! Results are memoized per `(cube, operation)` — the same abstract
 //! states recur across the many reachability runs of CIRC's nested
-//! loops.
+//! loops. A context operation is interned once as a [`TargetId`]
+//! (see [`AbsCtx::context_target`]), so its memo key is the cube plus
+//! that id.
 
 use crate::cache::AbsCache;
 use crate::preds::PredSet;
@@ -38,6 +40,12 @@ fn post(v: Var) -> SVar {
     SVar(v.index() as u32 * 2 + 1)
 }
 
+/// An interned context-move target: the havoc set of an ACFA edge and
+/// the label region of its destination. Ids are stable for the life
+/// of the [`AbsCtx`] that issued them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TargetId(u32);
+
 /// The abstraction context: CFA + predicate set + solver + caches.
 ///
 /// Every query method takes `&self`; the solver and the post-image
@@ -56,7 +64,11 @@ pub struct AbsCtx {
     pred_atoms: Vec<Option<Atom>>,
     assign_cache: Memo<(Cube, EdgeId), Cube>,
     assume_cache: Memo<(Cube, EdgeId), Option<Cube>>,
-    context_cache: Memo<(Cube, BTreeSet<Var>, Region), Vec<Cube>>,
+    context_cache: Memo<(Cube, TargetId), Vec<Cube>>,
+    /// Context-move targets by [`TargetId`], and the index that
+    /// interns them.
+    targets: RefCell<Vec<(BTreeSet<Var>, Region)>>,
+    target_ids: Memo<(BTreeSet<Var>, Region), TargetId>,
     /// Persistence store this context's solver reads its seed from.
     /// On drop, the entries the solver solved itself are
     /// absorbed into it (seed hits never are: the solver does not copy
@@ -133,6 +145,8 @@ impl AbsCtx {
             assign_cache: RefCell::default(),
             assume_cache: RefCell::default(),
             context_cache: RefCell::default(),
+            targets: RefCell::default(),
+            target_ids: RefCell::default(),
             solver_persist: solver_persist.clone(),
         }
     }
@@ -299,12 +313,24 @@ impl AbsCtx {
         Some(out)
     }
 
+    /// The id of the context move that havocs `havoc` and lands in a
+    /// location labeled `target`, interned on first use.
+    pub fn context_target(&self, havoc: &BTreeSet<Var>, target: &Region) -> TargetId {
+        memoized(&self.target_ids, (havoc.clone(), target.clone()), || {
+            let mut targets = self.targets.borrow_mut();
+            targets.push((havoc.clone(), target.clone()));
+            TargetId(targets.len() as u32 - 1)
+        })
+    }
+
     /// Abstract post of a context move: havoc `Y`, land in a location
-    /// labeled `target`. Returns the (possibly several) successor
-    /// cubes — one per satisfiable meet with a target cube.
-    pub fn post_context(&self, cube: &Cube, havoc: &BTreeSet<Var>, target: &Region) -> Vec<Cube> {
-        let key = (cube.clone(), havoc.clone(), target.clone());
-        memoized(&self.context_cache, key, || {
+    /// labeled `target` (both named by `to`, see
+    /// [`AbsCtx::context_target`]). Returns the (possibly several)
+    /// successor cubes — one per satisfiable meet with a target cube.
+    pub fn post_context(&self, cube: &Cube, to: TargetId) -> Vec<Cube> {
+        memoized(&self.context_cache, (cube.clone(), to), || {
+            let targets = self.targets.borrow();
+            let (havoc, target) = &targets[to.0 as usize];
             let projected =
                 cube.project(&|i| !self.preds.pred_vars(i).iter().any(|v| havoc.contains(v)));
             let mut out = Vec::new();
@@ -521,7 +547,7 @@ mod tests {
         let cube = Cube::top(4).with(p(2), true).with(p(1), true);
         let target = Region::of_cube(Cube::top(4).with(p(3), true));
         let havoc: BTreeSet<Var> = [state].into();
-        let out = ctx.post_context(&cube, &havoc, &target);
+        let out = ctx.post_context(&cube, ctx.context_target(&havoc, &target));
         assert_eq!(out.len(), 1);
         let c = &out[0];
         assert_eq!(c.get(p(1)), Some(true), "old = 0 survives (old not havocked)");
@@ -537,7 +563,7 @@ mod tests {
         // false, havocking nothing: contradictory meet discarded.
         let cube = Cube::top(4).with(p(3), true);
         let target = Region::of_cube(Cube::top(4).with(p(3), false));
-        let out = ctx.post_context(&cube, &BTreeSet::new(), &target);
+        let out = ctx.post_context(&cube, ctx.context_target(&BTreeSet::new(), &target));
         assert!(out.is_empty());
     }
 
@@ -549,7 +575,7 @@ mod tests {
         // predicates) but the SAT filter kills it.
         let cube = Cube::top(4).with(p(2), true);
         let target = Region::of_cube(Cube::top(4).with(p(3), true));
-        let out = ctx.post_context(&cube, &BTreeSet::new(), &target);
+        let out = ctx.post_context(&cube, ctx.context_target(&BTreeSet::new(), &target));
         assert!(out.is_empty(), "state = 0 ∧ state = 1 must be filtered semantically");
     }
 

@@ -49,7 +49,7 @@ pub use crate::circ::{
     circ, circ_with_cache, circ_with_caches, display_acfa, CircConfig, CircEvent, CircLog,
     CircOutcome, CircStats, SafeReport, UnknownReason, UnknownReport, UnsafeReport,
 };
-pub use abs::AbsCtx;
+pub use abs::{AbsCtx, TargetId};
 pub use arg::{Arg, ExportedArg, StateEdge, StateEdgeKind, ThreadState};
 pub use cache::{AbsCache, AbsSeed, Premises};
 pub use circ_governor::{Budget, CancelToken, Exhausted, FaultPlan};

@@ -3,24 +3,26 @@
 //! race states and simultaneously constructing the abstract
 //! reachability graph.
 
-use crate::abs::AbsCtx;
-use crate::arg::{Arg, StateEdgeKind};
+use crate::abs::{AbsCtx, TargetId};
+use crate::arg::{Arg, StateEdgeKind, ThreadState};
 use circ_acfa::{Acfa, AcfaLocId, CVal, ContextState, Cube};
 use circ_governor::{Budget, Exhausted};
-use circ_ir::{EdgeId, Loc, MtProgram};
+use circ_ir::{Cfa, EdgeId, Loc, MtProgram, Var};
 use circ_par::FxHashMap;
 use std::collections::hash_map::Entry;
 
 /// Approximate bytes one committed ARG state costs: the `AbsState`
 /// itself plus hash-map/vector bookkeeping. Coarse by design — the
 /// memory ceiling governs growth, it does not model the allocator.
-fn state_bytes(s: &AbsState) -> u64 {
+fn state_bytes(cube: &Cube) -> u64 {
     const OVERHEAD: u64 = 96;
-    std::mem::size_of::<AbsState>() as u64 + (s.cube.width() as u64) / 4 + OVERHEAD
+    std::mem::size_of::<AbsState>() as u64 + (cube.width() as u64) / 4 + OVERHEAD
 }
 
 /// An abstract program state: main-thread location and cube, plus the
-/// counter-abstracted context.
+/// counter-abstracted context. ReachAndBuild keys its states on ids
+/// (the thread state's ARG slot and an interned context) and builds
+/// this form only for an [`AbstractCex`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AbsState {
     /// Main thread control location.
@@ -119,12 +121,14 @@ pub enum ReachError {
 /// returns the ARG; on a reachable race, the abstract counterexample.
 ///
 /// The worklist is FIFO: states are numbered in discovery order and
-/// expanded in that order, one at a time. Per state the loop polls
-/// the resource budget, checks for an error, checks the state budget,
-/// then computes the abstract posts and commits each successor (ARG
-/// edge, then dedup/insert). Each inserted state's approximate size is
-/// charged against the memory ceiling, and the budget's fault plan
-/// draws one `task_panic` per expanded state.
+/// expanded in that order, one at a time. A state is a pair of ids:
+/// its thread state's ARG slot and its interned context state. Per
+/// state the loop polls the resource budget, checks for an error,
+/// checks the state budget, then computes the abstract posts and
+/// commits each successor (ARG edge, then dedup/insert). Each
+/// inserted state's approximate size is charged against the memory
+/// ceiling, and the budget's fault plan draws one `task_panic` per
+/// expanded state.
 ///
 /// # Errors
 ///
@@ -144,59 +148,65 @@ pub fn reach_and_build(
     budget: &Budget,
 ) -> Result<Arg, ReachError> {
     let cfa = program.cfa_arc();
-    let x = program.race_var();
-
-    let init_state = AbsState {
-        pc: cfa.entry(),
-        cube: abs.initial_cube(),
-        ctx: ContextState::initial(acfa, init),
-    };
+    // Each ACFA edge's context move, interned once per run.
+    let targets: Vec<TargetId> =
+        acfa.edges().iter().map(|e| abs.context_target(&e.havoc, acfa.region(e.dst))).collect();
+    let mut contexts = Contexts::new(acfa, k, program.race_var());
+    let ctx0 = contexts.intern(ContextState::initial(acfa, init));
 
     let mut arg = Arg::new();
-    arg.set_entry(&cfa, (init_state.pc, init_state.cube.clone()));
-
-    let mut states: Vec<AbsState> = vec![init_state.clone()];
-    let mut index: FxHashMap<AbsState, usize> = FxHashMap::default();
-    index.insert(init_state, 0);
-    let mut parent: Vec<Option<(usize, TraceOp)>> = vec![None];
+    let entry = arg.set_entry(&cfa, &(cfa.entry(), abs.initial_cube()));
 
     // `states` doubles as the FIFO queue: everything past `six` is
     // discovered but not yet expanded.
+    let mut states: Vec<(usize, u32)> = vec![(entry, ctx0)];
+    let mut index: FxHashMap<(usize, u32), usize> = FxHashMap::default();
+    index.insert((entry, ctx0), 0);
+    let mut parent: Vec<Option<(usize, TraceOp)>> = vec![None];
+    let mut succs: Vec<Successor> = Vec::new();
+
     for six in 0.. {
-        let Some(s) = states.get(six) else { break };
+        let Some(&(slot, ctx)) = states.get(six) else { break };
         budget.check().map_err(ReachError::Budget)?;
         if budget.faults().task_panic() {
             panic!("injected task panic");
         }
 
+        let (pc, cube) = arg.thread_state(slot);
         let error = match property {
-            Property::Race => race_at(s, program, acfa, x).map(AbstractError::Race),
-            Property::Assertions => cfa.is_error(s.pc).then_some(AbstractError::Assertion),
+            Property::Race => contexts.race_at(ctx, &cfa, *pc).map(AbstractError::Race),
+            Property::Assertions => cfa.is_error(*pc).then_some(AbstractError::Assertion),
         };
         if let Some(error) = error {
-            return Err(ReachError::Race(Box::new(AbstractCex {
-                steps: rebuild_trace(&states, &parent, six),
-                final_state: s.clone(),
-                error,
-            })));
+            let abs_state = |(slot, ctx): (usize, u32)| {
+                let (pc, cube) = arg.thread_state(slot);
+                AbsState { pc: *pc, cube: cube.clone(), ctx: contexts.states[ctx as usize].clone() }
+            };
+            let mut steps = Vec::new();
+            let mut at = six;
+            while let Some((p, op)) = &parent[at] {
+                steps.push((abs_state(states[*p]), op.clone()));
+                at = *p;
+            }
+            steps.reverse();
+            let final_state = abs_state((slot, ctx));
+            return Err(ReachError::Race(Box::new(AbstractCex { steps, final_state, error })));
         }
         if states.len() >= max_states {
             return Err(ReachError::StateLimit(max_states));
         }
 
-        // Each successor is hashed once: the index entry both answers
-        // "known?" and takes the new state.
-        let src = (s.pc, s.cube.clone());
-        for (kind, succ, op) in successors(abs, program, acfa, k, s) {
+        successors(abs, &cfa, &targets, &mut contexts, (*pc, cube), ctx, &mut succs);
+        for (kind, succ, ctx2, op) in succs.drain(..) {
             // The ARG records every computed post edge, including
             // re-entries into already-known states.
-            arg.connect(&cfa, src.clone(), kind, (succ.pc, succ.cube.clone()));
-            let Entry::Vacant(slot) = index.entry(succ) else {
+            let slot2 = arg.connect_from(&cfa, slot, kind, &succ);
+            let Entry::Vacant(entry) = index.entry((slot2, ctx2)) else {
                 continue;
             };
-            budget.charge(state_bytes(slot.key()));
-            states.push(slot.key().clone());
-            slot.insert(states.len() - 1);
+            budget.charge(state_bytes(&succ.1));
+            entry.insert(states.len());
+            states.push((slot2, ctx2));
             parent.push(Some((six, op)));
         }
     }
@@ -204,109 +214,169 @@ pub fn reach_and_build(
     Ok(arg)
 }
 
-/// The successors of one abstract state: enabledness under the
-/// atomic-scheduling rule, then abstract posts for the enabled main
-/// moves (in CFA edge order) and context moves (in ACFA edge order).
+/// One computed successor: how it was reached, its thread state, its
+/// context id and the trace step.
+type Successor = (StateEdgeKind, ThreadState, u32, TraceOp);
+
+/// The successors of one abstract state, into `out`: enabledness
+/// under the atomic-scheduling rule, then abstract posts for the
+/// enabled main moves (in CFA edge order) and context moves (in ACFA
+/// edge order).
 fn successors(
     abs: &AbsCtx,
-    program: &MtProgram,
-    acfa: &Acfa,
-    k: u32,
-    s: &AbsState,
-) -> Vec<(StateEdgeKind, AbsState, TraceOp)> {
-    let cfa = program.cfa();
-
-    // Enabled operations under the atomic-scheduling rule: collect
-    // the set AL of occupied atomic locations (main's included).
-    let main_atomic = cfa.is_atomic(s.pc);
-    let ctx_atomic: Vec<AcfaLocId> = s.ctx.atomic_occupied(acfa).collect();
-    let al_count = ctx_atomic.len() + usize::from(main_atomic);
-    let (main_enabled, ctx_enabled_locs): (bool, Vec<AcfaLocId>) = match al_count {
-        0 => (true, s.ctx.occupied().collect()),
-        1 if main_atomic => (true, Vec::new()),
-        1 => (false, ctx_atomic),
-        _ => (false, Vec::new()),
-    };
-
-    let mut succs: Vec<(StateEdgeKind, AbsState, TraceOp)> = Vec::new();
-    if main_enabled {
-        for &eid in cfa.out_edges(s.pc) {
-            if let Some(cube2) = abs.post_edge(&s.cube, eid) {
+    cfa: &Cfa,
+    targets: &[TargetId],
+    contexts: &mut Contexts,
+    (pc, cube): (Loc, &Cube),
+    ctx: u32,
+    out: &mut Vec<Successor>,
+) {
+    // The atomic-scheduling rule: with one occupied atomic location
+    // (main's included) only its thread moves, with two or more none.
+    if contexts.info[ctx as usize].main_free {
+        for &eid in cfa.out_edges(pc) {
+            if let Some(cube2) = abs.post_edge(cube, eid) {
                 let dst = cfa.edge(eid).dst;
-                succs.push((
-                    StateEdgeKind::MainOp(eid),
-                    AbsState { pc: dst, cube: cube2, ctx: s.ctx.clone() },
-                    TraceOp::Main(eid),
-                ));
+                out.push((StateEdgeKind::MainOp(eid), (dst, cube2), ctx, TraceOp::Main(eid)));
             }
         }
     }
-    for n in ctx_enabled_locs {
-        for (eix, edge) in acfa.edges().iter().enumerate().filter(|(_, e)| e.src == n) {
-            // The successor cube conjoins the *target* location's
-            // label (the `sp` of §3.3). We deliberately do not
-            // conjoin the labels of the other occupied locations:
-            // during inference those labels are unproven
-            // assumptions, and pruning on them can silently
-            // suppress exactly the context behaviors the guarantee
-            // check would need to see (a self-fulfilling context).
-            // Target-only conjunction is the conservative reading.
-            let cubes = abs.post_context(&s.cube, &edge.havoc, acfa.region(edge.dst));
-            let ctx2 = s.ctx.step(n, edge.dst, k);
-            for cube2 in cubes {
-                succs.push((
-                    StateEdgeKind::Context(edge.havoc.clone()),
-                    AbsState { pc: s.pc, cube: cube2, ctx: ctx2.clone() },
-                    TraceOp::Ctx { src: n, edge_ix: eix },
-                ));
+    if cfa.is_atomic(pc) {
+        return;
+    }
+    for &(src, edge_ix, ctx2) in contexts.moves(ctx) {
+        // The successor cube conjoins the *target* location's label
+        // (the `sp` of §3.3). We deliberately do not conjoin the
+        // labels of the other occupied locations: during inference
+        // those labels are unproven assumptions, and pruning on them
+        // can silently suppress exactly the context behaviors the
+        // guarantee check would need to see (a self-fulfilling
+        // context). Target-only conjunction is the conservative
+        // reading.
+        for cube2 in abs.post_context(cube, targets[edge_ix]) {
+            out.push((StateEdgeKind::Context, (pc, cube2), ctx2, TraceOp::Ctx { src, edge_ix }));
+        }
+    }
+}
+
+/// The context states one run reaches, interned as `u32` ids, with
+/// what expanding a state needs of its context cached per id.
+struct Contexts<'a> {
+    acfa: &'a Acfa,
+    k: u32,
+    race_var: Var,
+    states: Vec<ContextState>,
+    ids: FxHashMap<ContextState, u32>,
+    info: Vec<ContextInfo>,
+}
+
+struct ContextInfo {
+    /// No occupied location is atomic, so the main thread may move.
+    main_free: bool,
+    /// Locations whose threads may move while the main thread sits at
+    /// a non-atomic location: every occupied one if none is atomic,
+    /// else the one occupied atomic location, else none.
+    movers: Vec<AcfaLocId>,
+    /// The context moves `(src, ACFA edge, successor id)` out of
+    /// `movers`, filled on the context's first expansion.
+    moves: Option<Vec<(AcfaLocId, usize, u32)>>,
+    /// The context's half of the race condition.
+    race: ContextRace,
+}
+
+/// The context's half of the race condition of §4.1.
+#[derive(Clone, Copy)]
+enum ContextRace {
+    /// An occupied location is atomic, or none can write the race
+    /// variable.
+    None,
+    /// Two context threads can write it.
+    Two(AcfaLocId, AcfaLocId),
+    /// One context thread can write it: a race with a main thread at
+    /// an access.
+    One(AcfaLocId),
+}
+
+impl<'a> Contexts<'a> {
+    fn new(acfa: &'a Acfa, k: u32, race_var: Var) -> Contexts<'a> {
+        Contexts {
+            acfa,
+            k,
+            race_var,
+            states: Vec::new(),
+            ids: FxHashMap::default(),
+            info: Vec::new(),
+        }
+    }
+
+    /// The id of `g`, interned (with its cached facts) if new.
+    fn intern(&mut self, g: ContextState) -> u32 {
+        if let Some(&id) = self.ids.get(&g) {
+            return id;
+        }
+        let acfa = self.acfa;
+        let occupied: Vec<AcfaLocId> = g.occupied().collect();
+        let atomic: Vec<AcfaLocId> =
+            occupied.iter().copied().filter(|&q| acfa.is_atomic(q)).collect();
+        let writers: Vec<AcfaLocId> =
+            occupied.iter().copied().filter(|&q| acfa.writes_at(q, self.race_var)).collect();
+        // Two context writers: two distinct write-capable locations,
+        // or one such location holding at least two threads.
+        let race = match writers[..] {
+            _ if !atomic.is_empty() => ContextRace::None,
+            [] => ContextRace::None,
+            [n] if g.count(n).at_least(2) => ContextRace::Two(n, n),
+            [n] => ContextRace::One(n),
+            [first, second, ..] => ContextRace::Two(first, second),
+        };
+        let main_free = atomic.is_empty();
+        let movers = match atomic.len() {
+            0 => occupied,
+            1 => atomic,
+            _ => Vec::new(),
+        };
+        let id = self.states.len() as u32;
+        self.info.push(ContextInfo { main_free, movers, moves: None, race });
+        self.ids.insert(g.clone(), id);
+        self.states.push(g);
+        id
+    }
+
+    /// The context moves out of context `id`'s movers, in ACFA edge
+    /// order per mover, with each successor context interned.
+    fn moves(&mut self, id: u32) -> &[(AcfaLocId, usize, u32)] {
+        let ix = id as usize;
+        if self.info[ix].moves.is_none() {
+            let mut moves = Vec::new();
+            for src in self.info[ix].movers.clone() {
+                for &edge_ix in self.acfa.out_edge_ixs(src) {
+                    let dst = self.acfa.edges()[edge_ix].dst;
+                    let next = self.states[ix].step(src, dst, self.k);
+                    moves.push((src, edge_ix, self.intern(next)));
+                }
+            }
+            self.info[ix].moves = Some(moves);
+        }
+        self.info[ix].moves.as_deref().unwrap_or_default()
+    }
+
+    /// The race condition of §4.1 on the state `(pc, ·, id)`.
+    fn race_at(&self, id: u32, cfa: &Cfa, pc: Loc) -> Option<AbstractRace> {
+        if cfa.is_atomic(pc) {
+            return None;
+        }
+        match self.info[id as usize].race {
+            ContextRace::None => None,
+            ContextRace::Two(first, second) => Some(AbstractRace::TwoContexts { first, second }),
+            ContextRace::One(n) => {
+                let x = self.race_var;
+                let main_writes = cfa.writes_at(pc).contains(&x);
+                let main_reads = cfa.reads_at(pc).contains(&x);
+                (main_writes || main_reads)
+                    .then_some(AbstractRace::MainAndContext { main_writes, ctx_loc: n })
             }
         }
     }
-    succs
-}
-
-/// The race condition of §4.1 on one abstract state.
-fn race_at(
-    s: &AbsState,
-    program: &MtProgram,
-    acfa: &Acfa,
-    x: circ_ir::Var,
-) -> Option<AbstractRace> {
-    let cfa = program.cfa();
-    if cfa.is_atomic(s.pc) || s.ctx.atomic_occupied(acfa).next().is_some() {
-        return None;
-    }
-    let writers: Vec<AcfaLocId> = s.ctx.occupied().filter(|n| acfa.writes_at(*n, x)).collect();
-    // Two context writers: two distinct write-capable locations, or
-    // one such location holding at least two threads.
-    if writers.len() >= 2 {
-        return Some(AbstractRace::TwoContexts { first: writers[0], second: writers[1] });
-    }
-    if let Some(&n) = writers.first() {
-        if s.ctx.count(n).at_least(2) {
-            return Some(AbstractRace::TwoContexts { first: n, second: n });
-        }
-        let main_writes = cfa.writes_at(s.pc).contains(&x);
-        let main_reads = cfa.reads_at(s.pc).contains(&x);
-        if main_writes || main_reads {
-            return Some(AbstractRace::MainAndContext { main_writes, ctx_loc: n });
-        }
-    }
-    None
-}
-
-fn rebuild_trace(
-    states: &[AbsState],
-    parent: &[Option<(usize, TraceOp)>],
-    mut ix: usize,
-) -> Vec<(AbsState, TraceOp)> {
-    let mut rev = Vec::new();
-    while let Some((p, op)) = &parent[ix] {
-        rev.push((states[*p].clone(), op.clone()));
-        ix = *p;
-    }
-    rev.reverse();
-    rev
 }
 
 #[cfg(test)]
