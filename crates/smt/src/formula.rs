@@ -115,7 +115,22 @@ impl Formula {
         self.nnf(false)
     }
 
-    fn nnf(&self, neg: bool) -> Formula {
+    /// Whether `self` is already in the form [`Formula::to_nnf`]
+    /// builds, so that `to_nnf` would return it unchanged: no `Not`,
+    /// no constant atom, no constant below the root, and every
+    /// `And`/`Or` has at least two children, none of its own kind.
+    pub fn is_nnf(&self) -> bool {
+        match self {
+            Formula::Const(_) => true,
+            Formula::Atom(a) => !a.expr().is_constant(),
+            Formula::Not(_) => false,
+            Formula::And(fs) => nnf_operands(fs, |f| matches!(f, Formula::And(_))),
+            Formula::Or(fs) => nnf_operands(fs, |f| matches!(f, Formula::Or(_))),
+        }
+    }
+
+    /// The NNF of `self` (`neg` false) or of its negation (`neg` true).
+    pub(crate) fn nnf(&self, neg: bool) -> Formula {
         match self {
             Formula::Const(b) => Formula::Const(*b != neg),
             Formula::Atom(a) => {
@@ -203,6 +218,14 @@ impl Formula {
     pub fn is_false(&self) -> bool {
         matches!(self, Formula::Const(false))
     }
+}
+
+/// Whether `fs` are the operands of an n-ary connective in NNF: at
+/// least two, each in NNF, none constant and none `same_kind` (which
+/// `to_nnf` would have flattened into its parent).
+fn nnf_operands(fs: &[Formula], same_kind: impl Fn(&Formula) -> bool) -> bool {
+    fs.len() >= 2
+        && fs.iter().all(|f| !matches!(f, Formula::Const(_)) && !same_kind(f) && f.is_nnf())
 }
 
 impl From<Atom> for Formula {

@@ -18,8 +18,10 @@
 //!   elimination of equalities, Fourier–Motzkin with GCD tightening,
 //!   disequality splitting, model extraction, unsat-subset
 //!   minimization, existential projection),
-//! * [`Solver`] — the lazy DPLL(T) combination, with entailment and
-//!   interpolant-style projection used by `circ-core`.
+//! * [`Solver`] — the lazy DPLL(T) combination (a conjunction of
+//!   atoms takes one theory check instead of the loop), memoized per
+//!   NNF, with entailment and interpolant-style projection used by
+//!   `circ-core`.
 //!
 //! Completeness note: satisfiability of conjunctions is decided
 //! exactly on rationals; on integers, per-constraint GCD tightening
@@ -49,6 +51,7 @@ mod atom;
 mod formula;
 pub mod lia;
 mod lin;
+mod memo;
 pub mod persist;
 pub mod sat;
 mod solver;

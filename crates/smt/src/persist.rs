@@ -35,9 +35,9 @@ use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::Model;
 use crate::lin::{LinExpr, SVar};
+use crate::memo::{Keyed, Memo, Probe};
 use crate::solver::SatResult;
 use circ_ir::digest::fnv1a64;
-use circ_par::FxHashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -388,14 +388,14 @@ pub struct SolverPersist {
 #[derive(Debug)]
 struct PersistInner {
     /// Seed entries, frozen at construction.
-    seed: FxHashMap<Formula, SatResult>,
+    seed: Memo,
     /// Entries learned since construction (one per formula, none of
     /// them in the seed).
-    learned: Mutex<FxHashMap<Formula, SatResult>>,
+    learned: Mutex<Memo>,
 }
 
 impl PersistInner {
-    fn learned(&self) -> MutexGuard<'_, FxHashMap<Formula, SatResult>> {
+    fn learned(&self) -> MutexGuard<'_, Memo> {
         self.learned.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -411,16 +411,16 @@ impl SolverPersist {
     /// active-but-cold store). `Unknown` results are dropped, and a
     /// repeated formula keeps its first result.
     pub fn with_seed(seed: Vec<(Formula, SatResult)>) -> SolverPersist {
-        let mut frozen = FxHashMap::default();
+        let mut frozen = Memo::default();
         for (f, r) in seed {
             if !matches!(r, SatResult::Unknown) {
-                frozen.entry(f).or_insert(r);
+                frozen.entry(Keyed::new(f)).or_insert(r);
             }
         }
         SolverPersist {
             inner: Some(Arc::new(PersistInner {
                 seed: frozen,
-                learned: Mutex::new(FxHashMap::default()),
+                learned: Mutex::new(Memo::default()),
             })),
         }
     }
@@ -446,9 +446,9 @@ impl SolverPersist {
         self.len() == 0
     }
 
-    /// The seed's result for an NNF formula, if it holds one.
-    pub(crate) fn get(&self, nnf: &Formula) -> Option<&SatResult> {
-        self.inner.as_ref()?.seed.get(nnf)
+    /// The seed's result for a probed NNF formula, if it holds one.
+    pub(crate) fn get(&self, nnf: &Probe<'_>) -> Option<&SatResult> {
+        nnf.get(&self.inner.as_ref()?.seed)
     }
 
     /// Folds a finished solver's cache entries into the accumulator
@@ -460,10 +460,13 @@ impl SolverPersist {
         let Some(inner) = &self.inner else { return };
         let mut learned = inner.learned();
         for (f, r) in entries {
-            if matches!(r, SatResult::Unknown) || inner.seed.contains_key(&f) {
+            if matches!(r, SatResult::Unknown) {
                 continue;
             }
-            learned.entry(f).or_insert(r);
+            let key = Keyed::new(f);
+            if !inner.seed.contains_key(&key) {
+                learned.entry(key).or_insert(r);
+            }
         }
     }
 
@@ -472,7 +475,12 @@ impl SolverPersist {
     pub fn merged_entries(&self) -> Vec<(Formula, SatResult)> {
         let Some(inner) = &self.inner else { return Vec::new() };
         let learned = inner.learned();
-        inner.seed.iter().chain(learned.iter()).map(|(f, r)| (f.clone(), r.clone())).collect()
+        inner
+            .seed
+            .iter()
+            .chain(learned.iter())
+            .map(|(k, r)| (k.formula().clone(), r.clone()))
+            .collect()
     }
 }
 

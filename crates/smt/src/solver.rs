@@ -2,14 +2,19 @@
 //! formula's propositional skeleton; each model's theory literals are
 //! checked by the conjunctive LIA procedure; theory conflicts come
 //! back as blocking clauses built from minimized unsat cores.
+//!
+//! A conjunction of atoms has at most one boolean model, so it skips
+//! the loop: one theory check of the literals that model would assert
+//! gives the same answer, model and round count.
 
 use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::{self, ConjResult, Model};
+use crate::memo::{Keyed, Memo, Probe};
 use crate::sat::{BVar, CnfSolver, Lit};
 use crate::SolverPersist;
 use circ_governor::Budget;
-use circ_par::FxHashMap;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Result of a satisfiability query.
@@ -49,7 +54,7 @@ pub struct Solver {
     /// only differ in negation placement share one entry. The solver
     /// is deterministic, so replaying a cached `Sat` model is
     /// indistinguishable from re-solving.
-    cache: FxHashMap<Formula, SatResult>,
+    cache: Memo,
     /// Frozen read-through layer below `cache` (inert by default).
     seed: SolverPersist,
     cache_enabled: bool,
@@ -67,7 +72,7 @@ impl Default for Solver {
         Solver {
             queries: 0,
             theory_rounds: 0,
-            cache: FxHashMap::default(),
+            cache: Memo::default(),
             seed: SolverPersist::inert(),
             cache_enabled: true,
             cache_hits: 0,
@@ -93,10 +98,10 @@ impl Solver {
         }
     }
 
-    /// Attach a resource budget (default: unlimited). The DPLL(T)
-    /// loop polls it once per theory round and answers `Unknown` on
-    /// exhaustion; formula-cache growth is charged against its memory
-    /// ceiling.
+    /// Attach a resource budget (default: unlimited). The solver
+    /// polls it once per theory round (a conjunctive query makes one)
+    /// and answers `Unknown` on exhaustion; formula-cache growth is
+    /// charged against its memory ceiling.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
     }
@@ -126,7 +131,7 @@ impl Solver {
         self.cache_hits
     }
 
-    /// Queries that ran the DPLL(T) loop.
+    /// Queries that missed the cache and were solved.
     pub fn num_cache_misses(&self) -> u64 {
         self.cache_misses
     }
@@ -143,9 +148,10 @@ impl Solver {
 
     /// Decides satisfiability of `f` over the integers.
     pub fn check(&mut self, f: &Formula) -> SatResult {
-        let nnf = f.to_nnf();
+        // A query already in NNF is solved and looked up as it is.
+        let nnf = if f.is_nnf() { Cow::Borrowed(f) } else { Cow::Owned(f.to_nnf()) };
         self.queries += 1;
-        match &nnf {
+        match &*nnf {
             Formula::Const(true) => return SatResult::Sat(Model::new()),
             Formula::Const(false) => return SatResult::Unsat,
             _ => {}
@@ -155,27 +161,76 @@ impl Solver {
         if self.budget.faults().solver_unknown() {
             return SatResult::Unknown;
         }
-        if self.cache_enabled {
-            if let Some(hit) = self.cache.get(&nnf).or_else(|| self.seed.get(&nnf)) {
+        // Hashed once: the memo lookup, the seed lookup and the memo
+        // insert all reuse it.
+        let probe = self.cache_enabled.then(|| Probe::new(&nnf));
+        if let Some(probe) = &probe {
+            if let Some(hit) = probe.get(&self.cache).or_else(|| self.seed.get(probe)) {
                 self.cache_hits += 1;
                 return hit.clone();
             }
         }
+        let hash = probe.map(|p| p.hash());
         let (result, budget_aborted) = self.solve_nnf(&nnf);
         self.cache_misses += 1;
         // A budget-induced Unknown reflects *when* the query ran, not
         // what the formula means — never memoize it.
-        if self.cache_enabled && !budget_aborted {
+        if let Some(hash) = hash.filter(|_| !budget_aborted) {
             self.budget.charge(formula_bytes(&nnf));
-            self.cache.insert(nnf, result.clone());
+            self.cache.insert(Keyed::with_hash(hash, nnf.into_owned()), result.clone());
         }
         result
     }
 
-    /// The uncached DPLL(T) loop over an NNF formula. The second
-    /// component is true when the result is an `Unknown` forced by
-    /// budget exhaustion rather than by the theory solver.
+    /// Solves an NNF formula, uncached. The second component is true
+    /// when the result is an `Unknown` forced by budget exhaustion
+    /// rather than by the theory solver.
     fn solve_nnf(&mut self, nnf: &Formula) -> (SatResult, bool) {
+        match conjunction_atoms(nnf) {
+            Some(atoms) => self.solve_conj(&atoms),
+            None => self.solve_dpllt(nnf),
+        }
+    }
+
+    /// A conjunction of atoms, answered as DPLL(T) would answer it.
+    /// Its skeleton forces every boolean variable, so the loop's CDCL
+    /// run either refutes it outright (some key is asserted with both
+    /// polarities: 0 theory rounds) or finds the one boolean model.
+    /// One theory round then checks that model's literals, in key
+    /// order as the loop collects them; on a theory conflict the
+    /// loop's blocking clause would end the search, so `Unsat` is
+    /// final and no unsat core is needed.
+    fn solve_conj(&mut self, atoms: &[&Atom]) -> (SatResult, bool) {
+        let mut lits: Vec<(Atom, bool)> = atoms.iter().map(|a| atom_key(a)).collect();
+        lits.sort_unstable();
+        lits.dedup();
+        // Exact duplicates are gone, so equal neighbouring keys differ
+        // in polarity.
+        if lits.windows(2).any(|w| w[0].0 == w[1].0) {
+            return (SatResult::Unsat, false);
+        }
+        self.theory_rounds += 1;
+        if self.budget.check().is_err() {
+            return (SatResult::Unknown, true);
+        }
+        let theory: Vec<Atom> = lits.iter().map(|(key, val)| theory_literal(key, *val)).collect();
+        let result = match lia::check_conj(&theory) {
+            ConjResult::Sat(model) => {
+                debug_assert!(
+                    atoms.iter().all(|a| a.eval(&|v| model.get(&v).copied().unwrap_or(0))),
+                    "model does not satisfy conjunction"
+                );
+                SatResult::Sat(model)
+            }
+            ConjResult::Unsat => SatResult::Unsat,
+            ConjResult::Unknown => SatResult::Unknown,
+        };
+        (result, false)
+    }
+
+    /// The lazy DPLL(T) loop over an NNF formula, for formulas with a
+    /// disjunction; returns as [`Solver::solve_nnf`] does.
+    fn solve_dpllt(&mut self, nnf: &Formula) -> (SatResult, bool) {
         let mut enc = Encoder::new();
         let root = enc.encode(nnf);
         enc.sat.add_clause(&[root]);
@@ -194,8 +249,7 @@ impl Solver {
             let mut origins: Vec<Lit> = Vec::new();
             for (key, &bv) in &enc.atom_vars {
                 let val = enc.sat.value(bv);
-                let atom = if val { key.clone() } else { key.negate() };
-                theory.push(atom);
+                theory.push(theory_literal(key, val));
                 origins.push(Lit::new(bv, val));
             }
             match lia::check_conj(&theory) {
@@ -226,7 +280,7 @@ impl Solver {
     /// itself (for persistence export); seed hits are not among them.
     /// Order is unspecified.
     pub fn entries(&self) -> Vec<(Formula, SatResult)> {
-        self.cache.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        self.cache.iter().map(|(k, v)| (k.formula().clone(), v.clone())).collect()
     }
 
     /// Convenience: is `f` satisfiable?
@@ -234,14 +288,16 @@ impl Solver {
         self.check(f).is_sat()
     }
 
-    /// Is `f` valid (true in every integer state)?
+    /// Is `f` valid (true in every integer state)? The query is
+    /// built in NNF, so `check` neither normalizes nor clones it.
     pub fn is_valid(&mut self, f: &Formula) -> bool {
-        !self.is_sat(&f.clone().not())
+        !self.is_sat(&f.nnf(true))
     }
 
-    /// Does `a` entail `b`?
+    /// Does `a` entail `b`? The query `a ∧ ¬b` is built in NNF (the
+    /// same formula `to_nnf` would make of it).
     pub fn entails(&mut self, a: &Formula, b: &Formula) -> bool {
-        !self.is_sat(&a.clone().and(b.clone().not()))
+        !self.is_sat(&a.to_nnf().and(b.nnf(true)))
     }
 
     /// Are `a` and `b` equivalent?
@@ -267,13 +323,48 @@ fn formula_bytes(f: &Formula) -> u64 {
     }
 }
 
+/// The atoms of an NNF that is one atom or a conjunction of atoms;
+/// `None` when it has a disjunction, which needs DPLL(T).
+fn conjunction_atoms(nnf: &Formula) -> Option<Vec<&Atom>> {
+    match nnf {
+        Formula::Atom(a) => Some(vec![a]),
+        Formula::And(fs) => fs
+            .iter()
+            .map(|f| match f {
+                Formula::Atom(a) => Some(a),
+                _ => None,
+            })
+            .collect(),
+        _ => None,
+    }
+}
+
+/// The boolean key of an atom and the polarity it asserts the key
+/// with. `Ne` atoms map to the negation of the corresponding `Eq` key,
+/// so the SAT core sees their propositional relationship; `Eq` keys
+/// are canonical up to sign, and `Le` atoms are their own key.
+fn atom_key(a: &Atom) -> (Atom, bool) {
+    match a.rel() {
+        Rel::Ne => (Atom::eq(a.expr().clone()).canonical(), false),
+        Rel::Eq => (a.canonical(), true),
+        Rel::Le => (a.clone(), true),
+    }
+}
+
+/// The theory literal a boolean key contributes when assigned `val`.
+fn theory_literal(key: &Atom, val: bool) -> Atom {
+    if val {
+        key.clone()
+    } else {
+        key.negate()
+    }
+}
+
 /// Tseitin-style one-directional encoder for NNF formulas (all
 /// occurrences positive, so implications top-down suffice).
 struct Encoder {
     sat: CnfSolver,
-    /// Canonical positive atom → boolean variable. `Ne` atoms map to
-    /// the negation of the corresponding `Eq` variable so the SAT core
-    /// sees their propositional relationship.
+    /// Boolean key ([`atom_key`]) → boolean variable.
     atom_vars: BTreeMap<Atom, BVar>,
 }
 
@@ -283,11 +374,7 @@ impl Encoder {
     }
 
     fn lit_of_atom(&mut self, a: &Atom) -> Lit {
-        let (key, positive) = match a.rel() {
-            Rel::Ne => (Atom::eq(a.expr().clone()).canonical(), false),
-            Rel::Eq => (a.canonical(), true),
-            Rel::Le => (a.clone(), true),
-        };
+        let (key, positive) = atom_key(a);
         let bv = match self.atom_vars.get(&key) {
             Some(&bv) => bv,
             None => {
@@ -522,6 +609,113 @@ mod tests {
         // A cache hit charges nothing further.
         s.check(&eq(x()).or(eq(x() - c(1))).and(le(c(2) - x())));
         assert_eq!(b.charged_bytes(), after_first);
+    }
+
+    /// What one solving path did with a query: its answer, whether
+    /// the budget aborted it, its theory rounds and its budget polls.
+    type PathRun = (SatResult, bool, u64, u64);
+
+    fn run_path(budget: Budget, solve: impl FnOnce(&mut Solver) -> (SatResult, bool)) -> PathRun {
+        let mut s = Solver::new();
+        s.set_budget(budget.clone());
+        let (result, aborted) = solve(&mut s);
+        (result, aborted, s.theory_rounds(), budget.polls())
+    }
+
+    /// A random atom over `x`, `y`, `z` with small coefficients.
+    fn random_atom(rng: &mut rand::rngs::StdRng) -> Atom {
+        use rand::Rng;
+        let mut e = c(rng.gen_range(-3i64..=3));
+        for i in 0..3 {
+            e.add_term(v(i), rng.gen_range(-2i64..=2));
+        }
+        match rng.gen_range(0u32..3) {
+            0 => Atom::eq(e),
+            1 => Atom::le(e),
+            _ => Atom::ne(e),
+        }
+    }
+
+    /// The conjunctive path answers every conjunction of atoms exactly
+    /// as the DPLL(T) loop does (model, theory rounds and budget polls
+    /// included, under a live and an exhausted budget), and every
+    /// formula with a disjunction falls through to the loop.
+    #[test]
+    fn conjunctive_path_matches_dpllt() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::time::Duration;
+        let mut rng = StdRng::seed_from_u64(0xc0_4e11);
+        let (mut sat, mut unsat, mut refuted, mut folded) = (0, 0, 0, 0);
+        for case in 0..600 {
+            let mut atoms: Vec<Atom> = Vec::new();
+            for _ in 0..rng.gen_range(1usize..7) {
+                let pick = rng.gen_range(0u32..8);
+                let atom = match atoms.get(rng.gen_range(0..atoms.len().max(1))) {
+                    // A duplicate, sign-flipped when the relation allows.
+                    Some(prev) if pick == 0 => match prev.rel() {
+                        Rel::Le => prev.clone(),
+                        Rel::Eq => Atom::eq(-prev.expr().clone()),
+                        Rel::Ne => Atom::ne(-prev.expr().clone()),
+                    },
+                    // The negation: an `Eq` and a `Ne` on one key.
+                    Some(prev) if pick == 1 => prev.negate(),
+                    // An atom that folds to a constant.
+                    _ if pick == 2 => Atom::le(c(rng.gen_range(-1i64..=1))),
+                    _ => random_atom(&mut rng),
+                };
+                atoms.push(atom);
+            }
+            let nnf = Formula::conj(atoms.into_iter().map(Formula::atom));
+            let Some(lits) = conjunction_atoms(&nnf) else {
+                assert!(matches!(nnf, Formula::Const(_)), "case {case}: {nnf} fell through");
+                folded += 1;
+                continue;
+            };
+            // Fresh budgets per path: clones share one poll counter.
+            for timeout in [None, Some(Duration::ZERO)] {
+                let budget = || timeout.map_or_else(Budget::unlimited, Budget::with_timeout);
+                let fast = run_path(budget(), |s| s.solve_conj(&lits));
+                let slow = run_path(budget(), |s| s.solve_dpllt(&nnf));
+                assert_eq!(fast, slow, "case {case}: {nnf}");
+            }
+            match run_path(Budget::unlimited(), |s| s.solve_conj(&lits)) {
+                (SatResult::Sat(_), ..) => sat += 1,
+                (SatResult::Unsat, _, 0, _) => refuted += 1,
+                (SatResult::Unsat, ..) => unsat += 1,
+                (SatResult::Unknown, ..) => {}
+            }
+        }
+        assert!(
+            sat > 50 && unsat > 50 && refuted > 20 && folded > 20,
+            "weak inputs: {sat} sat, {unsat} unsat, {refuted} refuted, {folded} folded"
+        );
+
+        for case in 0..200 {
+            let mut f = Formula::atom(random_atom(&mut rng));
+            for _ in 0..rng.gen_range(1usize..5) {
+                let g = Formula::atom(random_atom(&mut rng));
+                f = match rng.gen_range(0u32..3) {
+                    0 => f.and(g),
+                    1 => f.or(g),
+                    _ => f.and(g).not(),
+                };
+            }
+            let nnf = f.to_nnf();
+            let mut has_or = false;
+            let mut stack = vec![&nnf];
+            while let Some(g) = stack.pop() {
+                match g {
+                    Formula::Or(_) => has_or = true,
+                    Formula::And(gs) => stack.extend(gs),
+                    _ => {}
+                }
+            }
+            assert_eq!(
+                conjunction_atoms(&nnf).is_none(),
+                has_or || nnf.is_true() || nnf.is_false(),
+                "case {case}: {nnf}"
+            );
+        }
     }
 
     #[test]

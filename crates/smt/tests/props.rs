@@ -54,6 +54,37 @@ fn gen_formula(rng: &mut StdRng, depth: u32) -> Formula {
     }
 }
 
+/// Random formula built with the raw constructors, so it also has the
+/// shapes the folding builders never make: connectives with no or one
+/// operand, nested connectives of one kind, constants below the root,
+/// constant atoms and stacked negations.
+fn gen_raw_formula(rng: &mut StdRng, depth: u32) -> Formula {
+    if depth == 0 || rng.gen_range(0u32..4) == 0 {
+        return match rng.gen_range(0u32..6) {
+            0 => Formula::Const(rng.gen_range(0u32..2) == 0),
+            1 => Formula::Atom(Atom::le(LinExpr::constant(rng.gen_range(-1i64..=1)))),
+            _ => Formula::Atom(gen_atom(rng)),
+        };
+    }
+    let kind = rng.gen_range(0u32..3);
+    let mut operands: Vec<Formula> =
+        (0..rng.gen_range(0usize..4)).map(|_| gen_raw_formula(rng, depth - 1)).collect();
+    match kind {
+        0 => Formula::And(operands),
+        1 => Formula::Or(operands),
+        _ => Formula::Not(Box::new(operands.pop().unwrap_or_else(|| gen_atom(rng).into()))),
+    }
+}
+
+/// Either kind of random formula, alternating by case.
+fn gen_any_formula(rng: &mut StdRng, case: usize) -> Formula {
+    if case.is_multiple_of(2) {
+        gen_formula(rng, 3)
+    } else {
+        gen_raw_formula(rng, 3)
+    }
+}
+
 /// Every grid assignment over `NVARS` variables.
 fn grid_points() -> impl Iterator<Item = [i64; 3]> {
     GRID.flat_map(|a| GRID.flat_map(move |b| GRID.map(move |c| [a, b, c])))
@@ -195,6 +226,46 @@ fn nnf_preserves_semantics() {
         let p = gen_point(&mut rng, 4);
         let assign = eval_at(&p);
         assert_eq!(f.eval(&assign), f.to_nnf().eval(&assign), "case {case}: {f} at {p:?}");
+    }
+}
+
+/// `is_nnf` holds exactly on the formulas `to_nnf` returns unchanged,
+/// and `to_nnf` is idempotent.
+#[test]
+fn is_nnf_marks_the_fixed_points_of_to_nnf() {
+    let mut rng = StdRng::seed_from_u64(0x5317_000a);
+    let (mut nnf_inputs, mut other_inputs) = (0, 0);
+    for case in 0..8 * CASES {
+        let f = gen_any_formula(&mut rng, case);
+        let nnf = f.to_nnf();
+        assert_eq!(f.is_nnf(), nnf == f, "case {case}: {f}");
+        assert_eq!(nnf.to_nnf(), nnf, "case {case}: {f}");
+        assert!(nnf.is_nnf(), "case {case}: {f}");
+        if f.is_nnf() {
+            nnf_inputs += 1;
+        } else {
+            other_inputs += 1;
+        }
+    }
+    assert!(nnf_inputs > CASES && other_inputs > CASES, "{nnf_inputs} vs {other_inputs}");
+}
+
+/// `entails` and `is_valid` build their query's NNF directly; the
+/// solver must memoize it under the same key, with the same answer,
+/// as the query built the plain way and normalized by `check`.
+#[test]
+fn entailment_queries_are_keyed_as_their_plain_form() {
+    let mut rng = StdRng::seed_from_u64(0x5317_000b);
+    for case in 0..2 * CASES {
+        let a = gen_any_formula(&mut rng, case);
+        let b = gen_any_formula(&mut rng, case + 1);
+        let (mut direct, mut plain) = (Solver::new(), Solver::new());
+        let entailed = direct.entails(&a, &b);
+        assert_eq!(entailed, !plain.is_sat(&a.clone().and(b.clone().not())), "case {case}");
+        assert_eq!(direct.entries(), plain.entries(), "case {case}: {a} |= {b}");
+        let (mut direct, mut plain) = (Solver::new(), Solver::new());
+        assert_eq!(direct.is_valid(&a), !plain.is_sat(&a.clone().not()), "case {case}");
+        assert_eq!(direct.entries(), plain.entries(), "case {case}: valid {a}");
     }
 }
 
