@@ -50,13 +50,14 @@
 //! With a cache directory, [`run_batch`] warm-starts (through
 //! [`warm_start`], the loader every entry point shares) from
 //! [`ABS_CACHE_FILE`] (atom-level entailment answers) and
-//! [`SOLVER_CACHE_FILE`] (formula-level solver answers), and writes
-//! both back — seed plus everything the run learned — on completion.
-//! Anything wrong with a cache file (corruption, truncation, a format
-//! or atom-encoding version bump) degrades to a logged cold start:
-//! the loaders in `circ_core::persist` / `circ_smt::persist` validate
-//! a checksum before any entry is trusted, so a damaged file can
-//! never smuggle in a wrong memoized verdict.
+//! [`PRED_STORE_FILE`] (discovered predicates), and writes both back —
+//! seed plus everything the run learned — on completion. Anything
+//! wrong with a cache file (corruption, truncation, a format or
+//! atom-encoding version bump) degrades to a logged cold start: the
+//! loaders in `circ_core` validate a checksum before any entry is
+//! trusted, so a damaged file can never smuggle in a wrong memoized
+//! verdict. A `solver.cache` left by an older version is never read
+//! and never rewritten.
 //!
 //! Determinism contract: every file is checked by the sequential
 //! engine against a frozen seed, learned entries are
@@ -82,7 +83,7 @@ pub use circ_stats::json as mjson;
 pub use circ_stats::json::escape as json_escape;
 
 use circ_core::{
-    circ_with_caches, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore, Property,
+    circ_with_cache, pred_store, AbsCache, AbsSeed, CircConfig, CircOutcome, PredStore, Property,
     SolverPersist, UnknownReason,
 };
 use circ_frontend::Compiled;
@@ -105,8 +106,6 @@ use std::time::{Duration, Instant};
 
 /// File name of the entailment-cache snapshot inside `--cache-dir`.
 pub const ABS_CACHE_FILE: &str = "abs.cache";
-/// File name of the solver-cache snapshot inside `--cache-dir`.
-pub const SOLVER_CACHE_FILE: &str = "solver.cache";
 /// File name of the predicate-store snapshot inside `--cache-dir`.
 pub const PRED_STORE_FILE: &str = "preds.store";
 
@@ -129,7 +128,7 @@ pub struct BatchConfig {
     pub timeout: Option<Duration>,
     /// Global accounted-memory budget in bytes, split the same way.
     pub mem_limit_bytes: Option<u64>,
-    /// Directory holding [`ABS_CACHE_FILE`] / [`SOLVER_CACHE_FILE`];
+    /// Directory holding [`ABS_CACHE_FILE`] (and [`PRED_STORE_FILE`]);
     /// loaded on start (cold start if absent or damaged) and written
     /// back on completion.
     pub cache_dir: Option<PathBuf>,
@@ -337,13 +336,8 @@ pub struct CacheSummary {
     pub dir: String,
     /// Entailment entries loaded as the warm seed.
     pub abs_seeded: usize,
-    /// Solver entries loaded as the warm seed.
-    pub solver_seeded: usize,
     /// Entailment entries written back (seed plus learned).
     pub abs_saved: usize,
-    /// Solver entries written back (seed plus learned, minus
-    /// non-persistable `Unknown` answers).
-    pub solver_saved: usize,
     /// Predicate-store entries loaded as the warm seed (0 when the
     /// store is disabled).
     pub preds_seeded: usize,
@@ -443,9 +437,7 @@ impl BatchReport {
             Obj::default()
                 .str("dir", &c.dir)
                 .u64("abs_seeded", c.abs_seeded as u64)
-                .u64("solver_seeded", c.solver_seeded as u64)
                 .u64("abs_saved", c.abs_saved as u64)
-                .u64("solver_saved", c.solver_saved as u64)
                 .u64("preds_seeded", c.preds_seeded as u64)
                 .u64("preds_saved", c.preds_saved as u64)
                 .finish()
@@ -539,7 +531,9 @@ pub fn collect_inputs(path: &Path) -> Result<Vec<PathBuf>, String> {
 pub struct LoadedCaches {
     /// Entailment-cache seed ([`ABS_CACHE_FILE`]), empty on cold start.
     pub abs_seed: AbsSeed,
-    /// Solver-cache seed ([`SOLVER_CACHE_FILE`]), empty on cold start.
+    /// Always empty: nothing persists solver answers any more. Kept
+    /// only for `perfbench/`, which hands it to
+    /// [`SolverPersist::with_seed`].
     pub solver_seed: Vec<(Formula, SatResult)>,
     /// Predicate-store seed ([`PRED_STORE_FILE`]) when it was asked
     /// for, empty on cold start.
@@ -560,7 +554,7 @@ impl LoadedCaches {
         &mut self,
         what: &str,
         path: &Path,
-        loaded: Result<Option<T>, circ_smt::PersistError>,
+        loaded: Result<Option<T>, circ_core::PersistError>,
     ) -> Option<T> {
         match loaded {
             Ok(Some(artifact)) => Some(artifact),
@@ -577,7 +571,7 @@ impl LoadedCaches {
     }
 }
 
-/// Loads both cache files, degrading each to an empty (cold) seed
+/// Loads the entailment cache, degrading it to an empty (cold) seed
 /// with a warning if the file is missing the right header, fails its
 /// checksum, or does not parse. A genuinely missing file is a silent
 /// cold start.
@@ -607,9 +601,6 @@ fn read_cache_dir(io: &circ_store::Store, dir: &Path, preds: bool) -> LoadedCach
     let path = dir.join(ABS_CACHE_FILE);
     let loaded = circ_core::persist::load_abs_cache_in(io, &path);
     out.abs_seed = out.degrade("cache", &path, loaded).unwrap_or_else(AbsSeed::empty);
-    let path = dir.join(SOLVER_CACHE_FILE);
-    let loaded = circ_smt::persist::load_solver_cache_in(io, &path);
-    out.solver_seed = out.degrade("cache", &path, loaded).unwrap_or_default();
     if preds {
         let path = dir.join(PRED_STORE_FILE);
         let loaded = pred_store::load_pred_store_in(io, &path);
@@ -622,10 +613,6 @@ fn read_cache_dir(io: &circ_store::Store, dir: &Path, preds: bool) -> LoadedCach
 pub struct WarmStart {
     /// Entailment-cache seed, empty on cold start.
     pub abs_seed: AbsSeed,
-    /// Solver-answer store: seeded and active with a cache directory
-    /// (active even when empty, so the run collects what it learns),
-    /// inert without one.
-    pub persist: SolverPersist,
     /// Predicate-store seed: `Some` (possibly empty) when the store is
     /// enabled and a cache directory is active, `None` otherwise.
     pub preds: Option<PredStore>,
@@ -651,13 +638,12 @@ impl WarmStart {
     }
 
     /// Persists a run's end state to `dir`: the master entailment
-    /// `cache` (seeded from this start), this start's solver store,
-    /// and `preds`, the run's predicate store after merging. A run
-    /// that started clean and learned nothing (no entailment entry
-    /// beyond the seed, no new solver formula, a predicate store equal
-    /// to the loaded one) would only rewrite what it loaded, so it
-    /// skips the lock, the re-read and every write, and reports the
-    /// loaded counts as saved. Skipping also leaves alone whatever a
+    /// `cache` (seeded from this start) and `preds`, the run's
+    /// predicate store after merging. A run that started clean and
+    /// learned nothing (no entailment entry beyond the seed, a
+    /// predicate store equal to the loaded one) would only rewrite
+    /// what it loaded, so it skips the lock, the re-read and every
+    /// write, and reports the loaded counts as saved. Skipping also leaves alone whatever a
     /// peer sharing `dir` wrote since the load. Any other run takes
     /// the locked read-merge-write of [`flush_caches_in`].
     pub fn flush(
@@ -667,29 +653,25 @@ impl WarmStart {
         cache: &AbsCache,
         preds: Option<&PredStore>,
     ) -> FlushOutcome {
-        let learned_nothing = cache.local_len() == 0
-            && self.persist.len() == self.persist.seed_len()
-            && preds == self.preds.as_ref();
-        if self.clean && learned_nothing {
+        if self.clean && cache.local_len() == 0 && preds == self.preds.as_ref() {
             return FlushOutcome {
                 abs_saved: self.abs_seed.len(),
-                solver_saved: self.persist.seed_len(),
                 preds_saved: preds.map_or(0, PredStore::len),
                 flush_errors: 0,
                 warnings: Vec::new(),
             };
         }
-        flush_caches_in(io, dir, &cache.snapshot(), &self.persist, preds)
+        flush_caches_in(io, dir, &cache.snapshot(), &SolverPersist::inert(), preds)
     }
 }
 
 /// The one warm start `circ check`, `circ batch`, its isolated
 /// children and `circ serve` share. With `dir`: sweep stale staging
 /// files first (when `sweep`; an isolated child passes `false` so
-/// worker-side loads stay read-only), load both cache snapshots and,
-/// when `preds`, the predicate store. Any damaged artifact degrades to
+/// worker-side loads stay read-only), load the entailment-cache
+/// snapshot and, when `preds`, the predicate store. Any damaged artifact degrades to
 /// a cold seed with a warning and a recovery. Without `dir` the start
-/// is cold: empty seeds, an inert solver store, no predicate store.
+/// is cold: an empty seed, no predicate store.
 pub fn warm_start(
     io: &circ_store::Store,
     dir: Option<&Path>,
@@ -699,7 +681,6 @@ pub fn warm_start(
     let Some(dir) = dir else {
         return WarmStart {
             abs_seed: AbsSeed::empty(),
-            persist: SolverPersist::inert(),
             preds: None,
             warnings: Vec::new(),
             recovered: 0,
@@ -711,7 +692,6 @@ pub fn warm_start(
     warnings.extend(loaded.warnings);
     WarmStart {
         abs_seed: loaded.abs_seed,
-        persist: SolverPersist::with_seed(loaded.solver_seed),
         preds: loaded.preds,
         warnings,
         recovered: swept + loaded.recovered,
@@ -723,8 +703,6 @@ pub fn warm_start(
 pub struct FlushOutcome {
     /// Entries in the merged entailment cache on disk after the flush.
     pub abs_saved: usize,
-    /// Entries in the merged solver cache (`Unknown` is never persisted).
-    pub solver_saved: usize,
     /// Entries in the merged predicate store (0 when the store is off).
     pub preds_saved: usize,
     /// Failed persistence steps: lock acquisition or artifact writes.
@@ -765,20 +743,18 @@ fn merge_abs_seeds(disk: &AbsSeed, ours: &AbsSeed) -> AbsSeed {
 /// into [`FlushOutcome::flush_errors`]. A *damaged* on-disk artifact
 /// found during the re-read is simply replaced by our complete
 /// snapshot — that is the recovery, not an error.
+///
+/// `_persist` is ignored; it stays for `perfbench/` (see
+/// [`SolverPersist`]).
 pub fn flush_caches_in(
     io: &circ_store::Store,
     dir: &Path,
     snapshot: &AbsSeed,
-    persist: &SolverPersist,
+    _persist: &SolverPersist,
     preds: Option<&PredStore>,
 ) -> FlushOutcome {
-    let mut out = FlushOutcome {
-        abs_saved: 0,
-        solver_saved: 0,
-        preds_saved: 0,
-        flush_errors: 0,
-        warnings: Vec::new(),
-    };
+    let mut out =
+        FlushOutcome { abs_saved: 0, preds_saved: 0, flush_errors: 0, warnings: Vec::new() };
     let _lock = match io.lock_dir(dir) {
         Ok(lock) => lock,
         Err(e) => {
@@ -806,19 +782,6 @@ pub fn flush_caches_in(
     if save(&dir.join(ABS_CACHE_FILE), &circ_core::persist::render_abs_cache(&merged_abs), &mut out)
     {
         out.abs_saved = merged_abs.len();
-    }
-
-    let solver_path = dir.join(SOLVER_CACHE_FILE);
-    // Ours first: the store keeps a formula's first result, and the
-    // solver is deterministic, so the order only breaks ties between
-    // identical values.
-    let merged_solver = SolverPersist::with_seed(persist.merged_entries());
-    merged_solver.absorb(disk.solver_seed);
-    let merged_solver_entries = merged_solver.merged_entries();
-    if save(&solver_path, &circ_smt::persist::render_solver_cache(&merged_solver_entries), &mut out)
-    {
-        out.solver_saved =
-            merged_solver_entries.iter().filter(|(_, r)| !matches!(r, SatResult::Unknown)).count();
     }
 
     if let (Some(ours), Some(mut merged)) = (preds, disk.preds) {
@@ -854,8 +817,6 @@ pub struct CheckCtx<'a> {
     /// shared warm master (serve) — per-run counters are deltas either
     /// way.
     pub cache: &'a AbsCache,
-    /// Solver-answer store shared across the run.
-    pub persist: &'a SolverPersist,
     /// Predicate-store seed to warm-start refinement from.
     pub pred_seed: Option<&'a PredStore>,
     /// Fault plan for this attempt (reseeded by the caller from the
@@ -987,7 +948,7 @@ pub fn check_compiled(name: &str, compiled: &Compiled, ctx: &CheckCtx) -> Checke
                 let prior = ctx
                     .pred_seed
                     .and_then(|s| pred_store::seed_config(s, cfa_digest, config_fp, &mut var_cfg));
-                let outcome = circ_with_caches(&program, &var_cfg, ctx.cache, ctx.persist);
+                let outcome = circ_with_cache(&program, &var_cfg, ctx.cache);
                 pipeline = outcome.stats().pipeline.clone();
                 pipeline.triage_fallthrough = u64::from(ctx.config.triage);
                 if let Some(prior_rounds) = prior {
@@ -1072,15 +1033,13 @@ pub fn check_file(
         }
     };
     let cache = warm.file_cache(config.use_cache);
-    let (persist, pred_seed) = (&warm.persist, warm.preds.as_ref());
     let ctx = CheckCtx {
         config,
         circ,
         file_timeout,
         file_mem,
         cache: &cache,
-        persist,
-        pred_seed,
+        pred_seed: warm.preds.as_ref(),
         faults,
     };
     (check_source(&file, &src, &ctx), cache)
@@ -1516,9 +1475,7 @@ pub fn run_batch(inputs: &[PathBuf], config: &BatchConfig) -> BatchReport {
         CacheSummary {
             dir: dir.display().to_string(),
             abs_seeded: warm.abs_seed.len(),
-            solver_seeded: warm.persist.seed_len(),
             abs_saved: outcome.abs_saved,
-            solver_saved: outcome.solver_saved,
             preds_seeded,
             preds_saved: outcome.preds_saved,
         }
@@ -1657,9 +1614,7 @@ mod tests {
         let cache = CacheSummary {
             dir: "/tmp/c \"x\"".into(),
             abs_seeded: 1,
-            solver_seeded: 2,
             abs_saved: 3,
-            solver_saved: 4,
             preds_seeded: 5,
             preds_saved: 6,
         };
@@ -1693,8 +1648,8 @@ mod tests {
             // The totals pipeline is the golden row's plus one recovery.
             &ROW_PIPELINE_GOLDEN.replace(r#""store_recoveries":25"#, r#""store_recoveries":26"#),
             r#"},"quarantine":["b.nesl"],"#,
-            r#""cache":{"dir":"/tmp/c \"x\"","abs_seeded":1,"solver_seeded":2,"abs_saved":3,"#,
-            r#""solver_saved":4,"preds_seeded":5,"preds_saved":6},"exit":1}"#,
+            r#""cache":{"dir":"/tmp/c \"x\"","abs_seeded":1,"abs_saved":3,"#,
+            r#""preds_seeded":5,"preds_saved":6},"exit":1}"#,
         ];
         assert_eq!(report.to_json(), want.concat());
     }
@@ -1786,7 +1741,7 @@ mod tests {
         assert_eq!(cold_cache.abs_seeded, 0);
         assert!(cold_cache.abs_saved > 0, "a safe proof must learn entailments");
         assert!(cache_dir.join(ABS_CACHE_FILE).is_file());
-        assert!(cache_dir.join(SOLVER_CACHE_FILE).is_file());
+        assert!(!cache_dir.join("solver.cache").exists());
 
         let warm = run_batch(&inputs, &cfg);
         assert_eq!(warm.exit, 0);

@@ -1,5 +1,5 @@
 //! Corruption torture over every persisted artifact — the entailment
-//! cache, the solver cache, the predicate store, and the journal —
+//! cache, the predicate store, and the journal —
 //! plus the read-merge-write pin for shared cache directories.
 //!
 //! Single contract: no damaged byte on disk may ever flip a verdict.
@@ -11,12 +11,11 @@
 use circ_batch::journal;
 use circ_batch::{
     flush_caches_in, load_caches_in, run_batch, warm_start, BatchConfig, FileRow, Verdict,
-    ABS_CACHE_FILE, PRED_STORE_FILE, SOLVER_CACHE_FILE,
+    ABS_CACHE_FILE, PRED_STORE_FILE,
 };
 use circ_core::pred_store::{self, PredStore, StoredPreds};
 use circ_core::{persist as abs_persist, AbsSeed, SolverPersist};
-use circ_smt::persist as smt_persist;
-use circ_smt::{Atom, Formula, LinExpr, SVar, SatResult};
+use circ_smt::{Atom, LinExpr, SVar};
 use circ_store::Store;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,13 +41,6 @@ fn abs_seed(tag: u32) -> AbsSeed {
     )
 }
 
-fn solver_entries(tag: u32) -> Vec<(Formula, SatResult)> {
-    vec![
-        (Formula::Atom(Atom::eq(var(tag))), SatResult::Sat(Default::default())),
-        (Formula::Atom(Atom::le(var(tag + 1))), SatResult::Unsat),
-    ]
-}
-
 fn pred_entry(tag: u64) -> PredStore {
     let mut store = PredStore::new();
     store.record(tag, 7, StoredPreds { preds: Vec::new(), k: 2, rounds: tag, context: None });
@@ -58,19 +50,14 @@ fn pred_entry(tag: u64) -> PredStore {
 /// Writes one valid copy of every artifact into `dir`.
 fn seed_artifacts(dir: &Path) {
     let io = Store::real();
-    let outcome = flush_caches_in(
-        &io,
-        dir,
-        &abs_seed(0),
-        &SolverPersist::with_seed(solver_entries(0)),
-        Some(&pred_entry(1)),
-    );
+    let outcome =
+        flush_caches_in(&io, dir, &abs_seed(0), &SolverPersist::inert(), Some(&pred_entry(1)));
     assert_eq!(outcome.flush_errors, 0, "{:?}", outcome.warnings);
 }
 
 /// Every artifact loader must reject every single-bit flip and every
 /// truncation of its file — never silently accept damaged warm-start
-/// state. One loop over all three snapshot artifacts keeps the suite
+/// state. One loop over both snapshot artifacts keeps the suite
 /// in lockstep: a new artifact added to the flush path gets cover by
 /// joining this list.
 #[test]
@@ -86,9 +73,8 @@ fn every_bit_flip_and_truncation_is_rejected_for_every_artifact() {
     let dir = fresh_dir("corruption-flips");
     seed_artifacts(&dir);
     type Rejects = fn(&str) -> bool;
-    let artifacts: [(&str, Rejects); 3] = [
+    let artifacts: [(&str, Rejects); 2] = [
         (ABS_CACHE_FILE, |text| abs_persist::parse_abs_cache(text).is_err()),
-        (SOLVER_CACHE_FILE, |text| smt_persist::parse_solver_cache(text).is_err()),
         (PRED_STORE_FILE, |text| pred_store::parse_pred_store(text).is_err()),
     ];
     for (name, rejects) in artifacts {
@@ -122,18 +108,19 @@ fn damaged_artifacts_degrade_to_counted_cold_starts() {
     let clean = load_caches_in(&io, &dir);
     assert_eq!((clean.recovered, clean.warnings.len()), (0, 0), "{:?}", clean.warnings);
     assert!(!clean.abs_seed.is_empty());
-    assert!(!clean.solver_seed.is_empty());
 
-    // Damage the solver cache only: its seed cold-starts with a
-    // warning, the abs seed still loads warm.
-    let solver_path = dir.join(SOLVER_CACHE_FILE);
-    let text = fs::read_to_string(&solver_path).unwrap();
-    fs::write(&solver_path, &text[..text.len() / 2]).unwrap();
+    // Damage the entailment cache only: its seed cold-starts with a
+    // warning, the predicate store still loads warm.
+    let abs_path = dir.join(ABS_CACHE_FILE);
+    let text = fs::read_to_string(&abs_path).unwrap();
+    fs::write(&abs_path, &text[..text.len() / 2]).unwrap();
     let loaded = load_caches_in(&io, &dir);
     assert_eq!(loaded.recovered, 1);
-    assert!(loaded.solver_seed.is_empty());
-    assert!(!loaded.abs_seed.is_empty(), "healthy sibling must still load warm");
-    assert!(loaded.warnings.iter().any(|w| w.contains(SOLVER_CACHE_FILE)), "{:?}", loaded.warnings);
+    assert!(loaded.abs_seed.is_empty());
+    assert!(loaded.warnings.iter().any(|w| w.contains(ABS_CACHE_FILE)), "{:?}", loaded.warnings);
+    let warm = warm_start(&io, Some(&dir), true, true);
+    assert_eq!(warm.recovered, 1, "{:?}", warm.warnings);
+    assert!(warm.preds.is_some_and(|p| !p.is_empty()), "healthy sibling must still load warm");
 }
 
 /// The shared warm start degrades a damaged predicate store the same
@@ -154,7 +141,6 @@ fn warm_start_degrades_a_garbage_pred_store_to_an_empty_one() {
     assert!(warm.warnings[0].starts_with("ignoring predicate store"), "{:?}", warm.warnings);
     assert!(warm.warnings[0].contains(PRED_STORE_FILE), "{:?}", warm.warnings);
     assert!(!warm.abs_seed.is_empty(), "healthy sibling must still load warm");
-    assert!(warm.persist.seed_len() > 0, "healthy sibling must still load warm");
 
     let off = warm_start(&Store::real(), Some(&dir), false, true);
     assert!(off.preds.is_none());
@@ -211,36 +197,23 @@ fn two_disjoint_flushes_union_instead_of_clobbering() {
     let dir = fresh_dir("corruption-merge");
     let io = Store::real();
 
-    let a = flush_caches_in(
-        &io,
-        &dir,
-        &abs_seed(0),
-        &SolverPersist::with_seed(solver_entries(0)),
-        Some(&pred_entry(1)),
-    );
+    let a = flush_caches_in(&io, &dir, &abs_seed(0), &SolverPersist::inert(), Some(&pred_entry(1)));
     assert_eq!(a.flush_errors, 0, "{:?}", a.warnings);
     // Flush B deliberately starts from different entries — the state
     // of a concurrent process that loaded before A flushed.
-    let b = flush_caches_in(
-        &io,
-        &dir,
-        &abs_seed(10),
-        &SolverPersist::with_seed(solver_entries(10)),
-        Some(&pred_entry(2)),
-    );
+    let b =
+        flush_caches_in(&io, &dir, &abs_seed(10), &SolverPersist::inert(), Some(&pred_entry(2)));
     assert_eq!(b.flush_errors, 0, "{:?}", b.warnings);
 
     let merged = load_caches_in(&io, &dir);
     assert_eq!(merged.recovered, 0, "{:?}", merged.warnings);
     assert_eq!(merged.abs_seed.len(), abs_seed(0).len() + abs_seed(10).len());
-    assert_eq!(merged.solver_seed.len(), solver_entries(0).len() + solver_entries(10).len());
     let preds = pred_store::load_pred_store(&dir.join(PRED_STORE_FILE)).unwrap().unwrap();
     assert_eq!(preds.len(), 2, "predicate stores must merge, not clobber");
     assert!(preds.lookup(1, 7).is_some() && preds.lookup(2, 7).is_some());
 
     // And the reported counts are the merged totals.
     assert_eq!(b.abs_saved, merged.abs_seed.len());
-    assert_eq!(b.solver_saved, merged.solver_seed.len());
     assert_eq!(b.preds_saved, 2);
 }
 
@@ -269,7 +242,7 @@ fn batch_run_over_damaged_cache_dir_keeps_its_verdicts() {
 
     let damaged_dir = fresh_dir("corruption-damaged-cache");
     seed_artifacts(&damaged_dir);
-    for name in [ABS_CACHE_FILE, SOLVER_CACHE_FILE, PRED_STORE_FILE] {
+    for name in [ABS_CACHE_FILE, PRED_STORE_FILE] {
         let path = damaged_dir.join(name);
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, text.replace("sum=", "sun=")).unwrap();
@@ -284,6 +257,6 @@ fn batch_run_over_damaged_cache_dir_keeps_its_verdicts() {
             .collect::<Vec<_>>()
     };
     assert_eq!(fix(verdicts(&reference)), fix(verdicts(&damaged)));
-    assert_eq!(damaged.totals.pipeline.store_recoveries, 3);
-    assert_eq!(damaged.warnings.len(), 3, "{:?}", damaged.warnings);
+    assert_eq!(damaged.totals.pipeline.store_recoveries, 2);
+    assert_eq!(damaged.warnings.len(), 2, "{:?}", damaged.warnings);
 }

@@ -94,12 +94,9 @@ fn seed_all_but_held_out(inputs: &[PathBuf], name: &str, jobs: usize) -> PathBuf
     dir
 }
 
-/// The bytes of the three persisted artifacts.
+/// The bytes of the two persisted artifacts.
 fn artifacts(dir: &Path) -> Vec<Vec<u8>> {
-    ["abs.cache", "solver.cache", "preds.store"]
-        .iter()
-        .map(|n| fs::read(dir.join(n)).unwrap_or_default())
-        .collect()
+    ["abs.cache", "preds.store"].iter().map(|n| fs::read(dir.join(n)).unwrap_or_default()).collect()
 }
 
 fn tmp_litter(dir: &Path) -> Vec<String> {
@@ -215,14 +212,14 @@ fn enospc_during_flush_degrades_to_logged_no_persist() {
     let reference_dir = fresh_dir("torture-enospc-reference");
     let reference = run_batch(&inputs, &config(&reference_dir, FaultPlan::inert(), 1));
     let dir = seed_all_but_held_out(&inputs, "torture-enospc", 1);
-    let before: Vec<(String, String)> = ["abs.cache", "solver.cache", "preds.store"]
+    let before: Vec<(String, String)> = ["abs.cache", "preds.store"]
         .iter()
         .map(|n| (n.to_string(), fs::read_to_string(dir.join(n)).unwrap()))
         .collect();
 
     // Arm NoSpace from the fourth write event on: the four journal
     // appends (one per corpus file) come first, then the flush's
-    // three artifact writes all hit the full disk.
+    // two artifact writes both hit the full disk.
     let crashed = run_batch(
         &inputs,
         &config(&dir, FaultPlan::seeded(21).with_io_fault(IoFaultPoint::NoSpace, 4), 1),

@@ -6,7 +6,7 @@
 
 use circ_batch::{
     collect_inputs, flush_caches_in, load_caches, run_batch, BatchConfig, BatchReport,
-    ABS_CACHE_FILE, PRED_STORE_FILE, SOLVER_CACHE_FILE,
+    ABS_CACHE_FILE, PRED_STORE_FILE,
 };
 use circ_core::pred_store::{self, PredStore};
 use circ_core::SolverPersist;
@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-const ARTIFACTS: [&str; 3] = [ABS_CACHE_FILE, SOLVER_CACHE_FILE, PRED_STORE_FILE];
+const ARTIFACTS: [&str; 2] = [ABS_CACHE_FILE, PRED_STORE_FILE];
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -70,7 +70,7 @@ fn tick() {
 
 fn saved_equals_seeded(report: &BatchReport) -> bool {
     let c = report.cache.as_ref().expect("cache dir was set");
-    (c.abs_saved, c.solver_saved, c.preds_saved) == (c.abs_seeded, c.solver_seeded, c.preds_seeded)
+    (c.abs_saved, c.preds_saved) == (c.abs_seeded, c.preds_seeded)
 }
 
 #[test]
@@ -111,13 +111,63 @@ fn a_warm_run_over_a_new_file_rewrites_and_merges() {
     let warm = run_batch(&inputs, &config(&dir, 1));
     let c = warm.cache.as_ref().unwrap();
     assert!(c.abs_saved > c.abs_seeded, "{c:?}");
-    assert!(c.solver_saved > c.solver_seeded, "{c:?}");
     assert!(c.preds_saved > c.preds_seeded, "{c:?}");
     assert_eq!(changed(&dir, &before), ARTIFACTS.to_vec(), "every artifact is rewritten");
     for (name, old) in ARTIFACTS.iter().zip(&old) {
         let merged = entries(&dir, name);
         assert!(old.iter().all(|e| merged.contains(e)), "{name} lost an entry in the merge");
         assert!(merged.len() > old.len(), "{name} gained no entry");
+    }
+}
+
+/// Directories written before solver answers stopped being persisted
+/// still hold a `solver.cache`. Whether it is intact or garbage, it is
+/// never read (no warning, no recovery) and never rewritten, the
+/// verdicts equal a cold run's, and a warm run over such a directory
+/// still leaves the live artifacts untouched.
+#[test]
+fn a_legacy_solver_cache_is_neither_read_nor_rewritten() {
+    let inputs = examples();
+    let verdicts = |r: &BatchReport| r.rows.iter().map(|x| x.verdict).collect::<Vec<_>>();
+    let cold = run_batch(&inputs, &BatchConfig::default());
+    let dir = fresh_dir("warm-flush-legacy-solver");
+    let warmup = run_batch(&inputs, &config(&dir, 1));
+    assert_eq!(verdicts(&warmup), verdicts(&cold));
+    let mut written: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| !n.starts_with('.'))
+        .collect();
+    written.sort();
+    assert_eq!(written, ARTIFACTS, "a cold run wrote something besides the two artifacts");
+    let legacy = dir.join("solver.cache");
+
+    // The old envelope and line syntax: an NNF key, then `U` (unsat)
+    // or `S n (svar val)*n` (a model).
+    let valid = circ_core::persist::render_cache_file(
+        "circ-solver-cache",
+        1,
+        vec!["& 2 A = 1 0 1 0 A = 1 0 1 -1 U".into(), "A < 1 2 1 -3 S 1 2 0".into()],
+    );
+    for (case, text) in [("valid", valid.as_str()), ("garbage", "not a cache\n\x00")] {
+        fs::write(&legacy, text).unwrap();
+        let loaded = load_caches(&dir);
+        assert_eq!(
+            (loaded.recovered, loaded.warnings.len()),
+            (0, 0),
+            "{case}: {:?}",
+            loaded.warnings
+        );
+        assert!(loaded.solver_seed.is_empty(), "{case}");
+        let before = stamps(&dir);
+        tick();
+        let warm = run_batch(&inputs, &config(&dir, 1));
+        assert_eq!(verdicts(&warm), verdicts(&cold), "{case}");
+        assert_eq!(warm.totals.pipeline.store_recoveries, 0, "{case}");
+        assert!(warm.warnings.is_empty(), "{case}: {:?}", warm.warnings);
+        assert_eq!(changed(&dir, &before), Vec::<&str>::new(), "{case}");
+        assert_eq!(fs::read(&legacy).unwrap(), text.as_bytes(), "{case}: legacy file rewritten");
     }
 }
 
@@ -136,7 +186,7 @@ fn a_run_that_learns_only_predicates_still_flushes() {
     tick();
     let run = run_batch(&inputs, &config(&dir, 1));
     let c = run.cache.as_ref().unwrap();
-    assert_eq!((c.abs_saved, c.solver_saved), (c.abs_seeded, c.solver_seeded), "{c:?}");
+    assert_eq!(c.abs_saved, c.abs_seeded, "{c:?}");
     assert!(c.preds_saved > c.preds_seeded, "{c:?}");
     assert!(changed(&dir, &before).contains(&PRED_STORE_FILE), "the new entries were not saved");
     assert_eq!(entries(&dir, PRED_STORE_FILE).len(), c.preds_saved);
@@ -228,7 +278,7 @@ fn a_no_op_run_keeps_a_peers_predicate_store_update() {
         &Store::real(),
         &peer_dir,
         &peer_caches.abs_seed,
-        &SolverPersist::with_seed(peer_caches.solver_seed),
+        &SolverPersist::inert(),
         Some(&peer),
     );
     assert_eq!(flushed.flush_errors, 0, "{:?}", flushed.warnings);

@@ -104,7 +104,8 @@ const HELP: &str = "circ — race checking by context inference (PLDI 2004 repro
          `--stats` prints per-phase counters, cache hit rates, and wall-time\n\
          spans after each verdict; `--json` prints them as one JSON line\n\
          instead (implies `--stats`); `--no-cache` disables the entailment\n\
-         and solver caches (same verdict, useful for timing differentials);\n\
+         cache and the solver's in-run memo (same verdict, useful for timing\n\
+         differentials);\n\
          `--jobs N` (`batch`, `serve`) checks N files at once (0 = all cores,\n\
          default 1); each check runs on one thread, so verdicts and\n\
          statistics are identical at any setting;\n\
@@ -112,7 +113,7 @@ const HELP: &str = "circ — race checking by context inference (PLDI 2004 repro
          accounted memory, split evenly across race variables for `check`\n\
          and across files and then variables for `batch` — on exhaustion\n\
          the verdict is INCONCLUSIVE with partial statistics and exit code 3;\n\
-         `--cache-dir DIR` persists the entailment and solver caches across\n\
+         `--cache-dir DIR` persists the entailment cache (abs.cache) across\n\
          runs: loaded on start (a damaged file degrades to a logged cold\n\
          start), written back on exit unless the run learned nothing from\n\
          an intact directory. `--k N` (N >= 1) sets the initial\n\
@@ -523,7 +524,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
         file_timeout,
         file_mem,
         cache: &cache,
-        persist: &warm.persist,
         pred_seed: warm.preds.as_ref(),
         faults: &cfg.faults,
     };

@@ -3,15 +3,21 @@
 //! (havoc into a labeled ACFA location), per §3.4.
 //!
 //! Abstract data states are [`Cube`]s over the current [`PredSet`].
-//! Each post-image question is answered with entailment queries to
-//! the `circ-smt` layer:
+//! Each post-image question is a satisfiability or entailment query
+//! over a conjunction of LIA atoms, answered by the shared
+//! [`AbsCache`]:
 //!
 //! * `post_assign`: for every predicate `p`, does
 //!   `cube ∧ x′ = e ⊨ p′` (assign true) or `⊨ ¬p′` (assign false)?
-//! * `post_assume`: is `cube ∧ b` satisfiable, and which predicates
-//!   does it decide?
+//! * `post_assume`: the guard `b` splits into its disjuncts `dᵢ`; is
+//!   some `cube ∧ dᵢ` satisfiable, and which predicates does every
+//!   satisfiable one decide?
 //! * `post_context`: drop predicates touched by the havoc set, meet
 //!   with the target location's label, discard unsatisfiable cubes.
+//!
+//! Only [`AbsCtx::region_contained`], whose goal is a disjunction of
+//! cubes, asks the formula-level `circ-smt` [`Solver`], which memoizes
+//! in memory for the context's lifetime.
 //!
 //! Results are memoized per `(cube, operation)` — the same abstract
 //! states recur across the many reachability runs of CIRC's nested
@@ -19,7 +25,8 @@
 //! (see [`AbsCtx::context_target`]), so its memo key is the cube plus
 //! that id.
 
-use crate::cache::AbsCache;
+use crate::cache::{AbsCache, Premises};
+use crate::persist::SolverPersist;
 use crate::preds::PredSet;
 use circ_acfa::{Cube, PredIx, Region};
 use circ_ir::{BoolExpr, Cfa, EdgeId, Expr, Op, Var};
@@ -50,8 +57,8 @@ pub struct TargetId(u32);
 ///
 /// Every query method takes `&self`; the solver and the post-image
 /// memos sit behind `RefCell`s. A context belongs to one outer round
-/// of one run on one thread. No borrow is held across a solver call:
-/// a memo is read, released, computed into, then written.
+/// of one run on one thread. No borrow is held across a query: a memo
+/// is read, released, computed into, then written.
 pub struct AbsCtx {
     cfa: Arc<Cfa>,
     preds: PredSet,
@@ -69,23 +76,6 @@ pub struct AbsCtx {
     /// interns them.
     targets: RefCell<Vec<(BTreeSet<Var>, Region)>>,
     target_ids: Memo<(BTreeSet<Var>, Region), TargetId>,
-    /// Persistence store this context's solver reads its seed from.
-    /// On drop, the entries the solver solved itself are
-    /// absorbed into it (seed hits never are: the solver does not copy
-    /// them) — `Drop` rather than an explicit hook because a context
-    /// retires on many paths (every verdict return, plus panic
-    /// unwinding) and absorption must happen exactly once on all of
-    /// them. Inert (and absorption a no-op) unless constructed via
-    /// [`AbsCtx::with_parts`].
-    solver_persist: circ_smt::SolverPersist,
-}
-
-impl Drop for AbsCtx {
-    fn drop(&mut self) {
-        if self.solver_persist.is_active() {
-            self.solver_persist.absorb(self.solver.get_mut().entries());
-        }
-    }
 }
 
 impl AbsCtx {
@@ -103,6 +93,19 @@ impl AbsCtx {
         AbsCtx::with_cache_and_budget(cfa, preds, cache, circ_governor::Budget::unlimited())
     }
 
+    /// [`AbsCtx::with_cache_and_budget`] for `perfbench/`, which
+    /// still passes a [`SolverPersist`]; the store is ignored (see its
+    /// docs).
+    pub fn with_parts(
+        cfa: Arc<Cfa>,
+        preds: PredSet,
+        cache: AbsCache,
+        budget: circ_governor::Budget,
+        _solver_persist: &SolverPersist,
+    ) -> AbsCtx {
+        AbsCtx::with_cache_and_budget(cfa, preds, cache, budget)
+    }
+
     /// [`AbsCtx::with_cache`] with a resource budget handed to the
     /// underlying solver: the DPLL(T) loop polls it per theory round
     /// (degrading to `Unknown` on exhaustion) and formula-cache
@@ -113,21 +116,6 @@ impl AbsCtx {
         cache: AbsCache,
         budget: circ_governor::Budget,
     ) -> AbsCtx {
-        AbsCtx::with_parts(cfa, preds, cache, budget, &circ_smt::SolverPersist::inert())
-    }
-
-    /// [`AbsCtx::with_cache_and_budget`] additionally warm-starting
-    /// this context's solver from a persistence store's frozen seed
-    /// (see [`circ_smt::SolverPersist`]). The solver reads through to
-    /// the seed without copying it; what the round's solver learns is
-    /// absorbed back into the store when the context retires.
-    pub fn with_parts(
-        cfa: Arc<Cfa>,
-        preds: PredSet,
-        cache: AbsCache,
-        budget: circ_governor::Budget,
-        solver_persist: &circ_smt::SolverPersist,
-    ) -> AbsCtx {
         let pred_atoms = preds
             .indices()
             .map(|i| translate::atom_of_pred(preds.pred(i), &mut pre).ok())
@@ -135,7 +123,6 @@ impl AbsCtx {
         let mut solver = Solver::new();
         solver.set_cache_enabled(cache.is_enabled());
         solver.set_budget(budget);
-        solver.set_seed(solver_persist.clone());
         AbsCtx {
             cfa,
             preds,
@@ -147,7 +134,6 @@ impl AbsCtx {
             context_cache: RefCell::default(),
             targets: RefCell::default(),
             target_ids: RefCell::default(),
-            solver_persist: solver_persist.clone(),
         }
     }
 
@@ -171,17 +157,6 @@ impl AbsCtx {
     /// Counter snapshot of this context's solver handle.
     pub fn solver_counters(&self) -> circ_stats::SolverCounters {
         self.solver.borrow().counters()
-    }
-
-    /// Decides `f` with this context's solver; the borrow ends with
-    /// the call.
-    fn is_sat(&self, f: &Formula) -> bool {
-        self.solver.borrow_mut().is_sat(f)
-    }
-
-    /// Does `a` entail `b`, by this context's solver?
-    fn entails(&self, a: &Formula, b: &Formula) -> bool {
-        self.solver.borrow_mut().entails(a, b)
     }
 
     /// The shared atom-level cache handle.
@@ -283,15 +258,25 @@ impl AbsCtx {
     }
 
     /// Cartesian abstract post of `assume b`; `None` if blocked.
+    ///
+    /// `cube ∧ b` is the disjunction of `cube ∧ dᵢ` over the disjuncts
+    /// `dᵢ` of `b`, each a conjunction of atoms. It is unsatisfiable
+    /// when every `cube ∧ dᵢ` is, and entails `p` when every
+    /// satisfiable one does (an unsatisfiable one entails anything).
     fn post_assume(&self, cube: &Cube, b: &BoolExpr) -> Option<Cube> {
-        let cube_f = Formula::conj(self.cube_atoms(cube).into_iter().map(Formula::atom));
         // Frontends keep assume guards linear and deterministic, but a
         // guard outside that fragment must not abort the analysis:
         // treat it as `true` (the edge stays enabled and decides no
         // predicates), a sound over-approximation.
         let guard = translate::formula_of_bool(b, &mut pre).unwrap_or_else(|_| Formula::tru());
-        let pre_f = cube_f.and(guard);
-        if !self.is_sat(&pre_f) {
+        let cube_atoms = self.cube_atoms(cube);
+        let sat: Vec<Premises<'_>> = guard
+            .dnf()
+            .into_iter()
+            .map(|d| self.cache.premises(&[&cube_atoms[..], &d].concat()))
+            .filter(Premises::is_sat)
+            .collect();
+        if sat.is_empty() {
             return None;
         }
         let mut out = Cube::top(self.preds.len());
@@ -301,13 +286,16 @@ impl AbsCtx {
                 out.set(i, v);
                 continue;
             }
-            let Some(p_atom) = self.pred_atoms[i.index()].clone() else {
+            let Some(p_atom) = &self.pred_atoms[i.index()] else {
                 continue;
             };
-            if self.entails(&pre_f, &Formula::atom(p_atom.clone())) {
+            if sat.iter().all(|d| d.entails(p_atom)) {
                 out.set(i, true);
-            } else if self.entails(&pre_f, &Formula::atom(p_atom.negate())) {
-                out.set(i, false);
+            } else {
+                let not_p = p_atom.negate();
+                if sat.iter().all(|d| d.entails(&not_p)) {
+                    out.set(i, false);
+                }
             }
         }
         Some(out)
@@ -383,7 +371,7 @@ impl AbsCtx {
         }
         let fa = self.region_formula(a);
         let fb = self.region_formula(b);
-        self.entails(&fa, &fb)
+        self.solver.borrow_mut().entails(&fa, &fb)
     }
 }
 

@@ -128,26 +128,16 @@ impl AbsCache {
         self.premises(premises).entails(goal)
     }
 
-    /// Prepares `premises` for any number of [`Premises::entails`]
-    /// queries, canonicalizing them once rather than once per goal.
-    pub fn premises<'a>(&'a self, premises: &'a [Atom]) -> Premises<'a> {
-        let canon = if self.inner.enabled { canon_premises(premises) } else { Vec::new() };
-        Premises { cache: self, raw: premises, canon }
+    /// Prepares `premises` for a [`Premises::is_sat`] query and any
+    /// number of [`Premises::entails`] queries, canonicalizing them
+    /// once rather than once per query.
+    pub fn premises(&self, premises: &[Atom]) -> Premises<'_> {
+        Premises { cache: self, canon: canon_premises(premises) }
     }
 
     /// Is the conjunction of `atoms` satisfiable?
     pub fn is_sat_conj(&self, atoms: &[Atom]) -> bool {
-        if !self.inner.enabled {
-            self.record(false);
-            return lia::is_sat_conj(atoms);
-        }
-        let key = canon_premises(atoms);
-        let (result, hit) = match seek(&self.inner.seed.inner.sat, &key) {
-            Some(seeded) => (seeded, true),
-            None => self.inner.sat.get_or_compute(key, || lia::is_sat_conj(atoms)),
-        };
-        self.record(hit);
-        result
+        self.premises(atoms).is_sat()
     }
 
     /// Snapshot of the cumulative counters (use
@@ -224,27 +214,45 @@ impl AbsCache {
     }
 }
 
-/// A premise list bound to an [`AbsCache`], with its canonical form
-/// (the premise half of every entailment key) built once.
+/// A premise list bound to an [`AbsCache`], in its canonical form: its
+/// satisfiability key, and the premise half of every entailment key.
+/// The decision procedure runs on that form too, so a duplicated
+/// premise (a guard literal the cube already asserts) costs LIA
+/// nothing, and a pass-through cache answers exactly as a memoizing
+/// one.
 #[derive(Debug)]
 pub struct Premises<'a> {
     cache: &'a AbsCache,
-    raw: &'a [Atom],
     canon: Vec<Atom>,
 }
 
 impl Premises<'_> {
-    /// Does the conjunction of the premises entail `goal`?
-    pub fn entails(&self, goal: &Atom) -> bool {
-        let (cache, premises) = (self.cache, self.raw);
+    /// Is the conjunction of the premises satisfiable?
+    pub fn is_sat(&self) -> bool {
+        let (cache, canon) = (self.cache, &self.canon);
         if !cache.inner.enabled {
             cache.record(false);
-            return lia::entails(premises, goal);
+            return lia::is_sat_conj(canon);
         }
-        let key = (self.canon.clone(), goal.canonical());
+        let (result, hit) = match seek(&cache.inner.seed.inner.sat, canon) {
+            Some(seeded) => (seeded, true),
+            None => cache.inner.sat.get_or_compute(canon.clone(), || lia::is_sat_conj(canon)),
+        };
+        cache.record(hit);
+        result
+    }
+
+    /// Does the conjunction of the premises entail `goal`?
+    pub fn entails(&self, goal: &Atom) -> bool {
+        let (cache, canon) = (self.cache, &self.canon);
+        if !cache.inner.enabled {
+            cache.record(false);
+            return lia::entails(canon, goal);
+        }
+        let key = (canon.clone(), goal.canonical());
         let (result, hit) = match seek(&cache.inner.seed.inner.entails, &key) {
             Some(seeded) => (seeded, true),
-            None => cache.inner.entails.get_or_compute(key, || lia::entails(premises, goal)),
+            None => cache.inner.entails.get_or_compute(key, || lia::entails(canon, goal)),
         };
         cache.record(hit);
         result

@@ -40,6 +40,7 @@
 use crate::abs::AbsCtx;
 use crate::arg::ExportedArg;
 use crate::cache::AbsCache;
+use crate::persist::SolverPersist;
 use crate::preds::PredSet;
 use crate::reach::{reach_and_build, Property, ReachError};
 use crate::refine::{refine, ConcreteCex, Concretizer, RefineDetail, RefineError, RefineOutcome};
@@ -370,26 +371,22 @@ pub fn circ(program: &MtProgram, config: &CircConfig) -> CircOutcome {
     circ_with_cache(program, config, &cache)
 }
 
+/// [`circ_with_cache`] for `perfbench/`, which still passes a
+/// [`SolverPersist`]; the store is ignored (see its docs).
+pub fn circ_with_caches(
+    program: &MtProgram,
+    config: &CircConfig,
+    cache: &AbsCache,
+    _solver_persist: &SolverPersist,
+) -> CircOutcome {
+    circ_with_cache(program, config, cache)
+}
+
 /// [`circ`] with a caller-supplied [`AbsCache`], so repeated runs (a
 /// benchmark loop, a parameter sweep over the same model) share their
 /// memoized entailment answers. The reported `stats.pipeline.abs`
 /// counters are this run's delta, not the cache's lifetime totals.
 pub fn circ_with_cache(program: &MtProgram, config: &CircConfig, cache: &AbsCache) -> CircOutcome {
-    circ_with_caches(program, config, cache, &circ_smt::SolverPersist::inert())
-}
-
-/// [`circ_with_cache`] additionally wired to a solver persistence
-/// store: every outer round's fresh solver warm-starts from the
-/// store's frozen seed, and what each round learns is absorbed back
-/// into the store's accumulator when its context retires — the disk
-/// half lives in [`crate::persist`] and `circ-batch`. The inert store
-/// makes this identical to [`circ_with_cache`].
-pub fn circ_with_caches(
-    program: &MtProgram,
-    config: &CircConfig,
-    cache: &AbsCache,
-    solver_persist: &circ_smt::SolverPersist,
-) -> CircOutcome {
     let start = Instant::now();
     let budget = Budget::new(
         config.timeout,
@@ -402,9 +399,7 @@ pub fn circ_with_caches(
     // `Unknown(InternalError)` verdict instead of unwinding into the
     // embedder. The shared `AbsCache` recovers from lock poisoning
     // (see circ-par), so sibling runs on it stay usable afterwards.
-    match catch_unwind(AssertUnwindSafe(|| {
-        circ_inner(program, config, cache, solver_persist, &budget, start)
-    })) {
+    match catch_unwind(AssertUnwindSafe(|| circ_inner(program, config, cache, &budget, start))) {
         Ok(outcome) => outcome,
         Err(payload) => {
             let mut stats = CircStats::default();
@@ -423,7 +418,6 @@ fn circ_inner(
     program: &MtProgram,
     config: &CircConfig,
     cache: &AbsCache,
-    solver_persist: &circ_smt::SolverPersist,
     budget: &Budget,
     start: Instant,
 ) -> CircOutcome {
@@ -459,12 +453,11 @@ fn circ_inner(
         stats.outer_iterations += 1;
         stats.pipeline.outer_rounds += 1;
         log.events.push(CircEvent::OuterStart { preds: pred_strings(&preds), k });
-        let abs = AbsCtx::with_parts(
+        let abs = AbsCtx::with_cache_and_budget(
             cfa.clone(),
             preds.clone(),
             cache.clone(),
             budget.clone(),
-            solver_persist,
         );
         // Check mode: the first inner round assumes the stored context
         // instead of the empty one, on top of the `max_inner` rounds

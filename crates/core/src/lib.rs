@@ -53,8 +53,8 @@ pub use abs::{AbsCtx, TargetId};
 pub use arg::{Arg, ExportedArg, StateEdge, StateEdgeKind, ThreadState};
 pub use cache::{AbsCache, AbsSeed, Premises};
 pub use circ_governor::{Budget, CancelToken, Exhausted, FaultPlan};
-pub use circ_smt::{PersistError, SolverPersist};
 pub use circ_stats::{AbsCounters, PipelineStats, SolverCounters};
+pub use persist::{PersistError, SolverPersist};
 pub use pred_store::{PredStore, StoredPreds};
 pub use preds::PredSet;
 pub use reach::{

@@ -37,7 +37,7 @@
 //!
 //! # Wire format
 //!
-//! The file reuses the checksummed envelope of [`circ_smt::persist`]
+//! The file reuses the checksummed envelope of [`crate::persist`]
 //! (kind `circ-pred-store`, `format=2`; any incompatible change bumps
 //! the kind's format and old files degrade to a logged cold start).
 //! Format 1 entries carried no context. One line per entry:
@@ -62,11 +62,10 @@
 //! slots or an edge endpoint that is not a location rejects the file.
 
 use crate::circ::{CircConfig, CircOutcome};
+use crate::persist::{parse_cache_file, render_cache_file, PersistError, Tokens};
 use circ_acfa::{Acfa, AcfaEdge, AcfaLocId, Cube, PredIx, Region};
 use circ_ir::digest::fnv1a64;
 use circ_ir::{BinOp, CmpOp, Expr, Pred, Var};
-use circ_smt::persist::{parse_cache_file, render_cache_file, Tokens};
-use circ_smt::PersistError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io;

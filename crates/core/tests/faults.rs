@@ -52,22 +52,25 @@ fn cfg_with(faults: FaultPlan) -> CircConfig {
 
 #[test]
 fn injected_solver_unknowns_never_flip_verdicts() {
+    // Each plan must actually fire, or the run proves nothing.
     for seed in 0..6u64 {
-        let faults = FaultPlan::seeded(seed).with_solver_unknown(100);
+        let faults = FaultPlan::seeded(seed).with_solver_unknown(500);
         let t = Instant::now();
-        let outcome = circ(&fig1_program(), &cfg_with(faults));
+        let outcome = circ(&fig1_program(), &cfg_with(faults.clone()));
         assert!(
             !outcome.is_unsafe(),
             "seed {seed}: solver Unknowns flipped a safe model to Unsafe: {outcome:?}"
         );
         assert!(t.elapsed() < Duration::from_secs(60), "seed {seed} did not terminate promptly");
+        assert!(faults.injected() > 0, "seed {seed}: no solver Unknown was injected (safe model)");
 
-        let faults = FaultPlan::seeded(seed).with_solver_unknown(100);
-        let outcome = circ(&broken_fig1(), &cfg_with(faults));
+        let faults = FaultPlan::seeded(seed).with_solver_unknown(500);
+        let outcome = circ(&broken_fig1(), &cfg_with(faults.clone()));
         assert!(
             !outcome.is_safe(),
             "seed {seed}: solver Unknowns flipped a racy model to Safe: {outcome:?}"
         );
+        assert!(faults.injected() > 0, "seed {seed}: no solver Unknown was injected (racy model)");
     }
 }
 

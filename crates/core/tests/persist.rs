@@ -3,12 +3,11 @@
 //! identical verdict), and a damaged file must degrade to a cold
 //! start — never a wrong verdict, never a crash. This is the
 //! integration-level counterpart of the wire-format unit tests in
-//! `circ_core::persist` / `circ_smt::persist`.
+//! `circ_core::persist`.
 
 use circ_core::persist::{load_abs_cache, save_abs_cache};
-use circ_core::{circ_with_caches, AbsCache, CircConfig, CircOutcome, SolverPersist};
+use circ_core::{circ_with_cache, AbsCache, CircConfig, CircOutcome};
 use circ_ir::{figure1_cfa, MtProgram};
-use circ_smt::persist::{load_solver_cache, save_solver_cache};
 use std::fs;
 use std::path::PathBuf;
 
@@ -25,38 +24,29 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs Figure 1 against the given seeds and returns the outcome plus
-/// the run's cache and store (for saving).
-fn run(
-    abs_seed: &circ_core::AbsSeed,
-    solver_seed: Vec<(circ_smt::Formula, circ_smt::SatResult)>,
-) -> (CircOutcome, AbsCache, SolverPersist) {
-    let program = figure1_program();
+/// Runs Figure 1 against the given seed and returns the outcome plus
+/// the run's cache (for saving).
+fn run(abs_seed: &circ_core::AbsSeed) -> (CircOutcome, AbsCache) {
     let cache = AbsCache::with_seed(abs_seed);
-    let persist = SolverPersist::with_seed(solver_seed);
-    let outcome = circ_with_caches(&program, &CircConfig::default(), &cache, &persist);
-    (outcome, cache, persist)
+    let outcome = circ_with_cache(&figure1_program(), &CircConfig::default(), &cache);
+    (outcome, cache)
 }
 
 #[test]
 fn save_then_load_warms_a_second_run() {
     let dir = tmp("roundtrip");
     let abs_path = dir.join("abs.cache");
-    let solver_path = dir.join("solver.cache");
 
-    let (cold, cache, persist) = run(&circ_core::AbsSeed::empty(), Vec::new());
+    let (cold, cache) = run(&circ_core::AbsSeed::empty());
     assert!(cold.is_safe(), "figure 1 must verify");
     let cold_misses = cold.stats().pipeline.abs.cache_misses;
     assert!(cold_misses > 0, "a cold run must miss");
     save_abs_cache(&abs_path, &cache.snapshot()).unwrap();
-    save_solver_cache(&solver_path, &persist).unwrap();
 
     let abs_seed = load_abs_cache(&abs_path).unwrap().expect("file just written");
-    let solver_seed = load_solver_cache(&solver_path).unwrap().expect("file just written");
     assert!(!abs_seed.is_empty());
-    assert!(!solver_seed.is_empty());
 
-    let (warm, warm_cache, _) = run(&abs_seed, solver_seed);
+    let (warm, warm_cache) = run(&abs_seed);
     assert!(warm.is_safe(), "warm verdict must match cold");
     let warm_misses = warm.stats().pipeline.abs.cache_misses;
     assert!(
@@ -76,31 +66,17 @@ fn save_then_load_warms_a_second_run() {
 fn every_single_bit_flip_is_detected() {
     let dir = tmp("bitflip");
     let abs_path = dir.join("abs.cache");
-    let (cold, cache, persist) = run(&circ_core::AbsSeed::empty(), Vec::new());
+    let (cold, cache) = run(&circ_core::AbsSeed::empty());
     assert!(cold.is_safe());
     save_abs_cache(&abs_path, &cache.snapshot()).unwrap();
-    let solver_path = dir.join("solver.cache");
-    save_solver_cache(&solver_path, &persist).unwrap();
 
-    let abs_bytes = fs::read(&abs_path).unwrap();
-    // Exhaustive over bytes would be slow for the solver file; stride
-    // through both at a prime step so every region gets hit.
-    for (path, bytes, stride) in
-        [(&abs_path, &abs_bytes, 7usize), (&solver_path, &fs::read(&solver_path).unwrap(), 13)]
-    {
-        for ix in (0..bytes.len()).step_by(stride) {
-            let mut damaged = bytes.clone();
-            damaged[ix] ^= 0x04;
-            fs::write(path, &damaged).unwrap();
-            let abs_ok = load_abs_cache(&abs_path);
-            let solver_ok = load_solver_cache(&solver_path);
-            assert!(
-                abs_ok.is_err() || solver_ok.is_err(),
-                "flip at byte {ix} of {} went undetected",
-                path.display()
-            );
-        }
-        fs::write(path, bytes).unwrap(); // restore for the other loop
+    let bytes = fs::read(&abs_path).unwrap();
+    // Stride through the file at a prime step so every region gets hit.
+    for ix in (0..bytes.len()).step_by(7) {
+        let mut damaged = bytes.clone();
+        damaged[ix] ^= 0x04;
+        fs::write(&abs_path, &damaged).unwrap();
+        assert!(load_abs_cache(&abs_path).is_err(), "flip at byte {ix} went undetected");
     }
 }
 
@@ -108,7 +84,7 @@ fn every_single_bit_flip_is_detected() {
 fn truncation_and_version_bumps_degrade_to_cold_start() {
     let dir = tmp("truncate");
     let abs_path = dir.join("abs.cache");
-    let (_, cache, _) = run(&circ_core::AbsSeed::empty(), Vec::new());
+    let (_, cache) = run(&circ_core::AbsSeed::empty());
     save_abs_cache(&abs_path, &cache.snapshot()).unwrap();
     let text = fs::read_to_string(&abs_path).unwrap();
 
@@ -123,28 +99,26 @@ fn truncation_and_version_bumps_degrade_to_cold_start() {
 
     // The batch/CLI policy on any of those errors is an empty seed —
     // and an empty seed provably cannot change the verdict.
-    let (after, _, _) = run(&circ_core::AbsSeed::empty(), Vec::new());
+    let (after, _) = run(&circ_core::AbsSeed::empty());
     assert!(after.is_safe());
 }
 
 #[test]
 fn repeated_runs_on_one_store_keep_its_size_flat() {
     let program = figure1_program();
-    let (_, _, learned) = run(&circ_core::AbsSeed::empty(), Vec::new());
-    let warm = SolverPersist::with_seed(learned.merged_entries());
-    assert!(!warm.is_empty());
-    // A warm store, and an active store whose seed is empty: it
-    // re-learns the same entries on every run, since seeds stay frozen.
-    for store in [warm, SolverPersist::with_seed(Vec::new())] {
+    let (_, learned) = run(&circ_core::AbsSeed::empty());
+    let seed = learned.snapshot();
+    assert!(!seed.is_empty());
+    // A warm cache, and a cold one shared by every run: after its first
+    // run, each run asks only questions the cache already answers.
+    for cache in [AbsCache::with_seed(&seed), AbsCache::new()] {
         let mut sizes = Vec::new();
         for _ in 0..20 {
-            let outcome =
-                circ_with_caches(&program, &CircConfig::default(), &AbsCache::new(), &store);
+            let outcome = circ_with_cache(&program, &CircConfig::default(), &cache);
             assert!(outcome.is_safe());
-            sizes.push(store.len());
-            assert_eq!(store.len(), store.merged_entries().len());
+            sizes.push(cache.len());
         }
-        assert!(sizes[0] > 0);
-        assert!(sizes.iter().all(|&n| n == sizes[0]), "store grew across runs: {sizes:?}");
+        assert_eq!(sizes[0], seed.len());
+        assert!(sizes.iter().all(|&n| n == sizes[0]), "cache grew across runs: {sizes:?}");
     }
 }

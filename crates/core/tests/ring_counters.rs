@@ -49,10 +49,10 @@ fn counters(outcome: &CircOutcome) -> Counters {
 #[test]
 fn omega_ring_counters_are_pinned() {
     let rows: [(&str, u32, Option<u32>, bool, Counters); 4] = [
-        ("ring3", 3, None, true, (543, 363, 385, 142, 142, 5331, 17, 5)),
-        ("ring4", 4, None, true, (899, 610, 698, 243, 243, 9634, 20, 6)),
-        ("ring5", 5, None, true, (1375, 947, 1139, 382, 382, 15606, 23, 7)),
-        ("ring3_racy0", 3, Some(0), false, (104, 21, 70, 20, 20, 246, 5, 2)),
+        ("ring3", 3, None, true, (543, 702, 46, 16, 16, 5331, 17, 5)),
+        ("ring4", 4, None, true, (899, 1231, 77, 25, 25, 9634, 20, 6)),
+        ("ring5", 5, None, true, (1375, 1970, 116, 36, 36, 15606, 23, 7)),
+        ("ring3_racy0", 3, Some(0), false, (104, 91, 0, 0, 0, 246, 5, 2)),
     ];
     for (name, n, racy, safe, want) in rows {
         let outcome = circ(&ring(n, racy), &CircConfig::omega());

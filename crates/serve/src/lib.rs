@@ -1,10 +1,10 @@
 //! A long-running checking service for the CIRC race checker.
 //!
 //! `circ serve --socket PATH | --port N` keeps one process resident
-//! with warm caches — the sharded entailment cache, the solver answer
-//! store, and the predicate store all live across requests — and
-//! turns the batch supervision loop into a request lifecycle over a
-//! line-delimited JSON protocol ([`protocol`]). The design goal is
+//! with warm caches — the sharded entailment cache and the predicate
+//! store both live across requests — and turns the batch supervision
+//! loop into a request lifecycle over a line-delimited JSON protocol
+//! ([`protocol`]). The design goal is
 //! *robust degradation*, inherited from the batch layer and enforced
 //! per request:
 //!
@@ -53,7 +53,7 @@ use circ_batch::{
     check_source, collect_inputs, run_units, supervise_unit, tally, warm_start, worst_exit,
     BatchConfig, CheckCtx, FileRow, Verdict, WarmStart,
 };
-use circ_core::{AbsCache, CircConfig, PredStore, SolverPersist};
+use circ_core::{AbsCache, CircConfig, PredStore};
 use circ_governor::{
     carve_mem_limit, carve_timeout, panic_message, CancelToken, Envelope, FaultPlan, RetryPolicy,
 };
@@ -124,9 +124,9 @@ pub struct ServeConfig {
     pub omega: bool,
     /// Initial counter parameter for every check.
     pub initial_k: u32,
-    /// Memoize entailment and solver queries across requests — the
-    /// reason a daemon beats cold process spawns. Disabling also
-    /// disables persistence.
+    /// Memoize entailment queries across requests — the reason a
+    /// daemon beats cold process spawns. Disabling also disables
+    /// persistence.
     pub use_cache: bool,
     /// Seed refinement from the predicate store and record what each
     /// check discovers back into it (in memory; flushed to
@@ -396,9 +396,8 @@ struct ServerState {
     /// (it is sharded and thread-safe; per-request counters are
     /// deltas, so sharing does not distort statistics).
     cache: AbsCache,
-    /// The startup warm start. Its solver-answer store is shared like
-    /// the cache; its seeds let a flush tell whether anything was
-    /// learned.
+    /// The startup warm start. Its seeds let a flush tell whether
+    /// anything was learned.
     warm: WarmStart,
     /// Warm predicate store: requests seed from a clone taken under
     /// this lock and their learned entries are absorbed back under
@@ -482,7 +481,6 @@ fn check_unit(
                     file_timeout: remaining,
                     file_mem,
                     cache: &state.cache,
-                    persist: &state.warm.persist,
                     pred_seed,
                     faults,
                 };
@@ -544,7 +542,6 @@ fn run_check(state: &ServerState, input: &CheckInput) -> (Vec<FileRow>, u8) {
 fn stats_payload(state: &ServerState) -> String {
     health_fields(state)
         .u64("abs_entries", state.cache.len() as u64)
-        .u64("solver_entries", state.warm.persist.len() as u64)
         .raw("service", &state.stats.snapshot().to_json())
         .finish()
 }
@@ -752,7 +749,6 @@ fn build_state(config: ServeConfig) -> (Arc<ServerState>, Vec<String>) {
     let dir = config.cache_dir.as_deref().filter(|_| config.use_cache);
     let mut warm = warm_start(&io, dir, config.pred_store && config.use_cache, true);
     if config.use_cache && dir.is_none() {
-        warm.persist = SolverPersist::with_seed(Vec::new());
         warm.preds = config.pred_store.then(PredStore::new);
     }
     let cache =

@@ -120,7 +120,6 @@ fn inline_checks_round_trip_with_batch_identical_verdicts() {
         let config = circ_batch::BatchConfig::default();
         let circ = config.circ_config();
         let cache = circ_core::AbsCache::new();
-        let persist = circ_core::SolverPersist::inert();
         let faults = circ_governor::FaultPlan::inert();
         let ctx = circ_batch::CheckCtx {
             config: &config,
@@ -128,7 +127,6 @@ fn inline_checks_round_trip_with_batch_identical_verdicts() {
             file_timeout: None,
             file_mem: None,
             cache: &cache,
-            persist: &persist,
             pred_seed: None,
             faults: &faults,
         };
@@ -327,7 +325,7 @@ fn without_times(value: &Value) -> Value {
 }
 
 #[test]
-fn repeated_requests_on_a_warm_cache_dir_keep_the_solver_store_flat() {
+fn repeated_requests_on_a_warm_cache_dir_keep_the_entailment_cache_flat() {
     let dir = std::env::temp_dir().join(format!("circ-serve-{}-flat", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -337,9 +335,9 @@ fn repeated_requests_on_a_warm_cache_dir_keep_the_solver_store_flat() {
         "{{\"op\":\"check\",\"name\":\"tas.nesl\",\"source\":\"{}\"}}",
         json::escape(source)
     );
-    let solver_entries = |server: &RunningServer| {
+    let abs_entries = |server: &RunningServer| {
         let stats = server.roundtrip("{\"op\":\"stats\"}");
-        stats.get("stats").and_then(|s| s.get("solver_entries")).and_then(Value::as_u64).unwrap()
+        stats.get("stats").and_then(|s| s.get("abs_entries")).and_then(Value::as_u64).unwrap()
     };
 
     // Warm the directory: one check, flushed by the drain.
@@ -348,8 +346,8 @@ fn repeated_requests_on_a_warm_cache_dir_keep_the_solver_store_flat() {
     assert_eq!(server.shutdown(), 3);
 
     let server = RunningServer::start(config(), "flat");
-    let seeded = solver_entries(&server);
-    assert!(seeded > 0, "the warm-up must have persisted solver entries");
+    let seeded = abs_entries(&server);
+    assert!(seeded > 0, "the warm-up must have persisted entailment entries");
     let mut rows = Vec::new();
     let mut after_first = 0;
     for i in 0..50 {
@@ -357,10 +355,10 @@ fn repeated_requests_on_a_warm_cache_dir_keep_the_solver_store_flat() {
         assert_eq!(resp.get("exit").and_then(Value::as_u64), Some(0), "request {i}");
         rows.push(without_times(resp.get("rows").expect("rows")));
         if i == 0 {
-            after_first = solver_entries(&server);
+            after_first = abs_entries(&server);
         }
     }
-    assert_eq!(solver_entries(&server), after_first, "solver store grew with requests");
+    assert_eq!(abs_entries(&server), after_first, "entailment cache grew with requests");
     assert!(rows.iter().all(|r| r == &rows[0]), "rows differ between identical requests");
     assert_eq!(server.shutdown(), 3);
     let _ = std::fs::remove_dir_all(&dir);

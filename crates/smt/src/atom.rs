@@ -100,12 +100,13 @@ impl Atom {
         Atom { expr: LinExpr::constant(1), rel: Rel::Eq }
     }
 
-    /// Rebuilds an atom from already-normalized parts (persistence
-    /// wire decode). Bypasses the normalizing constructors: those are
-    /// the identity on every *variable* atom they can produce, but
-    /// fold constant expressions to `verum`/`falsum`, which would not
-    /// round-trip e.g. the canonical representative `-1 = 0`.
-    pub(crate) fn from_normalized(expr: LinExpr, rel: Rel) -> Atom {
+    /// Rebuilds an atom from already-normalized parts (the cache-file
+    /// wire decode in `circ-core`). Bypasses the normalizing
+    /// constructors: those are the identity on every *variable* atom
+    /// they can produce, but fold constant expressions to
+    /// `verum`/`falsum`, which would not round-trip e.g. the canonical
+    /// representative `-1 = 0`.
+    pub fn from_normalized(expr: LinExpr, rel: Rel) -> Atom {
         Atom { expr, rel }
     }
 

@@ -115,6 +115,27 @@ impl Formula {
         self.nnf(false)
     }
 
+    /// The disjunctive normal form: one conjunction of atoms per
+    /// disjunct (none for a false formula, one empty one for a true
+    /// formula). Exponential in the number of conjoined disjunctions;
+    /// meant for guards, which have few.
+    pub fn dnf(&self) -> Vec<Vec<Atom>> {
+        fn of_nnf(f: &Formula) -> Vec<Vec<Atom>> {
+            match f {
+                Formula::Const(true) => vec![Vec::new()],
+                Formula::Const(false) => Vec::new(),
+                Formula::Atom(a) => vec![vec![a.clone()]],
+                Formula::Not(_) => unreachable!("NNF absorbs every negation"),
+                Formula::Or(fs) => fs.iter().flat_map(of_nnf).collect(),
+                Formula::And(fs) => fs.iter().fold(vec![Vec::new()], |acc, f| {
+                    let ds = of_nnf(f);
+                    acc.iter().flat_map(|a| ds.iter().map(move |d| [&a[..], d].concat())).collect()
+                }),
+            }
+        }
+        of_nnf(&self.to_nnf())
+    }
+
     /// Whether `self` is already in the form [`Formula::to_nnf`]
     /// builds, so that `to_nnf` would return it unchanged: no `Not`,
     /// no constant atom, no constant below the root, and every
@@ -278,6 +299,26 @@ mod tests {
         assert!(Formula::tru().and(Formula::fls()).is_false());
         assert!(Formula::tru().or(Formula::fls()).is_true());
         assert_eq!(Formula::tru().and(x_eq(1)), x_eq(1));
+    }
+
+    #[test]
+    fn dnf_lists_each_disjunct_and_keeps_the_semantics() {
+        assert_eq!(Formula::fls().dnf(), Vec::<Vec<Atom>>::new());
+        assert_eq!(Formula::tru().dnf(), vec![Vec::<Atom>::new()]);
+        // ¬(x = 1 ∧ (x = 2 ∨ ¬x = 3)) ≡ x ≠ 1 ∨ (x ≠ 2 ∧ x = 3)
+        let f = x_eq(1).and(x_eq(2).or(x_eq(3).not())).not();
+        let dnf = f.dnf();
+        assert_eq!(dnf.len(), 2);
+        // (x = 1 ∨ x = 2) ∧ (x = 3 ∨ x = 4): four disjuncts
+        let g = x_eq(1).or(x_eq(2)).and(x_eq(3).or(x_eq(4)));
+        assert_eq!(g.dnf().len(), 4);
+        for h in [f, g] {
+            let dnf = h.dnf();
+            for v in -1..6 {
+                let any = dnf.iter().any(|d| d.iter().all(|a| a.eval(&|_| v)));
+                assert_eq!(h.eval(&|_| v), any, "{h} differs at {v}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //!   minimization, existential projection),
 //! * [`Solver`] — the lazy DPLL(T) combination (a conjunction of
 //!   atoms takes one theory check instead of the loop), memoized per
-//!   NNF, with entailment and interpolant-style projection used by
-//!   `circ-core`.
+//!   NNF in memory, with entailment and interpolant-style projection
+//!   used by `circ-core`.
+//!
+//! The crate does no disk I/O: what `circ-core` persists, it persists
+//! at the atom level (`circ_core::persist`).
 //!
 //! Completeness note: satisfiability of conjunctions is decided
 //! exactly on rationals; on integers, per-constraint GCD tightening
@@ -51,8 +54,6 @@ mod atom;
 mod formula;
 pub mod lia;
 mod lin;
-mod memo;
-pub mod persist;
 pub mod sat;
 mod solver;
 pub mod translate;
@@ -60,5 +61,4 @@ pub mod translate;
 pub use atom::{Atom, Rel};
 pub use formula::Formula;
 pub use lin::{LinExpr, SVar};
-pub use persist::{PersistError, SolverPersist};
 pub use solver::{SatResult, Solver};

@@ -10,10 +10,9 @@
 use crate::atom::{Atom, Rel};
 use crate::formula::Formula;
 use crate::lia::{self, ConjResult, Model};
-use crate::memo::{Keyed, Memo, Probe};
 use crate::sat::{BVar, CnfSolver, Lit};
-use crate::SolverPersist;
 use circ_governor::Budget;
+use circ_par::FxHashMap;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -43,8 +42,8 @@ impl SatResult {
 
 /// A reusable SMT solver handle. Queries are independent; the handle
 /// tracks statistics across them (used by benches and tests) and
-/// memoizes results per NNF skeleton, optionally reading through to a
-/// persistence store's frozen seed ([`Solver::set_seed`]).
+/// memoizes results per NNF skeleton, in memory, for its own
+/// lifetime.
 #[derive(Debug)]
 pub struct Solver {
     queries: u64,
@@ -54,9 +53,7 @@ pub struct Solver {
     /// only differ in negation placement share one entry. The solver
     /// is deterministic, so replaying a cached `Sat` model is
     /// indistinguishable from re-solving.
-    cache: Memo,
-    /// Frozen read-through layer below `cache` (inert by default).
-    seed: SolverPersist,
+    cache: FxHashMap<Formula, SatResult>,
     cache_enabled: bool,
     cache_hits: u64,
     cache_misses: u64,
@@ -72,8 +69,7 @@ impl Default for Solver {
         Solver {
             queries: 0,
             theory_rounds: 0,
-            cache: Memo::default(),
-            seed: SolverPersist::inert(),
+            cache: FxHashMap::default(),
             cache_enabled: true,
             cache_hits: 0,
             cache_misses: 0,
@@ -104,16 +100,6 @@ impl Solver {
     /// charged against its memory ceiling.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-    }
-
-    /// Warm-start from a persistence store's frozen seed: after the
-    /// solver's own memo misses, the query is looked up in the seed,
-    /// so the first query of a seeded formula is a cache hit. A seed
-    /// hit is neither copied into the memo nor charged to the budget
-    /// (it was paid for by the run that first solved it). An inert
-    /// store (the default) or a disabled cache seeds nothing.
-    pub fn set_seed(&mut self, seed: SolverPersist) {
-        self.seed = seed;
     }
 
     /// Number of top-level queries issued so far.
@@ -161,23 +147,19 @@ impl Solver {
         if self.budget.faults().solver_unknown() {
             return SatResult::Unknown;
         }
-        // Hashed once: the memo lookup, the seed lookup and the memo
-        // insert all reuse it.
-        let probe = self.cache_enabled.then(|| Probe::new(&nnf));
-        if let Some(probe) = &probe {
-            if let Some(hit) = probe.get(&self.cache).or_else(|| self.seed.get(probe)) {
+        if self.cache_enabled {
+            if let Some(hit) = self.cache.get(&*nnf) {
                 self.cache_hits += 1;
                 return hit.clone();
             }
         }
-        let hash = probe.map(|p| p.hash());
         let (result, budget_aborted) = self.solve_nnf(&nnf);
         self.cache_misses += 1;
         // A budget-induced Unknown reflects *when* the query ran, not
         // what the formula means — never memoize it.
-        if let Some(hash) = hash.filter(|_| !budget_aborted) {
+        if self.cache_enabled && !budget_aborted {
             self.budget.charge(formula_bytes(&nnf));
-            self.cache.insert(Keyed::with_hash(hash, nnf.into_owned()), result.clone());
+            self.cache.insert(nnf.into_owned(), result.clone());
         }
         result
     }
@@ -274,13 +256,6 @@ impl Solver {
                 }
             }
         }
-    }
-
-    /// Clones out the `(NNF, result)` pairs this solver memoized
-    /// itself (for persistence export); seed hits are not among them.
-    /// Order is unspecified.
-    pub fn entries(&self) -> Vec<(Formula, SatResult)> {
-        self.cache.iter().map(|(k, v)| (k.formula().clone(), v.clone())).collect()
     }
 
     /// Convenience: is `f` satisfiable?
